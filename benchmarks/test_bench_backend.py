@@ -10,6 +10,8 @@ one-sided baseline entries).
 import numpy as np
 import pytest
 
+from repro.channel.wideband import sampled_cir
+from repro.core.superres import SuperResolver
 from repro.perf.backend import available_backends, dispatch, use_backend
 
 BACKENDS = [
@@ -23,32 +25,46 @@ BACKENDS = [
 ]
 
 
-def _superres_workload():
+def _superres_rounds():
+    """One link's maintenance CIRs: steady, a beam dropped, a timing jump."""
     rng = np.random.default_rng(11)
-    num_candidates, num_taps, num_beams = 64, 128, 3
-    delays = rng.uniform(0.0, 100e-9, size=(num_candidates, num_beams))
-    cir = rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
-    return delays, cir
+    bandwidth, num_taps = 400e6, 128
+    relative = np.array([0.0, 1.2e-9, 3.1e-9])
+    rounds = []
+    for index in range(200):
+        base = 25e-9 if index < 150 else 35e-9  # re-acquired at 150
+        alphas = np.array([1.0, 0.5j, 0.3])
+        active = None
+        if 60 <= index < 90:
+            alphas[1], active = 0.0, [0, 2]
+        cir = sampled_cir(alphas, base + relative, bandwidth, num_taps)
+        cir = cir + 1e-2 * (
+            rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
+        )
+        rounds.append((cir, active))
+    return bandwidth, relative, rounds
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_backend_stacked_superres_solve(benchmark, once, backend_name):
-    """Dictionary build + batched candidate solve, the fig18 hot loop."""
-    delays, cir = _superres_workload()
+def test_backend_warm_superres_sequence(benchmark, once, backend_name):
+    """One resolver across a link's rounds, the maintenance hot loop."""
+    bandwidth, relative, rounds = _superres_rounds()
 
-    def solve():
+    def track():
+        resolver = SuperResolver(
+            bandwidth_hz=bandwidth,
+            relative_delays_s=relative,
+            initial_base_s=25e-9,
+        )
         with use_backend(backend_name):
-            dictionaries = dispatch(
-                "stacked_dirichlet_dictionaries", delays, 400e6, cir.size
-            )
-            return dispatch(
-                "stacked_candidate_solve", dictionaries, cir, 1e-3
-            )
+            return [
+                resolver.estimate(cir, active_indices=active)
+                for cir, active in rounds
+            ]
 
-    alphas, residuals, objectives = once(benchmark, solve)
-    assert alphas.shape == delays.shape
-    assert np.all(residuals >= 0.0)
-    assert np.all(objectives >= residuals ** 2 * (1.0 - 1e-9))
+    results = once(benchmark, track)
+    assert len(results) == len(rounds)
+    assert all(np.all(np.isfinite(r.alphas)) for r in results)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

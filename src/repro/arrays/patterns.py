@@ -211,14 +211,20 @@ def invert_pattern_offset(
         return 0.0
     target = float(power_db_to_linear(-power_drop_db))
     null = first_null_offset(num_elements, steer_angle_rad, spacing_wavelengths)
+    sin_steer = np.sin(steer_angle_rad)
+    scale = 2.0 * np.pi * spacing_wavelengths
 
     def objective(offset: float) -> float:
-        return (
-            ula_power_pattern(
-                num_elements, offset, steer_angle_rad, spacing_wavelengths
-            )
-            - target
-        )
+        # ula_power_pattern's ufuncs in the same order on scalars, with
+        # the loop invariants hoisted, so every brentq iterate matches.
+        psi = scale * (np.sin(steer_angle_rad + offset) - sin_steer)
+        den = num_elements * np.sin(psi / 2.0)
+        if abs(den) <= 1e-12:
+            value = np.cos(num_elements * psi / 2.0) / np.cos(psi / 2.0)
+            # _dirichlet returns a 0-d array here, which numpy squares
+            # as value * value rather than through pow().
+            return value * value - target
+        return (np.sin(num_elements * psi / 2.0) / den) ** 2 - target
 
     # The pattern is monotonically decreasing on (0, first null); clamp
     # unreachable drops to just inside the null.

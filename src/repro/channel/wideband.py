@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.channel.geometric import GeometricChannel
-from repro.perf.backend import dispatch
+from repro.perf.backend import dispatch, get_backend
 from repro.perf.cache import BoundedCache, array_key
 from repro.utils import normalized_sinc
 
@@ -141,7 +141,6 @@ def dirichlet_dictionary(
     candidate_delays_s: Sequence[float],
     bandwidth_hz: float,
     num_taps: int,
-    fast: bool = True,
 ) -> np.ndarray:
     """Exact DFT-kernel dictionary for CIRs obtained by IFFT.
 
@@ -152,32 +151,23 @@ def dirichlet_dictionary(
     :func:`sinc_dictionary` when modelling an ideal band-limited receiver
     (Eq. 22) instead.
 
-    ``fast=True`` builds every column with one batched IFFT and caches the
-    (read-only) result; ``fast=False`` is the per-delay reference path.
+    Every column comes from one batched IFFT; the (read-only) result is
+    cached.
     """
     delays = np.asarray(candidate_delays_s, dtype=float)
-    if fast:
-        from repro.perf.backend import get_backend
-
-        # Keyed on the serving backend too: backends agree only to the
-        # documented tolerance, so a cached numba build must not be
-        # served to a numpy-backend caller (or vice versa).
-        key = (
-            "dirichlet", get_backend().name, float(bandwidth_hz),
-            int(num_taps), array_key(delays),
-        )
-        return _DICTIONARY_CACHE.get_or_build(
-            key,
-            lambda: stacked_dirichlet_dictionaries(
-                delays.ravel()[None, :], bandwidth_hz, num_taps
-            )[0],
-        )
-    freqs = ofdm_frequency_grid(bandwidth_hz * 1.0, num_taps)
-    columns = []
-    for delay in delays.ravel():
-        response = np.exp(-2j * np.pi * freqs * delay)
-        columns.append(cir_from_frequency_response(response))
-    return np.stack(columns, axis=1)
+    # Keyed on the serving backend too: backends agree only to the
+    # documented tolerance, so a cached numba build must not be served
+    # to a numpy-backend caller (or vice versa).
+    key = (
+        "dirichlet", get_backend().name, float(bandwidth_hz),
+        int(num_taps), array_key(delays),
+    )
+    return _DICTIONARY_CACHE.get_or_build(
+        key,
+        lambda: stacked_dirichlet_dictionaries(
+            delays.ravel()[None, :], bandwidth_hz, num_taps
+        )[0],
+    )
 
 
 def stacked_dirichlet_dictionaries(

@@ -17,19 +17,31 @@ anchor).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.channel.wideband import (
-    dirichlet_dictionary,
     sinc_dictionary,
     stacked_dirichlet_dictionaries,
     stacked_sinc_dictionaries,
 )
-from repro.perf.backend import dispatch
 from repro.utils.units import power_linear_to_db
+
+#: Candidate tensors whose CIR-independent half of the ridge problem one
+#: resolver keeps (least recently used first out).  While the tracked
+#: anchor holds still every round re-solves the same tensor; the spare
+#: entries cover re-acquisition and active-beam changes.
+FACTORIZATION_CACHE_SIZE = 8
+
+_NO_OFFSET = np.array([0.0])
+_NO_OFFSET.setflags(write=False)  # shared by every resolver
+
+#: ``(dictionaries (C, F, K), their conjugate transpose (C, K, F),
+#: ridge Gram matrices (C, K, K))`` of one candidate delay tensor.
+_Factorization = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def ridge_solve(
@@ -70,7 +82,6 @@ def estimate_pulse_tof(
     kernel: str = "dirichlet",
     fine_step_taps: float = 0.02,
     search_span_taps: float = 1.5,
-    fast: bool = True,
 ) -> float:
     """Sub-tap ToF of the dominant pulse in a CIR.
 
@@ -78,11 +89,8 @@ def estimate_pulse_tof(
     dictionary column over a fine grid and returns the delay minimizing
     the rank-1 fit residual.  Used at establishment to anchor the
     super-resolver on each beam's absolute ToF far more precisely than
-    the ``1/B`` tap grid allows.
-
-    ``fast=True`` scores the whole fine grid with one stacked dictionary
-    build; ``fast=False`` is the per-delay reference path.  Both keep the
-    first of tied maxima.
+    the ``1/B`` tap grid allows.  The whole fine grid is scored with one
+    stacked dictionary build; the first of tied maxima wins.
     """
     cir = np.asarray(cir, dtype=complex)
     if cir.ndim != 1 or cir.size < 2:
@@ -93,31 +101,20 @@ def estimate_pulse_tof(
         -search_span_taps, search_span_taps + fine_step_taps, fine_step_taps
     ) * tap
     grid = grid[grid >= 0]
-    if fast:
-        if kernel == "dirichlet":
-            stacked = stacked_dirichlet_dictionaries(
-                grid[:, None], bandwidth_hz, cir.size
-            )
-        else:
-            stacked = stacked_sinc_dictionaries(
-                grid[:, None], bandwidth_hz, cir.size
-            )
-        columns = stacked[:, :, 0]  # (G, F)
-        # Rank-1 LS: the explained energy |<col, cir>|^2 / ||col||^2.
-        scores = np.abs(columns.conj() @ cir) ** 2 / np.einsum(
-            "gf,gf->g", columns.conj(), columns
-        ).real
-        return float(grid[int(np.argmax(scores))])
-    build = dirichlet_dictionary if kernel == "dirichlet" else sinc_dictionary
-    best_delay, best_score = float(grid[0]), -np.inf
-    for delay in grid:
-        column = build([float(delay)], bandwidth_hz, cir.size)[:, 0]
-        score = abs(np.vdot(column, cir)) ** 2 / float(
-            np.vdot(column, column).real
+    if kernel == "dirichlet":
+        stacked = stacked_dirichlet_dictionaries(
+            grid[:, None], bandwidth_hz, cir.size
         )
-        if score > best_score:
-            best_delay, best_score = float(delay), score
-    return best_delay
+    else:
+        stacked = stacked_sinc_dictionaries(
+            grid[:, None], bandwidth_hz, cir.size
+        )
+    columns = stacked[:, :, 0]  # (G, F)
+    # Rank-1 LS: the explained energy |<col, cir>|^2 / ||col||^2.
+    scores = np.abs(columns.conj() @ cir) ** 2 / np.einsum(
+        "gf,gf->g", columns.conj(), columns
+    ).real
+    return float(grid[int(np.argmax(scores))])
 
 
 @dataclass(frozen=True)
@@ -182,13 +179,18 @@ class SuperResolver:
     #: :func:`estimate_pulse_tof`).  When set, the anchor search tracks it
     #: instead of re-deriving an ambiguous anchor from the CIR argmax.
     initial_base_s: Optional[float] = None
-    #: ``True`` assembles every candidate dictionary into one stacked
-    #: tensor and solves all ridge systems with a single batched
-    #: ``np.linalg.solve``; ``False`` is the per-candidate reference path.
-    #: Candidate order, tie-breaking, and anchor semantics are identical;
-    #: numerics agree to the tolerance documented in DESIGN.md.
-    fast: bool = True
     _last_base_s: Optional[float] = field(default=None, init=False)
+    _jitter_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _spacing_offsets: np.ndarray = field(
+        init=False, repr=False, compare=False
+    )
+    #: Candidate tensor key -> its :data:`_Factorization`, an LRU bounded
+    #: by :data:`FACTORIZATION_CACHE_SIZE`.  Per resolver, so it dies with
+    #: the link (every establish/retrain builds a new resolver) and needs
+    #: no lock (one link runs on one thread).
+    _factorizations: "OrderedDict[tuple, _Factorization]" = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.bandwidth_hz <= 0:
@@ -216,6 +218,25 @@ class SuperResolver:
             )
         self.relative_delays_s = delays
         self._last_base_s = self.initial_base_s
+        # The absolute ToF drifts between rounds: try anchor offsets
+        # within the jitter window.  Relative ToFs drift slowly too: try
+        # small common perturbations of the non-reference spacings
+        # ("trying few values around the initial value", Section 4.3).
+        # The spacing span stays well below the trained spacing so the
+        # dictionary columns never collapse.
+        self._jitter_offsets = (
+            np.linspace(
+                -self.jitter_span_s, self.jitter_span_s, self.jitter_candidates
+            )
+            if self.jitter_candidates > 1
+            else _NO_OFFSET
+        )
+        self._spacing_offsets = (
+            np.linspace(-self.spacing_span_s, self.spacing_span_s, 3)
+            if self.spacing_span_s > 0
+            else _NO_OFFSET
+        )
+        self._factorizations = OrderedDict()
 
     @property
     def num_beams(self) -> int:
@@ -225,56 +246,75 @@ class SuperResolver:
         """The classical delay resolution ``1/B`` the method beats."""
         return 1.0 / self.bandwidth_hz
 
-    def _fit_single(
-        self, delays: np.ndarray, cir: np.ndarray, relative: np.ndarray
-    ):
-        """The per-candidate reference fit (one dictionary, one solve)."""
-        if self.kernel == "dirichlet":
-            dictionary = dirichlet_dictionary(
-                delays, self.bandwidth_hz, cir.size, fast=False
-            )
-        else:
-            dictionary = sinc_dictionary(delays, self.bandwidth_hz, cir.size)
-        alphas = ridge_solve(dictionary, cir, self.regularization)
-        residual = float(np.linalg.norm(cir - dictionary @ alphas))
-        # Score by the full ridge objective: a pure-residual criterion
-        # would reward overfitting noise with huge alphas whenever two
-        # candidate delays nearly coincide.
-        objective = residual ** 2 + (
-            self.regularization * float(np.sum(np.abs(alphas) ** 2))
-        )
-        # The grid origin (reference-beam ToF), NOT the first *active*
-        # beam's delay: when the reference beam is dropped, delays[0]
-        # belongs to another beam and storing it would shift the tracked
-        # anchor by the beam spacing.
-        grid_base = float(delays[0] - relative[0])
-        return (objective, grid_base, alphas, delays, residual)
+    def _candidate_delays(
+        self, anchors: Set[float], relative: np.ndarray
+    ) -> np.ndarray:
+        """Every candidate delay set as one ``(C, K)`` tensor.
 
-    def _fit_stacked(self, delay_sets, cir: np.ndarray, relative: np.ndarray):
-        """Fit every candidate at once via the backend's stacked solve."""
-        delays = np.stack(delay_sets)  # (C, K)
+        Rows run anchors ascending, then jitter offsets, then spacing
+        offsets; rows with a negative delay are dropped.
+        """
+        # No spacing search is possible (or needed) with one active beam.
+        spacing = self._spacing_offsets if relative.size > 1 else _NO_OFFSET
+        spacing_mask = np.ones_like(relative)
+        spacing_mask[0] = 0.0
+        shifted = np.array(sorted(anchors))[:, None] + self._jitter_offsets
+        delays = (shifted[:, :, None, None] + relative) + (
+            spacing[:, None] * spacing_mask
+        )
+        delays = delays.reshape(-1, relative.size)
+        return delays[~np.any(delays < 0, axis=1)]
+
+    def _factorization(
+        self, delays: np.ndarray, num_taps: int
+    ) -> _Factorization:
+        """The CIR-independent half of every candidate's ridge problem."""
+        key = (num_taps, delays.shape, delays.tobytes())
+        cache = self._factorizations
+        entry = cache.get(key)
+        if entry is not None:
+            cache.move_to_end(key)
+            return entry
         if self.kernel == "dirichlet":
             dictionaries = stacked_dirichlet_dictionaries(
-                delays, self.bandwidth_hz, cir.size
+                delays, self.bandwidth_hz, num_taps
             )
         else:
             dictionaries = stacked_sinc_dictionaries(
-                delays, self.bandwidth_hz, cir.size
+                delays, self.bandwidth_hz, num_taps
             )
-        alphas, residuals, objectives = dispatch(
-            "stacked_candidate_solve",
-            dictionaries, cir, float(self.regularization),
+        hermitian = dictionaries.conj().transpose(0, 2, 1)  # (C, K, F)
+        grams = hermitian @ dictionaries + (
+            float(self.regularization) * np.eye(delays.shape[1])
         )
-        return [
-            (
-                float(objectives[c]),
-                float(delays[c, 0] - relative[0]),
-                alphas[c],
-                delays[c],
-                float(residuals[c]),
-            )
-            for c in range(delays.shape[0])
-        ]
+        entry = cache[key] = (dictionaries, hermitian, grams)
+        if len(cache) > FACTORIZATION_CACHE_SIZE:
+            cache.popitem(last=False)
+        return entry
+
+    def _fit(
+        self, anchors: Set[float], relative: np.ndarray, cir: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, ...]]:
+        """Ridge-fit every candidate around ``anchors`` against the CIR.
+
+        Returns ``(delays (C, K), alphas (C, K), residuals (C,),
+        objectives (C,))``, or None when no candidate is valid.
+        """
+        delays = self._candidate_delays(anchors, relative)
+        if not delays.shape[0]:
+            return None
+        dictionaries, hermitian, grams = self._factorization(delays, cir.size)
+        projections = hermitian @ cir  # (C, K)
+        alphas = np.linalg.solve(grams, projections[:, :, None])[:, :, 0]
+        fitted = (dictionaries @ alphas[:, :, None])[:, :, 0]  # (C, F)
+        residuals = np.linalg.norm(cir[None, :] - fitted, axis=1)
+        # Score by the full ridge objective: a pure-residual criterion
+        # would reward overfitting noise with huge alphas whenever two
+        # candidate delays nearly coincide.
+        objectives = residuals ** 2 + (
+            float(self.regularization) * np.sum(np.abs(alphas) ** 2, axis=1)
+        )
+        return delays, alphas, residuals, objectives
 
     def estimate(
         self,
@@ -283,8 +323,9 @@ class SuperResolver:
     ) -> SuperResResult:
         """Decompose a sampled CIR into per-beam complex gains.
 
-        Anchors the delay grid on the strongest CIR tap, then refines the
-        anchor over the jitter window by residual.
+        Anchors the delay grid on the tracked reference-beam ToF (or, with
+        none yet, on the strongest CIR tap), then refines the anchor over
+        the jitter window by the ridge objective.
 
         ``active_indices`` restricts the dictionary to the beams that are
         actually transmitting (the manager drops blocked beams from the
@@ -312,86 +353,56 @@ class SuperResolver:
         # The strongest tap may belong to any active beam; anchors shifted
         # back by each relative delay are the re-acquisition candidates.
         argmax_candidates = {argmax_anchor - float(d) for d in relative}
-        if self._last_base_s is not None:
-            # Track the anchor established via estimate_pulse_tof(): the
-            # absolute ToF drifts slowly, so the jitter window around the
-            # previous base covers it without the argmax ambiguity.
-            anchor_candidates = {float(self._last_base_s)}
-        else:
-            anchor_candidates = argmax_candidates
-        offsets = (
-            np.linspace(-self.jitter_span_s, self.jitter_span_s, self.jitter_candidates)
-            if self.jitter_candidates > 1
-            else np.array([0.0])
-        )
-        # Relative ToFs drift slowly; try small common perturbations of the
-        # non-reference spacings too ("trying few values around the initial
-        # value", Section 4.3).  No spacing search is possible (or needed)
-        # with a single active beam, and the span stays well below the
-        # trained spacing so the dictionary columns never collapse.
-        if relative.size > 1 and self.spacing_span_s > 0:
-            spacing_offsets = np.linspace(
-                -self.spacing_span_s, self.spacing_span_s, 3
+        tracked = self._last_base_s
+        # Track the anchor established via estimate_pulse_tof(): the
+        # absolute ToF drifts slowly, so the jitter window around the
+        # previous base covers it without the argmax ambiguity.
+        fits = [
+            self._fit(
+                argmax_candidates if tracked is None else {float(tracked)},
+                relative,
+                cir,
             )
-        else:
-            spacing_offsets = np.array([0.0])
-        spacing_mask = np.ones_like(relative)
-        spacing_mask[0] = 0.0
-
-        def evaluate(anchors):
-            # Candidate enumeration is shared between the fast and naive
-            # fitters so both see identical delay sets in identical order.
-            delay_sets = []
-            for base in sorted(anchors):
-                for offset in offsets:
-                    for spacing in spacing_offsets:
-                        delays = (
-                            base + offset + relative + spacing * spacing_mask
-                        )
-                        if np.any(delays < 0):
-                            continue
-                        delay_sets.append(delays)
-            if not delay_sets:
-                return []
-            if self.fast:
-                return self._fit_stacked(delay_sets, cir, relative)
-            return [
-                self._fit_single(delays, cir, relative)
-                for delays in delay_sets
-            ]
-
-        candidates = evaluate(anchor_candidates)
-        # Re-acquisition: if the tracked anchor no longer explains the CIR
-        # (a timing jump larger than the jitter window), fall back to the
-        # argmax-derived anchors.
-        cir_energy = float(np.linalg.norm(cir) ** 2)
-        if candidates and self._last_base_s is not None:
-            best_residual_sq = min(c[4] ** 2 for c in candidates)
-            if best_residual_sq > 0.5 * cir_energy:
-                candidates = candidates + evaluate(argmax_candidates)
-        if not candidates:
-            candidates = evaluate(argmax_candidates)
-        if not candidates:
-            raise RuntimeError("no valid delay anchor found")
-        best_objective = min(c[0] for c in candidates)
-        # When one beam is silent (blockage) the single remaining pulse fits
-        # several anchor hypotheses equally well; break the tie toward the
-        # previous round's anchor — absolute ToF drifts slowly (Sec. 4.3).
-        ties = [
-            c for c in candidates
-            if c[0] <= best_objective * self.tie_tolerance
         ]
-        if self._last_base_s is not None and len(ties) > 1:
-            chosen = min(ties, key=lambda c: abs(c[1] - self._last_base_s))
+        # Re-acquisition: if the tracked anchor no longer explains the CIR
+        # (a timing jump larger than the jitter window), the argmax-derived
+        # anchors' candidates follow the tracked ones.
+        if tracked is not None and (
+            fits[0] is None
+            or min(r ** 2 for r in fits[0][2].tolist())
+            > 0.5 * float(np.linalg.norm(cir) ** 2)
+        ):
+            fits.append(self._fit(argmax_candidates, relative, cir))
+        fits = [fit for fit in fits if fit is not None]
+        if not fits:
+            raise RuntimeError("no valid delay anchor found")
+        delays, alphas, residuals, objectives = (
+            fits[0] if len(fits) == 1
+            else tuple(np.concatenate(parts) for parts in zip(*fits))
+        )
+        # The grid origin (reference-beam ToF), NOT the first *active*
+        # beam's delay: when the reference beam is dropped, delays[:, 0]
+        # belongs to another beam and storing it would shift the tracked
+        # anchor by the beam spacing.
+        bases = delays[:, 0] - relative[0]
+        ties = np.flatnonzero(
+            objectives <= objectives.min() * self.tie_tolerance
+        )
+        if tracked is not None and ties.size > 1:
+            # When one beam is silent (blockage) the single remaining pulse
+            # fits several anchor hypotheses equally well; break the tie
+            # toward the previous round's anchor — absolute ToF drifts
+            # slowly (Sec. 4.3).  argmin keeps the first of equal ones.
+            chosen = ties[np.argmin(np.abs(bases[ties] - tracked))]
         else:
-            chosen = min(ties, key=lambda c: c[0])
-        _objective, base_s, alphas, delays, residual = chosen
-        self._last_base_s = base_s
+            chosen = ties[np.argmin(objectives[ties])]
+        self._last_base_s = float(bases[chosen])
         full_alphas = np.zeros(self.num_beams, dtype=complex)
         full_delays = np.zeros(self.num_beams)
-        for slot, index in enumerate(active):
-            full_alphas[index] = alphas[slot]
-            full_delays[index] = delays[slot]
+        full_alphas[active] = alphas[chosen]
+        full_delays[active] = delays[chosen]
         return SuperResResult(
-            alphas=full_alphas, delays_s=full_delays, residual=residual
+            alphas=full_alphas,
+            delays_s=full_delays,
+            residual=float(residuals[chosen]),
         )

@@ -1,8 +1,7 @@
 """Registry-based compute-backend seam for the hot-path kernels.
 
-The simulator's top kernels — the stacked superres candidate solve, the
-wideband dictionary products, batched channel sampling, and the
-array-factor product — are dispatched through a named backend instead
+The simulator's top kernels — the wideband dictionary products, batched
+channel sampling, and the array-factor product — are dispatched through a named backend instead
 of being hard-wired to NumPy:
 
 * ``"numpy"`` (default) — the reference implementation in

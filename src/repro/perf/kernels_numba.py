@@ -22,7 +22,7 @@ for the RL310/RL311 lint rules).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Optional, Tuple, TypeVar, cast
+from typing import Any, Callable, Dict, Optional, TypeVar, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -40,7 +40,6 @@ __all__ = [
     "PY_KERNELS",
     "array_factor",
     "batch_frequency_response",
-    "stacked_candidate_solve",
     "stacked_dirichlet_dictionaries",
     "stacked_sinc_dictionaries",
 ]
@@ -153,51 +152,6 @@ def stacked_dirichlet_dictionaries(
 
 
 @_kernel
-def stacked_candidate_solve(
-    dictionaries: _ComplexArray,
-    cir: _ComplexArray,
-    regularization: float,
-) -> Tuple[_ComplexArray, _FloatArray, _FloatArray]:
-    """Per-candidate ridge solves with fused gram/projection loops."""
-    num_sets, num_taps, num_cols = dictionaries.shape
-    alphas = np.empty((num_sets, num_cols), dtype=np.complex128)
-    residuals = np.empty(num_sets)
-    objectives = np.empty(num_sets)
-    for c in range(num_sets):
-        gram = np.empty((num_cols, num_cols), dtype=np.complex128)
-        projection = np.empty(num_cols, dtype=np.complex128)
-        for i in range(num_cols):
-            acc_p = 0.0 + 0.0j
-            for f in range(num_taps):
-                acc_p += np.conj(dictionaries[c, f, i]) * cir[f]
-            projection[i] = acc_p
-            for j in range(num_cols):
-                acc_g = 0.0 + 0.0j
-                for f in range(num_taps):
-                    acc_g += np.conj(dictionaries[c, f, i]) * dictionaries[c, f, j]
-                gram[i, j] = acc_g
-            gram[i, i] += regularization
-        solved = np.linalg.solve(gram, projection)
-        residual_sq = 0.0
-        for f in range(num_taps):
-            acc = 0.0 + 0.0j
-            for j in range(num_cols):
-                acc += dictionaries[c, f, j] * solved[j]
-            diff = cir[f] - acc
-            residual_sq += diff.real * diff.real + diff.imag * diff.imag
-        energy = 0.0
-        for j in range(num_cols):
-            energy += solved[j].real * solved[j].real + (
-                solved[j].imag * solved[j].imag
-            )
-        for j in range(num_cols):
-            alphas[c, j] = solved[j]
-        residuals[c] = math.sqrt(residual_sq)
-        objectives[c] = residual_sq + regularization * energy
-    return alphas, residuals, objectives
-
-
-@_kernel
 def batch_frequency_response(
     steering: _ComplexArray,
     rotation: _ComplexArray,
@@ -243,7 +197,6 @@ def array_factor(
 KERNELS: Dict[str, Callable[..., object]] = {
     "stacked_sinc_dictionaries": stacked_sinc_dictionaries,
     "stacked_dirichlet_dictionaries": stacked_dirichlet_dictionaries,
-    "stacked_candidate_solve": stacked_candidate_solve,
     "batch_frequency_response": batch_frequency_response,
     "array_factor": array_factor,
 }

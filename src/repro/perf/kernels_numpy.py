@@ -4,9 +4,9 @@ This module is the *semantic contract* of the backend seam
 (:mod:`repro.perf.backend`): every other backend must reproduce these
 functions within the tolerance documented in DESIGN.md ("Compute
 backends").  The arithmetic here is lifted verbatim from the original
-call sites — :meth:`repro.core.superres.SuperResolver._fit_stacked`,
-:mod:`repro.channel.wideband`, :meth:`repro.channel.batch.ChannelBatch.
-frequency_response`, and :func:`repro.arrays.patterns.array_factor` —
+call sites — :mod:`repro.channel.wideband`,
+:meth:`repro.channel.batch.ChannelBatch.frequency_response`, and
+:func:`repro.arrays.patterns.array_factor` —
 so routing those call sites through the seam under the default backend
 is bitwise-identical to the pre-seam code.
 
@@ -18,7 +18,7 @@ layer up, in :func:`repro.perf.backend.dispatch`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 import numpy as np
 import numpy.typing as npt
@@ -27,7 +27,6 @@ __all__ = [
     "KERNELS",
     "array_factor",
     "batch_frequency_response",
-    "stacked_candidate_solve",
     "stacked_dirichlet_dictionaries",
     "stacked_sinc_dictionaries",
 ]
@@ -80,37 +79,6 @@ def stacked_dirichlet_dictionaries(
     return transformed
 
 
-def stacked_candidate_solve(
-    dictionaries: _ComplexArray,
-    cir: _ComplexArray,
-    regularization: float,
-) -> Tuple[_ComplexArray, _FloatArray, _FloatArray]:
-    """Ridge-fit every candidate dictionary against one CIR at once.
-
-    Parameters: ``dictionaries`` is ``(C, F, K)`` (real for the sinc
-    kernel, complex for dirichlet), ``cir`` is ``(F,)``.  Returns
-    ``(alphas (C, K), residuals (C,), objectives (C,))`` where the
-    objective is the full ridge loss ``residual^2 + lam ||alpha||^2``.
-    """
-    hermitian = dictionaries.conj().transpose(0, 2, 1)  # (C, K, F)
-    num_columns = dictionaries.shape[2]
-    grams = hermitian @ dictionaries + (
-        regularization * np.eye(num_columns)
-    )
-    projections = hermitian @ cir  # (C, K)
-    alphas: _ComplexArray = np.linalg.solve(
-        grams, projections[:, :, None]
-    )[:, :, 0]
-    fitted = (dictionaries @ alphas[:, :, None])[:, :, 0]  # (C, F)
-    residuals: _FloatArray = np.asarray(
-        np.linalg.norm(cir[None, :] - fitted, axis=1)
-    )
-    objectives: _FloatArray = residuals ** 2 + (
-        regularization * np.sum(np.abs(alphas) ** 2, axis=1)
-    )
-    return alphas, residuals, objectives
-
-
 def batch_frequency_response(
     steering: _ComplexArray,
     rotation: _ComplexArray,
@@ -142,7 +110,6 @@ def array_factor(
 KERNELS: Dict[str, Callable[..., object]] = {
     "stacked_sinc_dictionaries": stacked_sinc_dictionaries,
     "stacked_dirichlet_dictionaries": stacked_dirichlet_dictionaries,
-    "stacked_candidate_solve": stacked_candidate_solve,
     "batch_frequency_response": batch_frequency_response,
     "array_factor": array_factor,
 }

@@ -406,8 +406,15 @@ class JobServer:
         assert self._wakeup is not None
         while True:
             async with self._wakeup:
-                while len(self.queue) == 0:
+                # stop() cancels this task, but before Python 3.12 a
+                # finite-timeout wait_for returns its result instead when
+                # the cancel lands in the same loop iteration as the
+                # awaited append or execution completing.  Checking the
+                # flag before every wait lets such a worker still exit.
+                while len(self.queue) == 0 and not self._stopping:
                     await self._wakeup.wait()
+                if self._stopping:
+                    return
                 record = self.queue.pop()
             if record is None or record.terminal:
                 continue

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from repro.arrays import (
     UniformLinearArray,
@@ -13,7 +14,9 @@ from repro.arrays import (
     ula_power_pattern,
     ula_power_pattern_db,
 )
+from repro.arrays import patterns as patterns_module
 from repro.arrays.patterns import first_null_offset
+from repro.utils.units import power_db_to_linear
 
 
 @pytest.fixture
@@ -130,3 +133,69 @@ class TestInvertPatternOffset:
         )
         recovered = invert_pattern_offset(8, drop_db, steer_angle_rad=steer)
         assert recovered == pytest.approx(offset, abs=1e-6)
+
+    def test_matches_brentq_over_the_public_pattern_bitwise(self, monkeypatch):
+        # The inverse evaluates its own scalar objective; every brentq
+        # iterate (its offset and objective value), and so every root,
+        # must match one driven through the public ula_power_pattern.
+        def recording_brentq(calls):
+            def solve(objective, lower, upper):
+                def recorded(offset):
+                    value = objective(offset)
+                    calls.append((offset, float(value)))
+                    return value
+
+                return brentq(recorded, lower, upper)
+
+            return solve
+
+        def reference(num_elements, drop_db, steer, spacing, calls):
+            target = float(power_db_to_linear(-drop_db))
+            null = first_null_offset(num_elements, steer, spacing)
+
+            def objective(offset):
+                return (
+                    ula_power_pattern(num_elements, offset, steer, spacing)
+                    - target
+                )
+
+            edge = null * (1.0 - 1e-9)
+            if objective(edge) > 0:
+                return float(edge), True
+            return float(recording_brentq(calls)(objective, 0.0, edge)), False
+
+        actual_calls = []
+        monkeypatch.setattr(
+            patterns_module, "brentq", recording_brentq(actual_calls)
+        )
+        rng = np.random.default_rng(20)
+        grid = [
+            (n, drop, np.deg2rad(steer), spacing)
+            for n in (4, 8, 16, 64)
+            for steer in (-60.0, -35.0, 0.0, 20.0, 60.0)
+            for spacing in (0.4, 0.5, 0.6)
+            for drop in (1e-9, 0.5, 3.0, 12.0, 40.0)
+        ]
+        drawn = [
+            (
+                int(rng.choice([4, 8, 16, 64])),
+                40.0 - float(rng.uniform(0.0, 40.0)),  # (0, 40] dB
+                float(np.deg2rad(rng.uniform(-60.0, 60.0))),
+                float(rng.choice([0.4, 0.5, 0.6])),
+            )
+            for _ in range(1000)
+        ]
+        clamped = 0
+        for n, drop, steer, spacing in grid + drawn:
+            expected_calls = []
+            expected, at_edge = reference(
+                n, drop, steer, spacing, expected_calls
+            )
+            clamped += at_edge
+            actual_calls.clear()
+            actual = invert_pattern_offset(n, drop, steer, spacing)
+            assert actual == expected, (n, drop, steer, spacing)
+            assert actual_calls == expected_calls, (n, drop, steer, spacing)
+        # Steered toward endfire, small arrays have no null on that side:
+        # the edge sits at endfire and deep drops clamp to it.
+        assert clamped > 0

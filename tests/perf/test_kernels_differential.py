@@ -37,14 +37,6 @@ def _dictionary_inputs():
     return delays, 400e6, 64
 
 
-def _solve_inputs():
-    rng = _rng()
-    shape = (6, 32, 3)
-    dictionaries = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    cir = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    return dictionaries, cir, 1e-3
-
-
 def _batch_inputs():
     rng = _rng()
     steering = (
@@ -99,18 +91,6 @@ class TestPyKernelParity:
         )
         assert fast[0, 4, 0] == 1.0 + 0.0j
 
-    def test_candidate_solve(self):
-        dictionaries, cir, reg = _solve_inputs()
-        ref_alphas, ref_res, ref_obj = kernels_numpy.stacked_candidate_solve(
-            dictionaries, cir, reg
-        )
-        alphas, residuals, objectives = PY_KERNELS["stacked_candidate_solve"](
-            dictionaries, cir, reg
-        )
-        np.testing.assert_allclose(alphas, ref_alphas, rtol=BACKEND_RTOL)
-        np.testing.assert_allclose(residuals, ref_res, rtol=BACKEND_RTOL)
-        np.testing.assert_allclose(objectives, ref_obj, rtol=BACKEND_RTOL)
-
     def test_batch_frequency_response(self):
         steering, rotation, gains, weights = _batch_inputs()
         reference = kernels_numpy.batch_frequency_response(
@@ -157,18 +137,6 @@ class TestJitKernelParity:
         np.testing.assert_allclose(
             fast, reference, rtol=BACKEND_RTOL, atol=1e-12
         )
-
-    def test_candidate_solve(self):
-        dictionaries, cir, reg = _solve_inputs()
-        ref_alphas, ref_res, ref_obj = kernels_numpy.stacked_candidate_solve(
-            dictionaries, cir, reg
-        )
-        alphas, residuals, objectives = KERNELS["stacked_candidate_solve"](
-            dictionaries, cir, reg
-        )
-        np.testing.assert_allclose(alphas, ref_alphas, rtol=BACKEND_RTOL)
-        np.testing.assert_allclose(residuals, ref_res, rtol=BACKEND_RTOL)
-        np.testing.assert_allclose(objectives, ref_obj, rtol=BACKEND_RTOL)
 
     def test_batch_frequency_response(self):
         steering, rotation, gains, weights = _batch_inputs()

@@ -78,6 +78,59 @@ class TestLifecycle:
         asyncio.run(scenario())
 
 
+class TestStop:
+    def test_stop_returns_when_a_worker_loses_its_cancellation(self, tmp_path):
+        """stop() must return even when its cancel is swallowed.
+
+        Before Python 3.12, a finite-timeout ``wait_for`` whose inner
+        future completes in the same loop iteration as the cancel returns
+        the result instead of raising.  A done-callback on the final
+        journal append's executor future starts ``stop()``; registered
+        ahead of ``wait_for``'s own callback, it runs first, so its cancel
+        reaches the worker after the append is already done.
+        """
+
+        async def scenario():
+            server = JobServer(str(tmp_path / "jobs.jsonl"), job_workers=1)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            run_in_executor = loop.run_in_executor
+            stops = []
+
+            def start_stop(_future):
+                stops.append(asyncio.ensure_future(server.stop()))
+
+            def hooked(executor, func, *args):
+                future = run_in_executor(executor, func, *args)
+                if (
+                    executor is server._journal_executor
+                    and func.args[0] == "done"
+                    and not stops
+                ):
+                    future.add_done_callback(start_stop)
+                return future
+
+            loop.run_in_executor = hooked
+            try:
+                response = await server.submit(dict(MICRO_JOB))
+                record = await _wait_terminal(server, response["id"])
+                assert record.state == "succeeded"
+                for _ in range(1000):
+                    if stops:
+                        break
+                    await asyncio.sleep(0.01)
+                assert stops, "the final journal append never completed"
+                done, _ = await asyncio.wait(stops, timeout=10.0)
+                assert done, "stop() hung after a worker lost its cancel"
+            finally:
+                loop.run_in_executor = run_in_executor
+                for task in stops:
+                    task.cancel()
+                await asyncio.gather(*stops, return_exceptions=True)
+
+        asyncio.run(scenario())
+
+
 class TestCoalescing:
     def test_duplicate_of_pending_job_coalesces(self, tmp_path):
         async def scenario():
