@@ -19,7 +19,7 @@ from functools import partial
 from repro.experiments import fault_tolerance
 from repro.experiments.common import make_manager
 from repro.experiments.fig18_end2end import _mobile_scenario
-from repro.faults import FaultInjector, FaultSpec, install_fault_injector
+from repro.faults import FaultInjector, FaultSpec
 from repro.sim.link import LinkSimulator
 
 ZERO_CAMPAIGN = (
@@ -39,8 +39,8 @@ def make_sim(seed=0, duration=0.25, faults=None):
         duration_s=duration,
     )
     if faults is not None:
-        install_fault_injector(
-            simulator.manager, FaultInjector(seed=seed, specs=faults)
+        simulator.install_fault_injector(
+            FaultInjector(seed=seed, specs=faults)
         )
     return simulator
 

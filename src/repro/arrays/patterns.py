@@ -19,7 +19,6 @@ from scipy.optimize import brentq
 
 from repro.arrays.geometry import UniformLinearArray
 from repro.arrays.steering import cached_steering_matrix, steering_vector
-from repro.perf.backend import dispatch
 from repro.utils.units import power_db_to_linear, power_linear_to_db
 
 __all__ = [
@@ -49,12 +48,12 @@ def array_factor(
         a = steering_vector(array, angles)  # (..., N)
     w = np.asarray(weights, dtype=complex)
     if a.ndim == 2:
-        return dispatch("array_factor", np.ascontiguousarray(a), w)
-    # Scalar / multi-dim angle grids: flatten to (num, N) for the kernel,
-    # then restore the angle shape (scalar angles return a numpy scalar,
-    # matching the pre-seam `a @ w` behavior).
+        return np.ascontiguousarray(a) @ w
+    # Scalar / multi-dim angle grids take the same contiguous (num, N)
+    # product as 1-D grids, then get their angle shape back (a scalar
+    # angle returns a numpy scalar, as `a @ w` would).
     flat = np.ascontiguousarray(a.reshape(-1, a.shape[-1]))
-    result = dispatch("array_factor", flat, w)
+    result = flat @ w
     return result.reshape(angles.shape) if angles.ndim else result[0]
 
 

@@ -31,7 +31,6 @@ import numpy as np
 from repro.arrays.geometry import UniformLinearArray
 from repro.arrays.steering import steering_vector
 from repro.channel.geometric import GeometricChannel
-from repro.perf.backend import dispatch
 
 __all__ = [
     "ChannelBatch",
@@ -150,13 +149,9 @@ class ChannelBatch:
                 -2j * np.pi * freqs[None, :, None]
                 * self.delays_s[:, None, :]
             )  # (T, F, L)
-        return dispatch(
-            "batch_frequency_response",
-            a,
-            rotation,
-            np.asarray(self.gains, dtype=complex),
-            np.asarray(tx_weights, dtype=complex),
-        )
+        tx_gains = a @ np.asarray(tx_weights, dtype=complex)  # (T, L)
+        alphas = np.asarray(self.gains, dtype=complex) * tx_gains
+        return (rotation @ alphas[:, :, None])[:, :, 0]
 
     def channel_at_index(self, index: int) -> GeometricChannel:
         """Materialize one sample as a plain :class:`GeometricChannel`.

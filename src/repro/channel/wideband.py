@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.channel.geometric import GeometricChannel
-from repro.perf.backend import dispatch, get_backend
 from repro.perf.cache import BoundedCache, array_key
 from repro.utils import normalized_sinc
 
@@ -124,16 +123,19 @@ def stacked_sinc_dictionaries(
 ) -> np.ndarray:
     """Sinc dictionaries for ``(C, K)`` candidate delay sets, shape ``(C, F, K)``.
 
+    Column ``(c, :, k)`` samples ``sinc(B (t_n - tau_{c,k}))`` on the tap
+    grid ``t_n = start_time_s + n / B`` (paper Eq. 22/23).
     Tolerance-identical to stacking ``C`` :func:`sinc_dictionary` calls
     (the arithmetic is elementwise, so in practice bitwise-identical).
-    Served by the active compute backend (:mod:`repro.perf.backend`).
     """
     delays = np.asarray(candidate_delays_s, dtype=float)
     if delays.ndim != 2:
         raise ValueError(f"delays must be 2-D (C, K), got {delays.shape}")
-    return dispatch(
-        "stacked_sinc_dictionaries",
-        delays, float(bandwidth_hz), int(num_taps), float(start_time_s),
+    bandwidth_hz = float(bandwidth_hz)
+    start_time_s = float(start_time_s)
+    sample_times = start_time_s + np.arange(int(num_taps)) / bandwidth_hz
+    return np.sinc(
+        bandwidth_hz * (sample_times[None, :, None] - delays[:, None, :])
     )
 
 
@@ -155,12 +157,8 @@ def dirichlet_dictionary(
     cached.
     """
     delays = np.asarray(candidate_delays_s, dtype=float)
-    # Keyed on the serving backend too: backends agree only to the
-    # documented tolerance, so a cached numba build must not be served
-    # to a numpy-backend caller (or vice versa).
     key = (
-        "dirichlet", get_backend().name, float(bandwidth_hz),
-        int(num_taps), array_key(delays),
+        "dirichlet", float(bandwidth_hz), int(num_taps), array_key(delays),
     )
     return _DICTIONARY_CACHE.get_or_build(
         key,
@@ -177,11 +175,11 @@ def stacked_dirichlet_dictionaries(
 ) -> np.ndarray:
     """Dirichlet dictionaries for ``(C, K)`` delay sets, shape ``(C, F, K)``.
 
-    On the reference backend one batched IFFT over the tap axis replaces
-    ``C * K`` single-column builds, tolerance-identical to the naive
-    path (same per-column FFT).  Other backends may use the closed-form
-    Dirichlet sum; agreement is within the backend tolerance documented
-    in DESIGN.md.
+    Each column is the IFFT of the delay's phase ramp over the centered
+    subcarrier grid — the periodic interpolation kernel of a finite-band
+    OFDM receiver.  One batched IFFT over the tap axis replaces ``C * K``
+    single-column builds and is tolerance-identical to them (same
+    per-column FFT).
     """
     delays = np.asarray(candidate_delays_s, dtype=float)
     if delays.ndim != 2:
@@ -190,10 +188,14 @@ def stacked_dirichlet_dictionaries(
         raise ValueError(f"num_taps must be >= 1, got {num_taps!r}")
     if bandwidth_hz <= 0:
         raise ValueError(f"bandwidth_hz must be positive, got {bandwidth_hz!r}")
-    return dispatch(
-        "stacked_dirichlet_dictionaries",
-        delays, float(bandwidth_hz), int(num_taps),
+    num_taps = int(num_taps)
+    spacing = float(bandwidth_hz) / num_taps
+    freqs = (np.arange(num_taps) - num_taps // 2) * spacing
+    responses = np.exp(
+        -2j * np.pi * freqs[None, :, None] * delays[:, None, :]
     )
+    spectra = np.fft.ifftshift(responses, axes=1)
+    return np.fft.ifft(spectra, axis=1)
 
 
 def cir_from_frequency_response(

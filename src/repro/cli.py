@@ -12,7 +12,6 @@ Usage::
     python -m repro run fault_tolerance --faults faults.json
     python -m repro run --scenario quad-cell --seeds 8 --workers 4
     python -m repro run network_scale --scenario my_network.json
-    python -m repro run fig18 --backend numba
     python -m repro lint src --check-baseline
     python -m repro serve --port 7753 --journal jobs.jsonl
     python -m repro submit --port 7753 fig14 --wait
@@ -120,16 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--backend",
-        default=None,
-        choices=("numpy", "numba"),
-        help=(
-            "compute backend for the hot-path kernels (default: "
-            "$REPRO_BACKEND or numpy; unavailable backends fall back "
-            "to numpy with a warning)"
-        ),
-    )
-    run.add_argument(
         "--faults",
         dest="faults_path",
         default=None,
@@ -217,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--faults", dest="faults_path", default=None, metavar="PATH",
         help="load fault specs from a JSON file",
-    )
-    submit.add_argument(
-        "--backend",
-        default=None,
-        choices=("numpy", "numba"),
-        help="compute backend serving the job's kernels",
     )
     submit.add_argument(
         "--priority", default="batch",
@@ -323,7 +306,7 @@ def _append_perf_counters(recorder) -> None:
     fields = {
         name: value
         for name, value in snapshot["counters"].items()
-        if name.startswith(("perf.cache.", "perf.backend.", "sim."))
+        if name.startswith(("perf.cache.", "sim."))
     }
     fields.update(
         (name, value)
@@ -396,7 +379,6 @@ def command_run(
     fault_args: Optional[List[str]] = None,
     faults_path: Optional[str] = None,
     scenario: Optional[str] = None,
-    backend: Optional[str] = None,
     out=sys.stdout,
 ) -> int:
     scenario_spec = None
@@ -428,20 +410,10 @@ def command_run(
             telemetry=trace_path is not None,
             faults=faults,
             scenario=scenario_spec,
-            backend=backend,
         )
     except ValueError as error:
         out.write(f"error: {error}\n")
         return 2
-    if backend is not None:
-        # Export for process-pool ensemble workers: the thread-scoped
-        # activation in Experiment.run does not cross process
-        # boundaries, so workers re-resolve from the environment.
-        import os
-
-        from repro.perf.backend import BACKEND_ENV_VAR
-
-        os.environ[BACKEND_ENV_VAR] = config.backend or backend
 
     recorder = None
     if trace_path is not None:
@@ -578,7 +550,6 @@ def command_submit(
     priority: str = "batch",
     deadline_s: Optional[float] = None,
     duration_s: float = 0.02,
-    backend: Optional[str] = None,
     wait: bool = False,
     json_path: Optional[str] = None,
     out=sys.stdout,
@@ -614,7 +585,6 @@ def command_submit(
             duration_s=duration_s,
             priority=priority,
             deadline_s=deadline_s,
-            backend=backend,
         )
     except (TypeError, ValueError) as error:
         out.write(f"error: {error}\n")
@@ -767,7 +737,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 priority=arguments.priority,
                 deadline_s=arguments.deadline_s,
                 duration_s=arguments.duration_s,
-                backend=arguments.backend,
                 wait=arguments.wait,
                 json_path=arguments.json_path,
             )
@@ -786,7 +755,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             fault_args=arguments.faults,
             faults_path=arguments.faults_path,
             scenario=arguments.scenario,
-            backend=arguments.backend,
         )
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; not an error.

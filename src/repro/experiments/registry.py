@@ -8,20 +8,15 @@ over the full reproduction.  Each experiment is a two-stage pipeline:
   honouring the :class:`ExperimentConfig` knobs (seed count, parallel
   workers) where the experiment has an ensemble to scale.
 * ``render(result) -> str`` — format that data as the printable report.
-
-``run_report()`` composes the two and is kept as the backwards
-compatible one-shot entry point.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.faults import FaultSpec
-from repro.perf.backend import use_backend
 from repro.sim.spec import ScenarioSpec
 from repro.telemetry import (
     TelemetryRecorder,
@@ -45,10 +40,7 @@ class ExperimentConfig:
     into every ensemble the experiment runs.  ``scenario`` (CLI
     ``--scenario``) carries a :class:`~repro.sim.spec.ScenarioSpec` for
     scenario-driven experiments (``network_scale``); experiments without
-    a scenario knob ignore it.  ``backend`` (CLI ``--backend`` /
-    ``REPRO_BACKEND``) selects the compute backend serving the hot-path
-    kernels for the duration of the run; ``None`` defers to the
-    environment/default resolution in :mod:`repro.perf.backend`.
+    a scenario knob ignore it.
     """
 
     seeds: Optional[int] = None
@@ -56,24 +48,12 @@ class ExperimentConfig:
     telemetry: bool = False
     faults: Tuple[FaultSpec, ...] = ()
     scenario: Optional[ScenarioSpec] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.seeds is not None and self.seeds < 1:
             raise ValueError(f"seeds must be >= 1, got {self.seeds!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-        if self.backend is not None:
-            from repro.perf.backend import available_backends
-
-            normalized = str(self.backend).strip().lower()
-            if normalized not in available_backends():
-                known = ", ".join(sorted(available_backends()))
-                raise ValueError(
-                    f"unknown compute backend {self.backend!r}; "
-                    f"known: {known}"
-                )
-            object.__setattr__(self, "backend", normalized)
         faults = tuple(self.faults)
         for spec in faults:
             if not isinstance(spec, FaultSpec):
@@ -131,22 +111,18 @@ class Experiment:
         active = get_recorder()
         telemetry_summary: Optional[TelemetrySummary] = None
         started = time.perf_counter()
-        # Thread-scoped backend activation: process-pool ensemble workers
-        # do not inherit it, they resolve REPRO_BACKEND themselves (the
-        # CLI exports it alongside --backend).
-        with use_backend(config.backend):
-            if active.enabled:
-                mark = active.mark()
+        if active.enabled:
+            mark = active.mark()
+            data = self.runner(config)
+            if config.telemetry:
+                telemetry_summary = active.summary(since=mark)
+        elif config.telemetry:
+            recorder = TelemetryRecorder(scope=self.identifier)
+            with use_recorder(recorder):
                 data = self.runner(config)
-                if config.telemetry:
-                    telemetry_summary = active.summary(since=mark)
-            elif config.telemetry:
-                recorder = TelemetryRecorder(scope=self.identifier)
-                with use_recorder(recorder):
-                    data = self.runner(config)
-                telemetry_summary = recorder.summary()
-            else:
-                data = self.runner(config)
+            telemetry_summary = recorder.summary()
+        else:
+            data = self.runner(config)
         return ExperimentResult(
             identifier=self.identifier,
             title=self.title,
@@ -160,20 +136,6 @@ class Experiment:
         """Format a result (or its bare data dict) as the paper report."""
         data = result.data if isinstance(result, ExperimentResult) else result
         return self.renderer(data)
-
-    def run_report(self, config: Optional[ExperimentConfig] = None) -> str:
-        """Deprecated one-shot: run then render.
-
-        ``run(config) -> ExperimentResult`` is the sole run entry point;
-        pass its result to :meth:`render` for the printable report.
-        """
-        warnings.warn(
-            "Experiment.run_report() is deprecated; use "
-            "run(config) -> ExperimentResult and render(result) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.render(self.run(config))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from repro.faults.injector import (
     FaultInjector,
     FaultTarget,
     InjectedWorkerCrash,
-    install_fault_injector,
     wire_manager_faults,
 )
 from repro.faults.spec import (
@@ -39,7 +38,6 @@ __all__ = [
     "FaultSpec",
     "FaultTarget",
     "InjectedWorkerCrash",
-    "install_fault_injector",
     "load_fault_specs",
     "parse_fault",
     "parse_fault_specs",

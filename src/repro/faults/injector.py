@@ -20,14 +20,11 @@ chaos implement the :class:`FaultTarget` protocol — a single typed
 ``install_fault_injector`` method.  :func:`wire_manager_faults` is the
 shared wiring helper that attaches an injector to whichever hooks a
 manager actually has (baseline managers without the attribute simply get
-probe-level faults through their sounder).  The historical module-level
-:func:`install_fault_injector` survives as a deprecated alias of the
-helper.
+probe-level faults through their sounder).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     Any,
     Dict,
@@ -266,20 +263,3 @@ def wire_manager_faults(manager: Any, injector: FaultInjector) -> Any:
     if hasattr(manager, "fault_injector"):
         manager.fault_injector = injector
     return manager
-
-
-def install_fault_injector(manager: Any, injector: FaultInjector) -> Any:
-    """Deprecated alias of :func:`wire_manager_faults`.
-
-    Simulators now implement the typed :class:`FaultTarget` protocol;
-    call ``simulator.install_fault_injector(injector)`` (or
-    :func:`wire_manager_faults` for a bare manager) instead.
-    """
-    warnings.warn(
-        "install_fault_injector(manager, injector) is deprecated; use the "
-        "FaultTarget protocol (simulator.install_fault_injector) or "
-        "wire_manager_faults for a bare manager",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return wire_manager_faults(manager, injector)

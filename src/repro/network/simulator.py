@@ -8,8 +8,8 @@ one deterministic run:
 2. plan every cell's slots (:class:`~repro.network.scheduler.
    SlotScheduler`), charging probe slots to per-cell shared budgets;
 3. drive one :class:`~repro.sim.link.LinkSimulator` per user over its
-   serving-link scenario — the exact single-link engine, fast path,
-   degraded-mode handling and all;
+   serving-link scenario — the exact single-link engine, segmented
+   sample clock, degraded-mode handling and all;
 4. fold inter-cell interference into every SNR trace
    (:class:`~repro.network.interference.InterferenceModel`), turning
    SNR into SINR before the MCS mapping sees it;
@@ -236,8 +236,6 @@ class NetworkSimulator:
 
     scenario: NetworkScenario
     seed: int = 0
-    #: Forwarded to every per-user :class:`LinkSimulator`.
-    fast: bool = True
     _injector: Optional[object] = field(default=None, init=False, repr=False)
 
     def install_fault_injector(self, injector: object) -> None:
@@ -262,7 +260,6 @@ class NetworkSimulator:
             duration_s=self.scenario.duration_s,
             sample_period_s=self.scenario.sample_period_s,
             maintenance_period_s=self.scenario.maintenance_period_s,
-            fast=self.fast,
         )
         if self._injector is not None:
             simulator.install_fault_injector(self._injector)

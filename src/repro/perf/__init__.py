@@ -1,17 +1,5 @@
-"""Performance layer: bounded caches, compute backends, kernels."""
+"""Performance layer: bounded caches for the hot-path kernels."""
 
-from repro.perf.backend import (
-    BACKEND_ENV_VAR,
-    DEFAULT_BACKEND,
-    ComputeBackend,
-    available_backends,
-    dispatch,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
 from repro.perf.cache import (
     BoundedCache,
     array_key,
@@ -20,18 +8,8 @@ from repro.perf.cache import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BoundedCache",
-    "ComputeBackend",
-    "DEFAULT_BACKEND",
     "array_key",
-    "available_backends",
     "cache_stats",
     "clear_caches",
-    "dispatch",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_backend",
-    "use_backend",
 ]

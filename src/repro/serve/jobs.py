@@ -118,11 +118,6 @@ class JobSpec:
     priority: str = "batch"
     #: Total serving budget [s] across attempts; ``None`` = no deadline.
     deadline_s: Optional[float] = None
-    #: Compute backend serving the job's kernels (``None`` = resolve
-    #: from ``REPRO_BACKEND``/default).  Backends agree to a documented
-    #: tolerance, so this is serving metadata, not job content
-    #: (excluded from the coalescing key — RL204 discipline).
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -166,17 +161,6 @@ class JobSpec:
             raise TypeError(
                 f"scenario must be a ScenarioSpec, got {self.scenario!r}"
             )
-        if self.backend is not None:
-            from repro.perf.backend import available_backends
-
-            normalized = str(self.backend).strip().lower()
-            if normalized not in available_backends():
-                known = ", ".join(sorted(available_backends()))
-                raise ValueError(
-                    f"unknown compute backend {self.backend!r}; "
-                    f"known: {known}"
-                )
-            object.__setattr__(self, "backend", normalized)
 
     def with_options(self, **changes: Any) -> "JobSpec":
         """A copy of this spec with the given fields replaced."""
@@ -201,8 +185,6 @@ class JobSpec:
             payload["faults"] = [spec.to_dict() for spec in self.faults]
         if self.deadline_s is not None:
             payload["deadline_s"] = self.deadline_s
-        if self.backend is not None:
-            payload["backend"] = self.backend
         return payload
 
     @classmethod
@@ -211,7 +193,7 @@ class JobSpec:
         known = {
             "kind", "experiment", "scenario", "seeds", "workers",
             "faults", "duration_s", "ensemble_retries", "priority",
-            "deadline_s", "backend",
+            "deadline_s",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -233,12 +215,10 @@ class JobSpec:
 
 #: JobSpec fields that do NOT change the computed result and are
 #: therefore excluded from the coalescing key.  ``workers`` is excluded
-#: because the executor's output is bitwise backend-independent;
-#: ``backend`` because compute backends agree to the documented
-#: tolerance — which backend *serves* a job is an operational choice,
-#: not part of what the job computes.
+#: because the executor's output is bitwise identical at any worker
+#: count.
 _NON_CONTENT_FIELDS = frozenset(
-    {"workers", "priority", "deadline_s", "ensemble_retries", "backend"}
+    {"workers", "priority", "deadline_s", "ensemble_retries"}
 )
 
 

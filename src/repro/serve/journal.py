@@ -136,7 +136,13 @@ class JobJournal:
             job_id = str(payload.get("id", ""))
             time_s = float(payload.get("t", 0.0))
             if op == "submit":
-                spec = JobSpec.from_dict(dict(payload["job"]))
+                job = dict(payload["job"])
+                # Older journals may carry a "backend" key: the job spec
+                # once named a compute backend to serve it.  It was never
+                # part of the job key, so dropping it replays the same
+                # job; new submissions naming it are still rejected.
+                job.pop("backend", None)
+                spec = JobSpec.from_dict(job)
                 records[job_id] = JobRecord(
                     job_id=job_id,
                     key=str(payload["key"]),

@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict
 
-from repro.perf.backend import use_backend
 from repro.serve.jobs import JobSpec
 
 __all__ = ["execute_job"]
@@ -66,10 +65,7 @@ def _run_ensemble_job(spec: JobSpec) -> Dict[str, Any]:
         faults=spec.faults,
         max_retries=spec.ensemble_retries,
     )
-    # Thread-scoped: concurrent server workers can serve different
-    # backends without interfering.
-    with use_backend(spec.backend):
-        summary = execute_ensemble(ensemble)
+    summary = execute_ensemble(ensemble)
     return {
         "kind": "ensemble",
         "runs": len(summary.metrics),
@@ -90,7 +86,6 @@ def _run_experiment_job(spec: JobSpec) -> Dict[str, Any]:
         workers=spec.workers,
         faults=spec.faults,
         scenario=spec.scenario,
-        backend=spec.backend,
     )
     result = experiment.run(config)
     return {

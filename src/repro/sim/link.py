@@ -12,18 +12,19 @@ Training windows reported by the manager are charged as link-unavailable
 time, so reactive baselines pay for their re-scans exactly as in the
 paper.
 
-Fast path
----------
+Segmented sample clock
+----------------------
 Manager weights only change at establish/step, so between maintenance
 ticks the sample clock evaluates a pure function of the channel state.
-When the manager exposes ``link_snr_db_batch`` (and ``fast=True``), the
-simulator evaluates each inter-maintenance segment in one vectorized
-call — through the scenario's ``channel_batch`` when available, else by
-stacking per-sample channels.  The batched math agrees with the naive
-per-sample path to floating-point tolerance (see ``repro.channel.batch``);
-maintenance timing, RNG draw order, telemetry event order, and error
-handling are preserved exactly.  ``fast=False`` forces the per-sample
-reference path.
+The simulator walks the run one inter-maintenance segment at a time.
+When the manager exposes ``link_snr_db_batch``, each segment is one
+vectorized call — through the scenario's ``channel_batch`` when
+available, else by stacking per-sample channels; other managers are
+evaluated one sample at a time inside the segment.  Against a plain
+per-sample loop (the test oracle ``tests/sim/link_oracle.py``) the
+batched math agrees to floating-point tolerance (see
+``repro.channel.batch``), and maintenance timing, RNG draw order,
+telemetry event order, and error handling agree exactly.
 
 Maintenance ticks are derived from an integer tick counter (the
 threshold is always ``tick * maintenance_period_s``), not by repeatedly
@@ -93,9 +94,6 @@ class LinkSimulator:
     duration_s: float = 1.0
     sample_period_s: float = 1e-3
     maintenance_period_s: float = 5e-3
-    #: Use the segmented/batched sample-clock evaluation when the manager
-    #: supports it.  ``False`` forces the per-sample reference path.
-    fast: bool = True
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -171,11 +169,10 @@ class LinkSimulator:
         except Exception as error:
             enter_degraded(0.0, "establish", error)
 
-        def maintain(index: int, channel=None) -> None:
+        def maintain(index: int) -> None:
             nonlocal established
             t = float(times[index])
-            if channel is None:
-                channel = self.scenario.channel_at(t)
+            channel = self.scenario.channel_at(t)
             try:
                 if not established:
                     self.manager.establish(channel, time_s=t)
@@ -216,41 +213,23 @@ class LinkSimulator:
             tail = int(indices[-1])
             last_mcs = None if tail < 0 else tail
 
-        use_fast = self.fast and hasattr(self.manager, "link_snr_db_batch")
-        if use_fast:
-            boundaries = self._maintenance_boundaries(times)
-            starts = [0] + boundaries
-            ends = boundaries + [times.shape[0]]
-            chunk_cache: dict = {}
-            for segment, (start, end) in enumerate(zip(starts, ends)):
-                if segment > 0:
-                    maintain(start)
-                if start == end:
-                    continue
-                if established:
-                    self._segment_snr(
-                        times, snr, start, end, recorder, chunk_cache
-                    )
-                else:
-                    snr[start:end] = -np.inf
-                if tracing:
-                    trace_mcs(start, end)
-        else:
-            tick = 1
-            for i, t in enumerate(times):
-                channel = self.scenario.channel_at(float(t))
-                if t >= tick * self.maintenance_period_s:
-                    maintain(i, channel)
-                    tick += 1
-                if established:
-                    try:
-                        snr[i] = self.manager.link_snr_db(channel)
-                    except Exception:
-                        snr[i] = -np.inf
-                else:
-                    snr[i] = -np.inf
-                if tracing:
-                    trace_mcs(i, i + 1)
+        boundaries = self._maintenance_boundaries(times)
+        starts = [0] + boundaries
+        ends = boundaries + [times.shape[0]]
+        chunk_cache: dict = {}
+        for segment, (start, end) in enumerate(zip(starts, ends)):
+            if segment > 0:
+                maintain(start)
+            if start == end:
+                continue
+            if established:
+                self._segment_snr(
+                    times, snr, start, end, recorder, chunk_cache
+                )
+            else:
+                snr[start:end] = -np.inf
+            if tracing:
+                trace_mcs(start, end)
 
         exit_degraded(float(self.duration_s))
         budget = getattr(self.manager, "budget", None)
@@ -320,11 +299,13 @@ class LinkSimulator:
         Channel parameters (and the weight-independent response tensors)
         are built once per ``MAX_BATCH_SAMPLES``-aligned chunk and shared
         across the segments inside it; segments see cheap slice views.
-        Falls back to the per-sample path for any sub-range whose batched
-        evaluation raises, preserving the naive error semantics (a
-        failing ``link_snr_db`` reads as ``-inf``; a failing
-        ``channel_at`` propagates).
+        Managers without ``link_snr_db_batch``, and any sub-range whose
+        batched evaluation raises, go one sample at a time instead
+        (:meth:`_sample_snr`).
         """
+        if not hasattr(self.manager, "link_snr_db_batch"):
+            self._sample_snr(times, snr, start, end)
+            return
         batched_scenario = hasattr(self.scenario, "channel_batch")
         position = start
         while position < end:
@@ -358,15 +339,25 @@ class LinkSimulator:
                     channels
                 )
             except Exception:
-                for k, t in enumerate(sub_times):
-                    channel = self.scenario.channel_at(float(t))
-                    try:
-                        snr[position + k] = self.manager.link_snr_db(channel)
-                    except Exception:
-                        snr[position + k] = -np.inf
+                self._sample_snr(times, snr, position, sub_end)
             else:
                 if recorder.enabled:
                     size = sub_end - position
                     recorder.counter("sim.fast_samples").inc(size)
                     recorder.gauge("sim.last_batch_samples").set(size)
             position = sub_end
+
+    def _sample_snr(
+        self, times: np.ndarray, snr: np.ndarray, start: int, end: int
+    ) -> None:
+        """Fill ``snr[start:end]`` with one ``link_snr_db`` call per sample.
+
+        A failing ``link_snr_db`` reads as ``-inf``; a failing
+        ``channel_at`` propagates.
+        """
+        for index in range(start, end):
+            channel = self.scenario.channel_at(float(times[index]))
+            try:
+                snr[index] = self.manager.link_snr_db(channel)
+            except Exception:
+                snr[index] = -np.inf

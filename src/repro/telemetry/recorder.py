@@ -250,12 +250,11 @@ class TelemetryRecorder:
         return TelemetrySummary.from_recorder(self, since=since)
 
 
-# The active recorder is thread-scoped (like repro.perf.backend's
-# active-backend stack): the serve layer runs jobs on worker threads,
-# and a process-wide slot would let one job's use_recorder() clobber
-# another's mid-flight.  Single-threaded callers see the old behavior
-# unchanged, and process-pool ensemble workers each install their own
-# recorder inside _run_one_seed.
+# The active recorder is thread-scoped: the serve layer runs jobs on
+# worker threads, and a process-wide slot would let one job's
+# use_recorder() clobber another's mid-flight.  Single-threaded callers
+# see the old behavior unchanged, and process-pool ensemble workers each
+# install their own recorder inside _run_one_seed.
 _ACTIVE = threading.local()
 
 

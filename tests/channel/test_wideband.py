@@ -12,6 +12,8 @@ from repro.channel.wideband import (
     per_beam_gains,
     sampled_cir,
     sinc_dictionary,
+    stacked_dirichlet_dictionaries,
+    stacked_sinc_dictionaries,
 )
 
 
@@ -112,3 +114,38 @@ class TestPerBeamGains:
         gains = per_beam_gains(channel, w, [0.0, 0.5])
         alphas = channel.beamformed_path_gains(w)
         assert gains == pytest.approx(alphas)
+
+
+def _dictionary_inputs():
+    rng = np.random.default_rng(20210813)
+    delays = rng.uniform(0.0, 80e-9, size=(5, 3))
+    delays[0, 0] = 0.0
+    delays[1, 1] = 4.0 / 400e6  # exactly 4 taps at B = 400 MHz
+    return delays, 400e6, 64
+
+
+class TestStackedDictionaries:
+    """The stacked builders reproduce the per-column formulas."""
+
+    def test_sinc_matches_normalized_sinc_formula(self):
+        from repro.utils import normalized_sinc
+
+        delays, bandwidth, taps = _dictionary_inputs()
+        sample_times = 1e-9 + np.arange(taps) / bandwidth
+        expected = normalized_sinc(
+            bandwidth * (sample_times[None, :, None] - delays[:, None, :])
+        )
+        actual = stacked_sinc_dictionaries(delays, bandwidth, taps, 1e-9)
+        np.testing.assert_array_equal(actual, expected)
+
+    def test_dirichlet_matches_per_column_ifft(self):
+        delays, bandwidth, taps = _dictionary_inputs()
+        actual = stacked_dirichlet_dictionaries(delays, bandwidth, taps)
+        freqs = ofdm_frequency_grid(bandwidth, taps)
+        for c in range(delays.shape[0]):
+            for k in range(delays.shape[1]):
+                response = np.exp(-2j * np.pi * freqs * delays[c, k])
+                column = cir_from_frequency_response(response)
+                np.testing.assert_allclose(
+                    actual[c, :, k], column, rtol=1e-12, atol=1e-15
+                )

@@ -268,19 +268,3 @@ class TestInstall:
         simulator.install_fault_injector(injector)
         assert manager.sounder.fault_injector is injector
         assert manager.fault_injector is injector
-
-    def test_legacy_module_function_warns_and_still_wires(self):
-        import warnings
-
-        from repro.experiments.common import make_manager
-        from repro.faults import install_fault_injector
-
-        manager = make_manager("mmreliable", seed=0)
-        injector = make_injector(FaultSpec(kind="probe_loss", rate=0.5))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            install_fault_injector(manager, injector)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert manager.sounder.fault_injector is injector

@@ -50,14 +50,8 @@ class TestRoundTrip:
             faults=(FaultSpec(kind="probe_loss", rate=0.1),),
             priority="interactive",
             deadline_s=30.0,
-            backend="numpy",
         )
         assert JobSpec.from_dict(spec.to_dict()) == spec
-
-    def test_backend_normalized_and_validated(self):
-        assert JobSpec(kind="ensemble", backend=" NumPy ").backend == "numpy"
-        with pytest.raises(ValueError, match="unknown compute backend"):
-            JobSpec(kind="ensemble", backend="cuda")
 
     def test_unknown_keys_rejected_loudly(self):
         with pytest.raises(ValueError, match="unknown job spec keys"):
@@ -86,14 +80,6 @@ class TestJobKey:
         assert job_key(base) == job_key(base.with_options(priority="bulk"))
         assert job_key(base) == job_key(base.with_options(deadline_s=99.0))
         assert job_key(base) == job_key(base.with_options(ensemble_retries=7))
-
-    def test_compute_backend_does_not_change_the_key(self):
-        # Backends agree to the documented tolerance; the serving
-        # backend is an operational knob, so submissions coalesce
-        # across it (RL204 discipline: no serving field in the key).
-        base = JobSpec(kind="ensemble", seeds=3)
-        assert job_key(base) == job_key(base.with_options(backend="numpy"))
-        assert job_key(base) == job_key(base.with_options(backend="numba"))
 
     def test_scenario_changes_the_key(self):
         base = JobSpec(

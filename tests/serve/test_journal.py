@@ -124,3 +124,30 @@ class TestReplay:
             journal.append("start", id="ghost", attempt=1, t=1.0)
         with pytest.raises(ValueError, match="unknown job"):
             replay_journal(path)
+
+
+#: A submit op and its start as journals wrote them while a job spec
+#: could name a compute backend (``repro submit --backend numpy``).
+BACKEND_ERA_JOURNAL = (
+    '{"id": "job-1", "job": {"backend": "numpy", "duration_s": 0.01, '
+    '"ensemble_retries": 2, "kind": "ensemble", "priority": "batch", '
+    '"seeds": 1, "workers": 1}, "key": "3e727cdde5efbbce", "op": "submit", '
+    '"t": 0.0}\n'
+    '{"attempt": 1, "id": "job-1", "op": "start", "t": 1.0}\n'
+)
+
+
+class TestBackendEraJournals:
+    def test_backend_key_is_dropped_on_replay(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        path.write_text(BACKEND_ERA_JOURNAL, encoding="utf-8")
+        records, resumable = replay_journal(str(path))
+        spec = JobSpec(kind="ensemble", seeds=1, duration_s=0.01)
+        assert resumable == ["job-1"]
+        assert records["job-1"].key == "3e727cdde5efbbce" == job_key(spec)
+        assert records["job-1"].spec == spec
+        assert records["job-1"].state == JobState.PENDING
+
+    def test_new_submissions_naming_a_backend_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown job spec keys"):
+            JobSpec.from_dict({"kind": "ensemble", "backend": "numpy"})

@@ -361,6 +361,24 @@ class TestReplay:
         job_id = asyncio.run(first_life())
         asyncio.run(second_life(job_id))
 
+    def test_restart_finishes_a_backend_era_job(self, tmp_path):
+        from test_journal import BACKEND_ERA_JOURNAL
+
+        journal = tmp_path / "jobs.jsonl"
+        journal.write_text(BACKEND_ERA_JOURNAL, encoding="utf-8")
+
+        async def restart():
+            server = JobServer(str(journal), job_workers=1)
+            await server.start()
+            try:
+                return await _wait_terminal(server, "job-1")
+            finally:
+                await server.stop()
+
+        record = asyncio.run(restart())
+        assert record.state == "succeeded"
+        assert record.result["runs"] == 1
+
 
 class TestWireProtocol:
     @staticmethod

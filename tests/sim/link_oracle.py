@@ -1,0 +1,137 @@
+"""Per-sample reference run of the link simulator (test-only oracle).
+
+The library ships one sample clock: :meth:`LinkSimulator.run` walks the
+run one inter-maintenance segment at a time and evaluates a segment in
+one batched call when the manager has ``link_snr_db_batch``.  This is
+the loop it replaced — one ``channel_at`` and one ``link_snr_db`` per
+sample, maintenance fired inline on that same channel whenever the
+sample time reaches the next tick — kept here so differential tests can
+pin the shipped clock against it.
+"""
+
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.phy.mcs import NR_MCS_TABLE, select_mcs_indices
+from repro.sim.link import LinkSimulator, SimulationTrace
+from repro.telemetry import EventKind, get_recorder
+
+
+def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
+    """Run ``simulator`` one sample at a time; same contract as ``run``."""
+    scenario = simulator.scenario
+    manager = simulator.manager
+    times = np.arange(0.0, simulator.duration_s, simulator.sample_period_s)
+    snr = np.empty(times.shape)
+    actions: List[Tuple[float, str]] = []
+    degraded: List[Tuple[float, float]] = []
+    degraded_since: Optional[float] = None
+
+    recorder = get_recorder()
+    tracing = recorder.enabled
+    if tracing:
+        recorder.begin_run(type(manager).__name__, time_s=0.0)
+    last_mcs: Optional[int] = None
+
+    def enter_degraded(time_s: float, stage: str, error: Exception) -> None:
+        nonlocal degraded_since
+        if degraded_since is not None:
+            return
+        degraded_since = time_s
+        actions.append((time_s, f"degraded:{stage}"))
+        if tracing:
+            recorder.emit(
+                EventKind.FALLBACK_ENGAGED,
+                time_s,
+                fallback="simulator_degraded",
+                stage=stage,
+                error=repr(error),
+            )
+            recorder.counter("sim.degraded_intervals").inc()
+
+    def exit_degraded(time_s: float) -> None:
+        nonlocal degraded_since
+        if degraded_since is None:
+            return
+        degraded.append((degraded_since, time_s))
+        degraded_since = None
+
+    established = False
+    initial = scenario.channel_at(0.0)
+    try:
+        with recorder.timer("sim.establish_s"):
+            manager.establish(initial, time_s=0.0)
+        established = True
+    except Exception as error:
+        enter_degraded(0.0, "establish", error)
+
+    def maintain(t: float, channel) -> None:
+        nonlocal established
+        try:
+            if not established:
+                manager.establish(channel, time_s=t)
+                established = True
+            else:
+                with recorder.timer("sim.maintenance_step_s"):
+                    report = manager.step(channel, time_s=t)
+                if getattr(report, "action", "none") != "none":
+                    actions.append((t, report.action))
+        except Exception as error:
+            enter_degraded(t, "step" if established else "establish", error)
+        else:
+            exit_degraded(t)
+
+    def trace_mcs(index: int) -> None:
+        nonlocal last_mcs
+        mcs = int(select_mcs_indices(snr[index:index + 1])[0])
+        previous = -1 if last_mcs is None else last_mcs
+        if mcs != previous:
+            entry = None if mcs < 0 else NR_MCS_TABLE[mcs]
+            recorder.emit(
+                EventKind.MCS_SWITCH,
+                float(times[index]),
+                mcs=-1 if entry is None else entry.index,
+                modulation="outage" if entry is None else entry.modulation,
+                snr_db=float(snr[index]),
+            )
+        last_mcs = None if mcs < 0 else mcs
+
+    tick = 1
+    for i, t in enumerate(times):
+        channel = scenario.channel_at(float(t))
+        if t >= tick * simulator.maintenance_period_s:
+            maintain(float(t), channel)
+            tick += 1
+        if established:
+            try:
+                snr[i] = manager.link_snr_db(channel)
+            except Exception:
+                snr[i] = -np.inf
+        else:
+            snr[i] = -np.inf
+        if tracing:
+            trace_mcs(i)
+
+    exit_degraded(float(simulator.duration_s))
+    budget = getattr(manager, "budget", None)
+    probe_airtime = budget.airtime_s() if budget is not None else 0.0
+    if tracing:
+        recorder.counter("sim.samples").inc(len(times))
+        recorder.end_run(
+            float(simulator.duration_s),
+            samples=len(times),
+            actions=len(actions),
+            mean_snr_db=float(np.mean(snr)) if len(snr) else 0.0,
+            probe_airtime_s=float(probe_airtime),
+        )
+    return SimulationTrace(
+        times_s=times,
+        snr_db=snr,
+        actions=tuple(actions),
+        training_windows=tuple(getattr(manager, "training_windows", ())),
+        training_rounds=getattr(manager, "training_rounds", 0),
+        probe_airtime_s=probe_airtime,
+        bandwidth_hz=manager.sounder.config.bandwidth_hz,
+        degraded_windows=tuple(degraded),
+    )

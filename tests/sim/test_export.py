@@ -158,7 +158,7 @@ class TestJsonExport:
         assert parsed["identifier"] == "demo"
         assert parsed["config"] == {
             "seeds": 4, "workers": 2, "telemetry": False,
-            "faults": [], "scenario": None, "backend": None,
+            "faults": [], "scenario": None,
         }
         assert parsed["data"]["grid"] == [[1.0, 0.0], [0.0, 1.0]]
         assert parsed["data"]["summary"]["stats"]["backend"] == "process"

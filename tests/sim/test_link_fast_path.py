@@ -1,19 +1,30 @@
-"""Differential tests: the simulator's batched fast path vs the naive path.
+"""Differential tests: the segmented sample clock vs the per-sample oracle.
 
-The contract (DESIGN.md, "Performance architecture"): with ``fast=True``
-the simulator must reproduce the per-sample reference run exactly up to
+The contract (DESIGN.md, "Performance architecture"): the simulator must
+reproduce the per-sample reference run (``link_oracle``) exactly up to
 the documented BLAS-contraction tolerance — same maintenance instants,
 same actions, same telemetry event stream, same SNR trace to 1e-9.
+Managers without a batched evaluator must match it bitwise.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import link_oracle as oracle
 from repro.channel.blockage import random_blockage_schedule
 from repro.experiments.common import TESTBED_ULA, make_manager
 from repro.sim.link import LinkSimulator
-from repro.sim.scenarios import indoor_two_path_scenario
+from repro.sim.scenarios import SyntheticScenario, indoor_two_path_scenario
 from repro.telemetry import TelemetryRecorder, use_recorder
+
+# The directional-UE manager and channel of the integration suite (which
+# imports its arrays and channel from the core suite).
+_TESTS = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(_TESTS / "integration"), str(_TESTS / "core")]
+import test_directional_ue_sim as directional_ue  # noqa: E402
 
 SYSTEMS = ("mmreliable", "reactive", "beamspy", "widebeam", "oracle")
 
@@ -35,21 +46,26 @@ def make_scenario(seed: int):
     )
 
 
-def run_once(system: str, seed: int, fast: bool, duration_s: float = 0.2):
-    simulator = LinkSimulator(
+def make_simulator(system: str, seed: int, duration_s: float = 0.2):
+    return LinkSimulator(
         scenario=make_scenario(seed),
         manager=make_manager(system, seed=seed),
         duration_s=duration_s,
-        fast=fast,
     )
-    return simulator.run()
+
+
+def run_both(system: str, seed: int):
+    """The shipped run and the per-sample oracle's, on fresh managers."""
+    return (
+        make_simulator(system, seed).run(),
+        oracle.run_per_sample(make_simulator(system, seed)),
+    )
 
 
 class TestFastMatchesNaive:
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_trace_equivalence(self, system):
-        fast = run_once(system, seed=3, fast=True)
-        naive = run_once(system, seed=3, fast=False)
+        fast, naive = run_both(system, seed=3)
         np.testing.assert_array_equal(fast.times_s, naive.times_s)
         # -inf (outage / degraded) samples must agree exactly.
         np.testing.assert_array_equal(
@@ -67,8 +83,7 @@ class TestFastMatchesNaive:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_seed_sweep_mmreliable(self, seed):
-        fast = run_once("mmreliable", seed=seed, fast=True)
-        naive = run_once("mmreliable", seed=seed, fast=False)
+        fast, naive = run_both("mmreliable", seed=seed)
         np.testing.assert_allclose(
             np.nan_to_num(fast.snr_db, neginf=-1e9),
             np.nan_to_num(naive.snr_db, neginf=-1e9),
@@ -78,13 +93,13 @@ class TestFastMatchesNaive:
         assert fast.actions == naive.actions
 
     def test_telemetry_event_stream_identical(self):
-        def traced(fast: bool):
+        def traced(run):
             with use_recorder(TelemetryRecorder()) as recorder:
-                run_once("mmreliable", seed=5, fast=fast)
+                run(make_simulator("mmreliable", seed=5))
                 return list(recorder.events)
 
-        fast_events = traced(True)
-        naive_events = traced(False)
+        fast_events = traced(LinkSimulator.run)
+        naive_events = traced(oracle.run_per_sample)
         assert len(fast_events) == len(naive_events)
         for ours, theirs in zip(fast_events, naive_events):
             assert ours.kind == theirs.kind
@@ -105,7 +120,6 @@ class TestFastMatchesNaive:
             manager=make_manager("mmreliable", seed=0),
             duration_s=0.1,
         )
-        assert simulator.fast is True
         with use_recorder(TelemetryRecorder()) as recorder:
             trace = simulator.run()
             counters = recorder.metrics.snapshot()["counters"]
@@ -127,14 +141,14 @@ class TestFastMatchesNaive:
             scenario=ShimScenario(),
             manager=make_manager("oracle", seed=2),
             duration_s=0.1,
-            fast=True,
         ).run()
-        naive = LinkSimulator(
-            scenario=scenario,
-            manager=make_manager("oracle", seed=2),
-            duration_s=0.1,
-            fast=False,
-        ).run()
+        naive = oracle.run_per_sample(
+            LinkSimulator(
+                scenario=scenario,
+                manager=make_manager("oracle", seed=2),
+                duration_s=0.1,
+            )
+        )
         np.testing.assert_allclose(fast.snr_db, naive.snr_db, rtol=1e-9)
 
 
@@ -232,3 +246,61 @@ class TestEnsembleWorkers:
             assert ours.mean_spectral_efficiency() == pytest.approx(
                 theirs.mean_spectral_efficiency(), rel=1e-12
             )
+
+
+class BatchCountingScenario:
+    """A scenario that offers ``channel_batch`` and counts the calls."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.batches = 0
+
+    def channel_at(self, time_s):
+        return self.scenario.channel_at(time_s)
+
+    def channel_batch(self, times_s):
+        self.batches += 1
+        return self.scenario.channel_batch(times_s)
+
+
+class TestUnbatchedManagerMatchesOracle:
+    """A manager without ``link_snr_db_batch`` is evaluated per sample
+    inside each segment: bitwise the per-sample oracle's run."""
+
+    def run_directional(self, run):
+        rate = np.deg2rad(5.0)
+        scenario = BatchCountingScenario(
+            SyntheticScenario(
+                base_channel=directional_ue.directional_channel(),
+                angular_rates_rad_s=(rate, rate),
+                aoa_rates_rad_s=(-rate, -rate),
+            )
+        )
+        simulator = LinkSimulator(
+            scenario=scenario,
+            manager=directional_ue.make_manager(0),
+            duration_s=0.4,
+            maintenance_period_s=10e-3,
+        )
+        with use_recorder(TelemetryRecorder()) as recorder:
+            trace = run(simulator)
+            events = list(recorder.events)
+        return trace, events, scenario.batches
+
+    def test_directional_ue_run_is_bitwise_the_oracle(self):
+        trace, events, batches = self.run_directional(LinkSimulator.run)
+        expected, expected_events, _ = self.run_directional(
+            oracle.run_per_sample
+        )
+        assert not hasattr(
+            directional_ue.DirectionalUeLinkManager, "link_snr_db_batch"
+        )
+        assert batches == 0
+        np.testing.assert_array_equal(trace.times_s, expected.times_s)
+        np.testing.assert_array_equal(trace.snr_db, expected.snr_db)
+        assert trace.actions == expected.actions
+        assert trace.degraded_windows == expected.degraded_windows
+        assert len(events) > 2
+        assert [
+            (e.kind, e.time_s, e.fields) for e in events
+        ] == [(e.kind, e.time_s, e.fields) for e in expected_events]

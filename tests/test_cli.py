@@ -31,7 +31,8 @@ class TestRegistry:
 
     def test_entries_are_callable(self):
         for experiment in REGISTRY.values():
-            assert callable(experiment.run_report)
+            assert callable(experiment.run)
+            assert callable(experiment.render)
 
 
 class TestCli:
@@ -85,12 +86,6 @@ class TestStructuredExperimentApi:
         assert experiment.render(result) == experiment.render(result.data)
         assert "1 - beta^k" in experiment.render(result)
 
-    def test_run_report_composes_but_is_deprecated(self):
-        experiment = get_experiment("reliability")
-        with pytest.warns(DeprecationWarning, match="run_report"):
-            report = experiment.run_report()
-        assert "1 - beta^k" in report
-
     def test_config_validation(self):
         from repro.experiments.registry import ExperimentConfig
 
@@ -129,7 +124,7 @@ class TestCliStructuredFlags:
         assert parsed["identifier"] == "reliability"
         assert parsed["config"] == {
             "seeds": None, "workers": 1, "telemetry": False,
-            "faults": [], "scenario": None, "backend": None,
+            "faults": [], "scenario": None,
         }
         assert "analytic" in parsed["data"]
 
@@ -233,91 +228,3 @@ class TestCliFaultFlags:
         )
         assert status == 0
         assert "completed in" in out.getvalue()
-
-
-class TestCliBackendFlag:
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        from repro.perf.backend import BACKEND_ENV_VAR
-
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-
-    def test_parser_accepts_backend(self):
-        arguments = build_parser().parse_args(
-            ["run", "fig14", "--backend", "numba"]
-        )
-        assert arguments.backend == "numba"
-
-    def test_parser_backend_defaults_to_none(self):
-        arguments = build_parser().parse_args(["run", "fig14"])
-        assert arguments.backend is None
-
-    def test_parser_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig14", "--backend", "cuda"])
-
-    def test_config_validates_backend(self):
-        from repro.experiments.registry import ExperimentConfig
-
-        assert ExperimentConfig(backend=" NumPy ").backend == "numpy"
-        with pytest.raises(ValueError, match="unknown compute backend"):
-            ExperimentConfig(backend="cuda")
-
-    def test_run_exports_env_for_pool_workers(self, monkeypatch):
-        import os
-
-        from repro.perf.backend import BACKEND_ENV_VAR
-
-        out = io.StringIO()
-        status = command_run("reliability", backend="numpy", out=out)
-        assert status == 0
-        assert os.environ.get(BACKEND_ENV_VAR) == "numpy"
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-
-    def test_run_without_backend_leaves_env_alone(self):
-        import os
-
-        from repro.perf.backend import BACKEND_ENV_VAR
-
-        out = io.StringIO()
-        assert command_run("reliability", out=out) == 0
-        assert BACKEND_ENV_VAR not in os.environ
-
-    def test_experiment_run_threads_backend_through(self):
-        from repro.experiments.registry import (
-            ExperimentConfig,
-            get_experiment,
-        )
-        from repro.perf.backend import get_backend
-
-        seen = {}
-        experiment = get_experiment("reliability")
-        probe = experiment.__class__(
-            identifier="probe",
-            title="probe",
-            runner=lambda config: seen.update(
-                backend=get_backend().name
-            ) or {},
-            renderer=lambda data: "",
-        )
-        probe.run(ExperimentConfig(backend="numpy"))
-        assert seen["backend"] == "numpy"
-
-    def test_trace_includes_backend_counters(self, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        out = io.StringIO()
-        status = command_run(
-            "fig11", trace_path=str(trace), out=out
-        )
-        assert status == 0
-        import json
-
-        events = [
-            json.loads(line)
-            for line in trace.read_text().splitlines()
-            if line
-        ]
-        perf = [e for e in events if e.get("kind") == "perf_counters"]
-        assert perf, "expected a perf_counters trace event"
-        names = set(perf[-1].get("fields", perf[-1]))
-        assert any(n.startswith("perf.backend.numpy.") for n in names)

@@ -4,14 +4,6 @@ Frozen dataclasses (``FaultSpec``, channel/scenario configs) are the
 repo's unit of shareable, hashable, pool-safe state; a mutable default
 argument or an ``object.__setattr__`` escape outside ``__post_init__``
 re-introduces exactly the aliasing bugs freezing was meant to kill.
-
-Registered compute-backend kernel modules (marked with a module-level
-``__backend_kernels__ = True``) carry a stricter contract: kernels are
-pure functions of their array arguments.  RNG use inside one (RL310)
-silently breaks cross-backend parity and reproducibility; telemetry
-calls (RL311) break it too, because disabled-recorder fast paths and
-per-backend counting both live in ``dispatch()``, never in kernels —
-and numba cannot compile either.
 """
 
 from __future__ import annotations
@@ -28,16 +20,6 @@ RULES = {
         "no object.__setattr__ on frozen dataclasses outside "
         "__post_init__ (document deliberate lazy-cache escapes with a "
         "pragma)"
-    ),
-    "RL310": (
-        "no RNG use inside registered backend kernels (modules marked "
-        "__backend_kernels__) — kernels are pure functions of their "
-        "arrays; sample randomness at the call site and pass it in"
-    ),
-    "RL311": (
-        "no telemetry inside registered backend kernels (modules marked "
-        "__backend_kernels__) — counting happens in dispatch(), kernels "
-        "stay compilable and side-effect free"
     ),
 }
 
@@ -68,115 +50,15 @@ _SETATTR_ALLOWED = frozenset(
     {"__post_init__", "__init__", "__new__", "__setstate__"}
 )
 
-#: Module marker that opts a file into the kernel-purity rules.
-_KERNEL_MARKER = "__backend_kernels__"
-
-#: Dotted-name prefixes that mean "randomness" inside a kernel module.
-#: Seedable constructors are banned too: a kernel has no seed to give
-#: them, so any generator it builds is nondeterministic by definition.
-_RNG_PREFIXES = ("numpy.random", "random", "secrets")
-
-#: Dotted-name prefixes that mean "telemetry" inside a kernel module.
-_TELEMETRY_PREFIXES = ("repro.telemetry",)
-
 
 def check(ctx: FileContext, config: LintConfig) -> List[Finding]:
     findings: List[Finding] = []
-    kernel_module = _is_kernel_module(ctx)
     for node in ast.walk(ctx.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             findings.extend(_check_defaults(ctx, node))
         elif isinstance(node, ast.Call):
             findings.extend(_check_setattr(ctx, node))
-        if kernel_module:
-            findings.extend(_check_kernel_purity(ctx, node))
     return findings
-
-
-def _is_kernel_module(ctx: FileContext) -> bool:
-    """Whether the module opts in via ``__backend_kernels__ = True``."""
-    for node in ctx.tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == _KERNEL_MARKER
-                    and isinstance(node.value, ast.Constant)
-                    and node.value.value is True
-                ):
-                    return True
-    return False
-
-
-def _matches_prefix(name: str, prefixes) -> bool:
-    return any(
-        name == prefix or name.startswith(prefix + ".")
-        for prefix in prefixes
-    )
-
-
-def _check_kernel_purity(ctx: FileContext, node: ast.AST) -> List[Finding]:
-    findings: List[Finding] = []
-    if isinstance(node, (ast.Import, ast.ImportFrom)):
-        for module in _imported_modules(node):
-            if _matches_prefix(module, _RNG_PREFIXES):
-                findings.append(
-                    ctx.finding(
-                        node,
-                        "RL310",
-                        f"kernel module imports {module!r}: backend "
-                        "kernels are pure functions of their arrays — "
-                        "sample randomness at the call site",
-                    )
-                )
-            elif _matches_prefix(module, _TELEMETRY_PREFIXES):
-                findings.append(
-                    ctx.finding(
-                        node,
-                        "RL311",
-                        f"kernel module imports {module!r}: backend "
-                        "kernels must not touch telemetry — dispatch() "
-                        "does the counting",
-                    )
-                )
-    elif isinstance(node, (ast.Attribute, ast.Name)):
-        # Only the outermost dotted name: ``np.random.default_rng``
-        # reports once, not once per nested Attribute.
-        if isinstance(ctx.parents.get(node), ast.Attribute):
-            return findings
-        name = expanded_name(ctx, node)
-        if name is None:
-            return findings
-        if _matches_prefix(name, _RNG_PREFIXES):
-            findings.append(
-                ctx.finding(
-                    node,
-                    "RL310",
-                    f"RNG use ({name}) inside a backend kernel module; "
-                    "kernels are pure — pass sampled arrays in instead",
-                )
-            )
-        elif (
-            _matches_prefix(name, _TELEMETRY_PREFIXES)
-            or name.endswith("get_recorder")
-        ):
-            findings.append(
-                ctx.finding(
-                    node,
-                    "RL311",
-                    f"telemetry use ({name}) inside a backend kernel "
-                    "module; counting belongs in dispatch()",
-                )
-            )
-    return findings
-
-
-def _imported_modules(node: ast.AST) -> List[str]:
-    if isinstance(node, ast.Import):
-        return [alias.name for alias in node.names]
-    if isinstance(node, ast.ImportFrom) and node.module:
-        return [node.module]
-    return []
 
 
 def _is_mutable_default(ctx: FileContext, node: ast.AST) -> bool:

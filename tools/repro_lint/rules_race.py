@@ -1,7 +1,7 @@
-"""RL6xx — race detection for the backend/cache layer, plus RL505.
+"""RL6xx — race detection for the cache/telemetry layer, plus RL505.
 
 The serve layer runs jobs on a thread pool while the asyncio loop keeps
-accepting submissions, so process-wide mutable state (backend registry,
+accepting submissions, so process-wide mutable state (cache registry,
 telemetry recorder, kernel caches) is reachable from *both* execution
 contexts at once.  A silent race there corrupts throughput/reliability
 CDFs instead of crashing, which is the worst possible failure mode for
