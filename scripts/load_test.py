@@ -4,7 +4,7 @@
 Drives a real server subprocess with sustained concurrent submissions
 while the chaos profile is active (injected worker crashes + slow runs),
 optionally ``kill -9``s the server mid-load and restarts it on the same
-journal, then audits the journal for the serving layer's two core
+journal, then audits the journal for the serving layer's core
 guarantees:
 
 * **zero lost jobs** — every accepted submission reaches a terminal
@@ -12,11 +12,11 @@ guarantees:
 * **zero duplicate executions of coalesced submissions** — at any point
   in the journal, at most one live job exists per content key, so
   duplicate submissions provably joined the existing execution instead
-  of starting their own.
-
-Execution is at-least-once by design (a job that was mid-run at the
-kill re-runs after replay), so the audit checks *terminal* uniqueness,
-not start uniqueness.
+  of starting their own;
+* **one retry owner** — no job starts twice within one server life.
+  The executor retries failed seed-runs inside a single execution, and
+  only journal replay re-runs a job: one that was mid-run at the kill
+  starts once before it and once after.
 
 Usage::
 
@@ -56,9 +56,9 @@ CHAOS_FAULTS = [
     {"kind": "slow_run", "rate": 0.5, "delay_s": 0.05},
 ]
 
-#: A handful of jobs are doomed (crash every attempt) so the *server's*
-#: retry/backoff layer gets exercised under load too, not just the
-#: executor's.
+#: A handful of jobs are doomed (crash every attempt) so the
+#: terminal-failure path runs under load too: the executor exhausts its
+#: retries and the server fails the job on its first execution.
 DOOMED_FAULTS = [{"kind": "worker_crash", "rate": 1.0}]
 
 
@@ -77,8 +77,6 @@ def make_jobs(total: int, duplicates: int) -> List[Dict[str, Any]]:
                 "duration_s": duration_s,
                 "faults": DOOMED_FAULTS,
                 "ensemble_retries": 0,
-                # Bound the doomed jobs' server-side retry loop.
-                "deadline_s": 2.0,
             }
         else:
             job = {
@@ -121,8 +119,6 @@ class ServerProcess:
                 "--job-workers", str(self.workers),
                 "--queue-limit", "256",
                 "--shed-threshold", "0.95",
-                "--max-retries", "3",
-                "--backoff-s", "0.02",
                 "--ready-file", str(self.ready_file),
             ],
             env=env,
@@ -195,22 +191,12 @@ def submit_all(
 
 
 def wait_for_drain(port: int, timeout_s: float = 600.0) -> Dict[str, Any]:
-    """Block until the queue is empty and nothing runs or backs off.
-
-    A job between retry attempts is neither queued nor running, so the
-    drain check must also wait for the backoff count to hit zero —
-    otherwise a shutdown cancels the pending retry and the job never
-    reaches a terminal state.
-    """
+    """Block until the queue is empty and nothing runs."""
     client = JobClient(port=port, timeout_s=30.0)
     deadline = time.monotonic() + timeout_s
     while True:
         stats = client.stats()
-        if (
-            stats["queue_depth"] == 0
-            and stats["running"] == 0
-            and stats.get("backoffs", 0) == 0
-        ):
+        if stats["queue_depth"] == 0 and stats["running"] == 0:
             return stats
         if time.monotonic() > deadline:
             raise RuntimeError(
@@ -219,18 +205,33 @@ def wait_for_drain(port: int, timeout_s: float = 600.0) -> Dict[str, Any]:
         time.sleep(0.1)
 
 
-def audit_journal(path: Path) -> Tuple[Dict[str, Any], List[str]]:
+def complete_lines(path: Path) -> int:
+    """Journal lines whose newline reached the file (a torn tail is not
+    one): after a kill, the restarted server's ops start at this index."""
+    with open(path, "rb") as stream:
+        return stream.read().count(b"\n")
+
+
+def audit_journal(
+    path: Path, kill_line: Optional[int] = None
+) -> Tuple[Dict[str, Any], List[str]]:
     """Replay the journal op-by-op and check the serving invariants.
 
+    ``kill_line`` is :func:`complete_lines` right after the kill (None
+    without one): lines before it are the first server life's, the rest
+    the restarted server's.
+
     Returns ``(summary, violations)``; an empty violation list means
-    every accepted job reached a terminal state exactly once and no
-    content key ever had two live executions.
+    every accepted job reached a terminal state exactly once, no content
+    key ever had two live executions, and no job started twice within
+    one server life.
     """
     violations: List[str] = []
     key_of: Dict[str, str] = {}
     live_by_key: Dict[str, str] = {}
     terminal: Dict[str, str] = {}
     starts: Dict[str, int] = {}
+    life_starts: Dict[Tuple[str, bool], int] = {}
     submissions: Dict[str, int] = {}
 
     with open(path, "r", encoding="utf-8") as stream:
@@ -269,6 +270,13 @@ def audit_journal(path: Path) -> Tuple[Dict[str, Any], List[str]]:
                     f"terminal state {terminal[job_id]}"
                 )
             starts[job_id] = starts.get(job_id, 0) + 1
+            life = (job_id, kill_line is not None and index >= kill_line)
+            life_starts[life] = life_starts.get(life, 0) + 1
+            if life_starts[life] == 2:
+                violations.append(
+                    f"line {index + 1}: job {job_id} started twice in one "
+                    f"server life (a failure with more than one retry owner)"
+                )
         elif name in ("done", "shed"):
             state = op.get("state", "shed" if name == "shed" else "")
             if job_id in terminal:
@@ -292,6 +300,7 @@ def audit_journal(path: Path) -> Tuple[Dict[str, Any], List[str]]:
         "submissions": sum(submissions.values()),
         "coalesced_submissions": sum(submissions.values()) - len(submissions),
         "executions": sum(starts.values()),
+        "max_starts_per_life": max(life_starts.values(), default=0),
         "terminal": {
             state: sum(1 for s in terminal.values() if s == state)
             for state in TERMINAL_STATES
@@ -344,6 +353,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ids, coalesced, shed, errors = submit_all(
         server.port, jobs[:half], arguments.clients
     )
+    kill_line: Optional[int] = None
     if arguments.no_kill:
         rest_ids, more_coalesced, more_shed, more_errors = submit_all(
             server.port, jobs[half:], arguments.clients
@@ -353,6 +363,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # restart it on the same journal, and push the second wave at
         # the revived instance.
         server.kill_hard()
+        kill_line = complete_lines(journal)
         print("killed server with SIGKILL; restarting on the same journal")
         server.start()
         print(f"server back on port {server.port}; replay complete")
@@ -368,7 +379,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elapsed_s = time.monotonic() - started
     server.stop()
 
-    audit, violations = audit_journal(journal)
+    audit, violations = audit_journal(journal, kill_line)
     # With REPRO_SANITIZE=1 the server folds its runtime-sanitizer
     # report tally into the stats payload; any nonzero count (a blocked
     # event loop, an incoherent cache) is an invariant violation.

@@ -30,7 +30,7 @@ experiments.  ``repro lint`` runs the project's domain-aware static
 analyzer (RNG discipline, dB/linear unit hygiene, telemetry contracts,
 purity — see :mod:`tools/repro_lint`) from any source checkout.
 ``repro serve`` starts the fault-tolerant async job server
-(:mod:`repro.serve`): a persistent journal, retries with backoff,
+(:mod:`repro.serve`): a persistent journal replayed after a crash,
 request coalescing, and priority-aware load shedding.  ``repro submit``
 sends one job to a running server (optionally streaming progress until
 it finishes) and ``repro jobs`` inspects server stats or one job's
@@ -162,18 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="occupancy fraction at which soft shedding starts (default: 0.75)",
     )
     serve.add_argument(
-        "--max-retries", type=int, default=3, metavar="N",
-        help="job-level retry budget (default: 3)",
-    )
-    serve.add_argument(
-        "--backoff-s", type=float, default=0.05, metavar="S",
-        help="base retry backoff in seconds (default: 0.05)",
-    )
-    serve.add_argument(
-        "--deadline-s", type=float, default=None, metavar="S",
-        help="default per-job serving deadline in seconds",
-    )
-    serve.add_argument(
         "--ready-file", default=None, metavar="PATH",
         help="write host:port to PATH once the socket is bound",
     )
@@ -211,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--priority", default="batch",
         choices=("interactive", "batch", "bulk"),
         help="admission priority class (default: batch)",
-    )
-    submit.add_argument(
-        "--deadline-s", type=float, default=None, metavar="S",
-        help="total serving deadline for this job",
     )
     submit.add_argument(
         "--duration-s", type=float, default=0.02, metavar="S",
@@ -474,9 +458,6 @@ def command_serve(
     job_workers: int = 2,
     queue_limit: int = 64,
     shed_threshold: float = 0.75,
-    max_retries: int = 3,
-    backoff_s: float = 0.05,
-    deadline_s: Optional[float] = None,
     ready_file: Optional[str] = None,
     no_sync: bool = False,
     out=sys.stdout,
@@ -487,7 +468,7 @@ def command_serve(
     import signal
     from pathlib import Path
 
-    from repro.serve import JobServer, RetryPolicy
+    from repro.serve import JobServer
 
     try:
         server = JobServer(
@@ -497,11 +478,6 @@ def command_serve(
             job_workers=job_workers,
             queue_limit=queue_limit,
             shed_threshold=shed_threshold,
-            retry_policy=RetryPolicy(
-                max_retries=max_retries,
-                base_delay_s=backoff_s,
-                deadline_s=deadline_s,
-            ),
             journal_sync=not no_sync,
         )
     except ValueError as error:
@@ -548,7 +524,6 @@ def command_submit(
     fault_args: Optional[List[str]] = None,
     faults_path: Optional[str] = None,
     priority: str = "batch",
-    deadline_s: Optional[float] = None,
     duration_s: float = 0.02,
     wait: bool = False,
     json_path: Optional[str] = None,
@@ -584,7 +559,6 @@ def command_submit(
             faults=faults,
             duration_s=duration_s,
             priority=priority,
-            deadline_s=deadline_s,
         )
     except (TypeError, ValueError) as error:
         out.write(f"error: {error}\n")
@@ -619,13 +593,7 @@ def command_submit(
         return 0
 
     def _print_event(event):
-        detail = ""
-        if event.get("event") == "retried":
-            detail = (
-                f" (attempt {event.get('attempts')}, retry in "
-                f"{event.get('delay_s', 0.0):.2f} s)"
-            )
-        out.write(f"  {event.get('t', 0.0):8.2f}s {event.get('event')}{detail}\n")
+        out.write(f"  {event.get('t', 0.0):8.2f}s {event.get('event')}\n")
         out.flush()
 
     try:
@@ -718,9 +686,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 job_workers=arguments.job_workers,
                 queue_limit=arguments.queue_limit,
                 shed_threshold=arguments.shed_threshold,
-                max_retries=arguments.max_retries,
-                backoff_s=arguments.backoff_s,
-                deadline_s=arguments.deadline_s,
                 ready_file=arguments.ready_file,
                 no_sync=arguments.no_sync,
             )
@@ -735,7 +700,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 fault_args=arguments.faults,
                 faults_path=arguments.faults_path,
                 priority=arguments.priority,
-                deadline_s=arguments.deadline_s,
                 duration_s=arguments.duration_s,
                 wait=arguments.wait,
                 json_path=arguments.json_path,

@@ -459,7 +459,7 @@ def get_experiment(identifier: str) -> Experiment:
     """Look up one experiment, with a helpful error on typos."""
     try:
         return REGISTRY[identifier]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         known = ", ".join(REGISTRY)
         raise KeyError(
             f"unknown experiment {identifier!r}; known: {known}"

@@ -10,8 +10,6 @@ degradation *before* failure arrives.  The pieces:
   server replays it and resumes every unfinished job.
 * :mod:`repro.serve.queue` — bounded priority queue with admission
   control, soft shedding, and eviction.
-* :mod:`repro.serve.retry` — exponential backoff with deterministic
-  jitter and deadline budgets.
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the asyncio
   TCP server (``repro serve``) and the blocking client
   (``repro submit``).
@@ -33,7 +31,6 @@ from repro.serve.jobs import (
 )
 from repro.serve.journal import JobJournal, replay_journal
 from repro.serve.queue import AdmissionQueue
-from repro.serve.retry import RetryPolicy
 from repro.serve.runner import execute_job
 from repro.serve.server import JobServer, ServerStats
 
@@ -48,7 +45,6 @@ __all__ = [
     "JobServer",
     "JobSpec",
     "JobState",
-    "RetryPolicy",
     "ServerError",
     "ServerStats",
     "ServiceOverload",

@@ -97,7 +97,7 @@ class JobClient:
         """Block until ``job_id`` is terminal; returns its record.
 
         ``on_event`` sees every streamed progress event (started,
-        retried, shed, completed) as it happens.
+        completed, failed, shed) as it happens.
         """
         with self._connect() as sock:
             if timeout_s is not None:

@@ -7,13 +7,13 @@ hash of the fields that determine the computed result
 (:func:`job_key`): two submissions with the same key provably compute
 the same thing (the executor's output is backend-independent by
 design), so the server runs one execution and both submissions share
-it.  Serving metadata — priority class, deadline, worker count — is
-deliberately excluded from the key.
+it.  Serving metadata — priority class, worker count, executor retry
+budget — is deliberately excluded from the key.
 
 A :class:`JobRecord` is the server-side mutable lifecycle of one
-accepted submission: state machine ``pending -> running -> terminal``
-with retries looping back to ``pending``, where terminal is one of
-``succeeded`` / ``failed`` / ``shed``.
+accepted submission: state machine ``pending -> running -> terminal``,
+where terminal is one of ``succeeded`` / ``failed`` / ``shed``; journal
+replay returns a job interrupted mid-run to ``pending``.
 """
 
 from __future__ import annotations
@@ -116,8 +116,6 @@ class JobSpec:
     #: Executor-level retry budget threaded into ``EnsembleSpec``.
     ensemble_retries: int = 2
     priority: str = "batch"
-    #: Total serving budget [s] across attempts; ``None`` = no deadline.
-    deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -143,10 +141,6 @@ class JobSpec:
         if self.ensemble_retries < 0:
             raise ValueError(
                 f"ensemble_retries must be >= 0, got {self.ensemble_retries!r}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(
-                f"deadline_s must be positive, got {self.deadline_s!r}"
             )
         faults = tuple(self.faults)
         for spec in faults:
@@ -183,8 +177,6 @@ class JobSpec:
             payload["seeds"] = self.seeds
         if self.faults:
             payload["faults"] = [spec.to_dict() for spec in self.faults]
-        if self.deadline_s is not None:
-            payload["deadline_s"] = self.deadline_s
         return payload
 
     @classmethod
@@ -193,7 +185,6 @@ class JobSpec:
         known = {
             "kind", "experiment", "scenario", "seeds", "workers",
             "faults", "duration_s", "ensemble_retries", "priority",
-            "deadline_s",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -217,9 +208,7 @@ class JobSpec:
 #: therefore excluded from the coalescing key.  ``workers`` is excluded
 #: because the executor's output is bitwise identical at any worker
 #: count.
-_NON_CONTENT_FIELDS = frozenset(
-    {"workers", "priority", "deadline_s", "ensemble_retries"}
-)
+_NON_CONTENT_FIELDS = frozenset({"workers", "priority", "ensemble_retries"})
 
 
 def job_key(spec: JobSpec) -> str:

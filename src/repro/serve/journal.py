@@ -14,17 +14,21 @@ into :class:`~repro.serve.jobs.JobRecord`s:
   the execution may not have finished, so the server re-runs them
   (at-least-once execution, exactly-once *terminal state*).
 
-A torn final line (the crash happened mid-write) is detected and
-dropped rather than poisoning the replay.
+A torn final line (the crash happened mid-write, so the line has no
+newline) is dropped rather than poisoning the replay, and the first
+append of the next session cuts it off the file before writing.
 
 Op vocabulary (one JSON object per line)::
 
     {"op": "submit", "id": ..., "key": ..., "t": ..., "job": {...}}
     {"op": "coalesce", "id": ..., "t": ...}
     {"op": "start", "id": ..., "attempt": n, "t": ...}
-    {"op": "retry", "id": ..., "attempt": n, "delay_s": ..., "error": ..., "t": ...}
     {"op": "done", "id": ..., "state": "succeeded"|"failed", ..., "t": ...}
     {"op": "shed", "id": ..., "reason": ..., "t": ...}
+
+Older servers also wrote ``{"op": "retry", ...}`` when they re-queued a
+failed job for another attempt.  Replay still folds one into
+``pending``, so a journal that ended mid-backoff resumes the job once.
 """
 
 from __future__ import annotations
@@ -37,7 +41,29 @@ from repro.serve.jobs import JobRecord, JobSpec, JobState
 
 __all__ = ["JobJournal", "replay_journal"]
 
-_OPS = ("submit", "coalesce", "start", "retry", "done", "shed")
+_OPS = ("submit", "coalesce", "start", "done", "shed")
+
+
+def _cut_torn_tail(path: str) -> None:
+    """Cut a file that does not end in a newline back to its last one.
+
+    Replay drops such a torn final line; appending after it would glue
+    the next op onto the same physical line and corrupt the journal.
+    """
+    try:
+        stream = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with stream:
+        size = stream.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        stream.seek(size - 1)
+        if stream.read(1) == b"\n":
+            return
+        stream.seek(0)
+        stream.truncate(stream.read().rfind(b"\n") + 1)
+        os.fsync(stream.fileno())
 
 
 class JobJournal:
@@ -64,6 +90,7 @@ class JobJournal:
         if self._stream is None or self._stream.closed:
             parent = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(parent, exist_ok=True)
+            _cut_torn_tail(self.path)
             self._stream = open(self.path, "a", encoding="utf-8")
         return self._stream
 
@@ -105,12 +132,13 @@ class JobJournal:
             text = line.strip()
             if not text:
                 continue
+            if not line.endswith("\n"):
+                # Torn tail from a crash mid-append: the op never fully
+                # reached the file, so it was never acknowledged.
+                break
             try:
                 payload = json.loads(text)
             except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    # Torn tail from a crash mid-append: drop it.
-                    break
                 raise ValueError(
                     f"{self.path}:{index + 1}: corrupt journal line"
                 )
@@ -137,11 +165,14 @@ class JobJournal:
             time_s = float(payload.get("t", 0.0))
             if op == "submit":
                 job = dict(payload["job"])
-                # Older journals may carry a "backend" key: the job spec
-                # once named a compute backend to serve it.  It was never
-                # part of the job key, so dropping it replays the same
-                # job; new submissions naming it are still rejected.
+                # Older journals may carry keys the job spec has lost:
+                # "backend" (a compute backend to serve it) and
+                # "deadline_s" (a bound on the server's retry loop).
+                # Neither was part of the job key, so dropping them
+                # replays the same job; new submissions naming them are
+                # still rejected.
                 job.pop("backend", None)
+                job.pop("deadline_s", None)
                 spec = JobSpec.from_dict(job)
                 records[job_id] = JobRecord(
                     job_id=job_id,
@@ -161,7 +192,7 @@ class JobJournal:
             elif op == "start":
                 record.attempts = int(payload.get("attempt", record.attempts + 1))
                 record.transition(JobState.RUNNING, time_s)
-            elif op == "retry":
+            elif op == "retry":  # written by older servers only
                 record.error = payload.get("error")
                 record.transition(JobState.PENDING, time_s)
             elif op == "done":

@@ -150,11 +150,12 @@ class AdmissionQueue:
         return evicted
 
     def requeue(self, record: JobRecord) -> None:
-        """Put a retrying job back, bypassing admission control.
+        """Put a replayed job back, bypassing admission control.
 
-        A retry is not new load — the job was already admitted and its
-        capacity accounted for — so it must never be shed at this gate
-        (it can still lose an eviction fight to a more urgent arrival).
+        A job resumed from the journal is not new load — it was already
+        admitted and its capacity accounted for — so it must never be
+        shed at this gate (it can still lose an eviction fight to a more
+        urgent arrival).
         """
         self._push(record)
 

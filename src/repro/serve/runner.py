@@ -99,8 +99,8 @@ def _run_experiment_job(spec: JobSpec) -> Dict[str, Any]:
 
 
 def execute_job(spec: JobSpec) -> Dict[str, Any]:
-    """Run one job to completion; raises on failure (the server's
-    retry policy decides what happens next)."""
+    """Run one job to completion; raises on failure (the server fails
+    the job with that error)."""
     if spec.kind == "ensemble":
         return _run_ensemble_job(spec)
     return _run_experiment_job(spec)

@@ -1,4 +1,4 @@
-"""The asyncio job server: accept, queue, execute, retry, shed, stream.
+"""The asyncio job server: accept, queue, execute, shed, stream.
 
 One event loop owns all bookkeeping (queue, records, journal order);
 job execution happens on a thread pool via ``run_in_executor`` (and
@@ -19,10 +19,13 @@ returned.  The reliability ledger:
   result-determining spec fields (:func:`repro.serve.jobs.job_key`);
   a duplicate of a pending/running job joins that execution, and a
   duplicate of a *succeeded* job is served straight from the record.
-* **Retries** — a failed execution re-queues with deterministic
-  exponential backoff + jitter until the attempt budget or the job
-  deadline runs out (:class:`repro.serve.retry.RetryPolicy`); the
-  executor's own per-seed retries operate a layer below.
+* **One retry owner per failure** — the ensemble executor retries
+  failed seed-runs (``ensemble_retries``) and absorbs a broken process
+  pool; journal replay re-runs jobs a server crash interrupted; every
+  other failure is a terminal ``failed`` carrying its error.  The
+  server never re-runs a job that raised: a re-run restarts the
+  executor at attempt 0, which redraws the same chaos and repeats the
+  same error.
 * **Backpressure** — admission control and priority-aware shedding
   live in :class:`repro.serve.queue.AdmissionQueue`; rejected arrivals
   get a structured overload payload, evicted jobs a terminal ``shed``
@@ -46,7 +49,7 @@ import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from repro import sanitize
 from repro.serve.jobs import (
@@ -58,7 +61,6 @@ from repro.serve.jobs import (
 )
 from repro.serve.journal import JobJournal
 from repro.serve.queue import AdmissionQueue
-from repro.serve.retry import RetryPolicy
 from repro.serve.runner import execute_job
 from repro.telemetry import EventKind, get_recorder
 
@@ -66,7 +68,12 @@ __all__ = ["JobServer", "ServerStats"]
 
 
 class ServerStats:
-    """Monotonic serving counters (JSON-safe snapshot via to_dict)."""
+    """Monotonic serving counters (JSON-safe snapshot via to_dict).
+
+    ``retries`` always reads 0: the server re-runs no failed job (the
+    executor retries seed-runs inside one execution).  The key stays so
+    existing stats readers keep working.
+    """
 
     __slots__ = (
         "submitted", "coalesced", "cached", "completed", "failed",
@@ -103,20 +110,12 @@ class JobServer:
         the hook restart/replay tests use to freeze a queue.
     queue_limit, shed_threshold, protect_priority:
         Admission-control knobs (see :class:`AdmissionQueue`).
-    retry_policy:
-        Job-level retry/backoff/deadline policy.
     journal_sync:
         fsync every journal append (leave on outside benchmarks).
     journal_timeout_s:
         Deadline for a single journal append (flush + fsync).  A wedged
         disk surfaces as ``asyncio.TimeoutError`` instead of silently
         hanging the transition that needed the write.
-    execution_timeout_s:
-        Wall-clock bound on one job execution attempt; ``None`` (the
-        default) leaves attempts unbounded.  A timed-out attempt goes
-        through the normal failure/retry path.  The worker thread
-        itself cannot be interrupted mid-kernel, so the slot is only
-        reclaimed once the underlying call returns.
     """
 
     def __init__(
@@ -128,17 +127,14 @@ class JobServer:
         queue_limit: int = 64,
         shed_threshold: float = 0.75,
         protect_priority: str = "interactive",
-        retry_policy: Optional[RetryPolicy] = None,
         journal_sync: bool = True,
         journal_timeout_s: float = 30.0,
-        execution_timeout_s: Optional[float] = None,
     ) -> None:
         if job_workers < 0:
             raise ValueError(f"job_workers must be >= 0, got {job_workers!r}")
         self.host = host
         self.port = int(port)
         self.job_workers = int(job_workers)
-        self.retry_policy = retry_policy or RetryPolicy()
         self.queue = AdmissionQueue(
             maxsize=queue_limit,
             shed_threshold=shed_threshold,
@@ -153,7 +149,6 @@ class JobServer:
         self._started_monotonic = 0.0
         self._server: Optional[asyncio.AbstractServer] = None
         self._workers: List["asyncio.Task[None]"] = []
-        self._backoffs: Set["asyncio.Task[None]"] = set()
         self._wakeup: Optional[asyncio.Condition] = None
         self._subscribers: Dict[
             str, List["asyncio.Queue[Optional[Dict[str, object]]]"]
@@ -161,7 +156,6 @@ class JobServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._journal_executor: Optional[ThreadPoolExecutor] = None
         self.journal_timeout_s = float(journal_timeout_s)
-        self.execution_timeout_s = execution_timeout_s
         self._sanitizer: Optional[sanitize.LoopLagMonitor] = None
         self._stopping = False
         self._stopped = asyncio.Event()
@@ -246,7 +240,7 @@ class JobServer:
                 self._wakeup.notify_all()
 
     async def stop(self) -> None:
-        """Stop accepting, cancel workers and backoffs, close the journal."""
+        """Stop accepting, cancel workers, drain and close the journal."""
         if self._stopping:
             await self._stopped.wait()
             return
@@ -254,13 +248,9 @@ class JobServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in list(self._backoffs):
-            task.cancel()
         for task in self._workers:
             task.cancel()
-        await asyncio.gather(
-            *self._workers, *self._backoffs, return_exceptions=True
-        )
+        await asyncio.gather(*self._workers, return_exceptions=True)
         if self._executor is not None:
             await asyncio.to_thread(
                 self._executor.shutdown, wait=True, cancel_futures=True
@@ -290,13 +280,20 @@ class JobServer:
         their in-memory transition *before* awaiting this and only send
         acknowledgements afterwards: late-arriving requests observe
         consistent state, and nothing is acked before the fsync.
+
+        The append is shielded: cancelling the caller (``stop()``
+        cancelling a worker) must not cancel an append still queued
+        behind another fsync, or the transition it records would be
+        lost.  ``stop()`` drains the journal thread before closing.
         """
         assert self._journal_executor is not None
         loop = asyncio.get_running_loop()
         await asyncio.wait_for(
-            loop.run_in_executor(
-                self._journal_executor,
-                functools.partial(self.journal.append, op, **fields),
+            asyncio.shield(
+                loop.run_in_executor(
+                    self._journal_executor,
+                    functools.partial(self.journal.append, op, **fields),
+                )
             ),
             timeout=self.journal_timeout_s,
         )
@@ -328,6 +325,19 @@ class JobServer:
             spec = JobSpec.from_dict(payload)
         except (TypeError, ValueError, KeyError) as error:
             return {"ok": False, "error": "bad_request", "reason": str(error)}
+        if spec.kind == "experiment":
+            # Checked here, not in JobSpec, so a journal that already
+            # holds an unknown id still replays; imported here, as in
+            # repro.serve.runner, so start-up loads no experiment module.
+            from repro.experiments.registry import get_experiment
+
+            try:
+                get_experiment(spec.experiment)
+            except KeyError as error:
+                return {
+                    "ok": False, "error": "bad_request",
+                    "reason": error.args[0],
+                }
         key = job_key(spec)
         active_id = self._active.get(key)
         if active_id is not None:
@@ -409,7 +419,7 @@ class JobServer:
                 # stop() cancels this task, but before Python 3.12 a
                 # finite-timeout wait_for returns its result instead when
                 # the cancel lands in the same loop iteration as the
-                # awaited append or execution completing.  Checking the
+                # awaited journal append completing.  Checking the
                 # flag before every wait lets such a worker still exit.
                 while len(self.queue) == 0 and not self._stopping:
                     await self._wakeup.wait()
@@ -436,23 +446,11 @@ class JobServer:
         )
         self._notify(record, "started")
         try:
-            # wait_for(timeout=None) awaits unbounded, matching the
-            # default; a finite execution_timeout_s routes a hung
-            # attempt through the ordinary failure/retry path.
-            result = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor, execute_job, record.spec
-                ),
-                timeout=self.execution_timeout_s,
-            )
-        except asyncio.CancelledError:
-            raise
-        except asyncio.TimeoutError:
-            await self._handle_failure(
-                record,
-                TimeoutError(
-                    f"execution exceeded {self.execution_timeout_s}s"
-                ),
+            # Unbounded on purpose: a pool thread cannot be interrupted,
+            # so a timeout here would free neither the thread nor its
+            # slot, only discard the run's eventual result.
+            result = await loop.run_in_executor(  # repro-lint: disable=RL504
+                self._executor, execute_job, record.spec
             )
         except Exception as error:
             await self._handle_failure(record, error)
@@ -479,40 +477,13 @@ class JobServer:
             self._notify(record, "completed")
 
     async def _handle_failure(self, record: JobRecord, error: Exception) -> None:
+        """Fail the job terminally with ``error`` (no job-level retry).
+
+        A client that suspects a transient host fault resubmits; failed
+        keys are never cached, so the resubmission executes.
+        """
         time_s = self.now()
-        elapsed_s = time_s - record.submitted_at_s
         message = f"{type(error).__name__}: {error}"
-        policy = self.retry_policy
-        if not self._stopping and policy.should_retry(
-            record.key, record.attempts, elapsed_s, record.spec.deadline_s
-        ):
-            delay_s = policy.delay_s(record.key, record.attempts)
-            record.error = message
-            record.transition(JobState.PENDING, time_s)
-            self.stats.retries += 1
-            # The backoff task is part of the transition: it must exist
-            # before the journal await so a stats poll never observes
-            # the job as neither queued, running, nor backing off.
-            task = asyncio.create_task(self._requeue_after(record, delay_s))
-            self._backoffs.add(task)
-            task.add_done_callback(self._backoffs.discard)
-            await self._journal_append(
-                "retry",
-                id=record.job_id,
-                attempt=record.attempts,
-                delay_s=delay_s,
-                error=message,
-                t=time_s,
-            )
-            self.emit(
-                EventKind.JOB_RETRIED,
-                job_id=record.job_id,
-                attempt=record.attempts,
-                delay_s=delay_s,
-                error=message,
-            )
-            self._notify(record, "retried", delay_s=delay_s, error=message)
-            return
         record.error = message
         record.transition(JobState.FAILED, time_s)
         self._active.pop(record.key, None)
@@ -531,15 +502,6 @@ class JobServer:
             attempts=record.attempts,
         )
         self._notify(record, "failed", error=message)
-
-    async def _requeue_after(self, record: JobRecord, delay_s: float) -> None:
-        await asyncio.sleep(delay_s)
-        if record.terminal:
-            return
-        self.queue.requeue(record)
-        assert self._wakeup is not None
-        async with self._wakeup:
-            self._wakeup.notify()
 
     # ------------------------------------------------------------------
     # wire protocol
@@ -668,9 +630,6 @@ class JobServer:
                 for record in self.records.values()
                 if record.state == JobState.RUNNING
             ),
-            # Jobs waiting out a retry backoff: not queued, not running,
-            # but not drained either — pollers must wait these out too.
-            "backoffs": len(self._backoffs),
             "jobs_per_second": completed / uptime_s if uptime_s > 0 else 0.0,
         }
         payload.update(self.stats.to_dict())

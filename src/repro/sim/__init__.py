@@ -32,7 +32,6 @@ from repro.sim.executor import (
     execute_ensemble,
     parallel_map,
 )
-from repro.sim.runner import run_ensemble
 from repro.sim.spec import (
     ScenarioSpec,
     available_scenarios,
@@ -65,7 +64,6 @@ __all__ = [
     "indoor_mobile_scenario",
     "LinkSimulator",
     "SimulationTrace",
-    "run_ensemble",
     "ScenarioSpec",
     "available_scenarios",
     "get_scenario_spec",

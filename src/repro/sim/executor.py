@@ -28,7 +28,6 @@ import time
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -70,9 +69,8 @@ __all__ = [
 class RunFailure:
     """One seed-run attempt that raised instead of producing metrics.
 
-    ``kind`` classifies the failure: ``"error"`` (the simulation raised),
-    ``"timeout"`` (the run exceeded ``EnsembleSpec.timeout_s``), or
-    ``"crash"`` (the worker process died or injected chaos killed it).
+    ``kind`` classifies the failure: ``"error"`` (the simulation raised)
+    or ``"crash"`` (the worker process died or injected chaos killed it).
     ``attempt`` is the retry counter of the attempt that failed.
     """
 
@@ -106,7 +104,6 @@ class ExecutorStats:
     #: Retry accounting (deterministic: same spec -> same counts).
     total_retries: int = 0
     retried_runs: int = 0
-    timed_out_runs: int = 0
     #: Runs executed on the in-process serial path after the process
     #: pool broke (``BrokenProcessPool`` fallback).
     serial_fallback_runs: int = 0
@@ -152,8 +149,6 @@ class ExecutorStats:
                 f" [{self.total_retries} retr{'y' if self.total_retries == 1 else 'ies'}"
                 f" over {self.retried_runs} run(s)]"
             )
-        if self.timed_out_runs:
-            line += f" [{self.timed_out_runs} timeout(s)]"
         if self.serial_fallback_runs:
             line += f" [{self.serial_fallback_runs} serial-fallback run(s)]"
         return line
@@ -255,10 +250,6 @@ class EnsembleSpec:
     #: also collected when the calling process already has an active
     #: recorder (``repro run --trace``), regardless of this flag.
     telemetry: bool = False
-    #: Per-run wall-clock budget [s].  A run whose result is not
-    #: available within this budget is recorded as a ``"timeout"``
-    #: :class:`RunFailure` (and retried if ``max_retries`` allows).
-    timeout_s: Optional[float] = None
     #: How many times a failed seed-run is re-attempted.  Retries are
     #: deterministic: the retry schedule depends only on the spec, and
     #: each attempt passes its index to the fault injector so injected
@@ -301,8 +292,6 @@ class EnsembleSpec:
                 "max_failure_fraction must be in [0, 1], got "
                 f"{self.max_failure_fraction!r}"
             )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries!r}"
@@ -466,48 +455,9 @@ def _make_payload(
     )
 
 
-def _timeout_failure(payload: tuple, elapsed_s: float, timeout_s: float) -> tuple:
-    return (
-        "failure",
-        RunFailure(
-            seed=int(payload[0]),
-            error=f"TimeoutError: run exceeded timeout_s={timeout_s}",
-            traceback="",
-            elapsed_s=float(elapsed_s),
-            kind="timeout",
-            attempt=int(payload[-1]),
-        ),
-    )
-
-
-def _run_serial_item(payload: tuple, timeout_s: Optional[float]) -> tuple:
-    """One in-process run, with the timeout enforced post hoc.
-
-    The serial path cannot preempt a run, but converting an over-budget
-    success into the same ``"timeout"`` failure keeps serial and process
-    backends semantically aligned (and retryable the same way).
-    """
-    outcome = _run_one_seed(payload)
-    if (
-        timeout_s is not None
-        and outcome[0] == "success"
-        and outcome[3] > timeout_s
-    ):
-        return _timeout_failure(payload, outcome[3], timeout_s)
-    if (
-        timeout_s is not None
-        and outcome[0] == "failure"
-        and outcome[1].elapsed_s > timeout_s
-        and outcome[1].kind != "timeout"
-    ):
-        return _timeout_failure(payload, outcome[1].elapsed_s, timeout_s)
-    return outcome
-
-
 def _run_process_batch(
     items: Sequence[Tuple[int, tuple]],
     workers: int,
-    timeout_s: Optional[float],
 ) -> Tuple[Dict[int, tuple], List[Tuple[int, tuple]], bool]:
     """Run ``(index, payload)`` items on a process pool.
 
@@ -527,12 +477,7 @@ def _run_process_batch(
             try:
                 for index, payload, future in futures:
                     try:
-                        results[index] = future.result(timeout=timeout_s)
-                    except FuturesTimeoutError:
-                        future.cancel()
-                        results[index] = _timeout_failure(
-                            payload, timeout_s, timeout_s
-                        )
+                        results[index] = future.result()
                     except BrokenProcessPool:
                         broke = True
                         break
@@ -586,7 +531,6 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
     run_times: List[float] = []
     total_retries = 0
     retried_indexes: set = set()
-    timed_out = 0
     serial_fallback_runs = 0
     pool_broken = False
 
@@ -617,7 +561,7 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
         results: Dict[int, tuple] = {}
         if backend == "process" and not pool_broken:
             results, leftover, broke = _run_process_batch(
-                items, actual_workers, spec.timeout_s
+                items, actual_workers
             )
             if broke:
                 # The pool is gone (a worker died hard).  Finish the
@@ -633,11 +577,11 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
                     )
                     parent_recorder.counter("executor.serial_fallbacks").inc()
                 for index, payload in leftover:
-                    results[index] = _run_serial_item(payload, spec.timeout_s)
+                    results[index] = _run_one_seed(payload)
                     serial_fallback_runs += 1
         else:
             for index, payload in items:
-                results[index] = _run_serial_item(payload, spec.timeout_s)
+                results[index] = _run_one_seed(payload)
                 if pool_broken:
                     serial_fallback_runs += 1
         next_pending: List[Tuple[int, int, int]] = []
@@ -651,8 +595,6 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
                 failure = outcome[1]
                 run_times.append(failure.elapsed_s)
                 last_failure[index] = failure
-                if failure.kind == "timeout":
-                    timed_out += 1
                 next_pending.append((index, seed, attempt + 1))
         pending = next_pending
     wall_time_s = time.perf_counter() - started
@@ -687,7 +629,6 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
         run_times_s=tuple(run_times),
         total_retries=total_retries,
         retried_runs=len(retried_indexes),
-        timed_out_runs=timed_out,
         serial_fallback_runs=serial_fallback_runs,
     )
     return EnsembleSummary(

@@ -71,8 +71,6 @@ class EventKind:
     JOB_SUBMITTED = "job_submitted"
     #: A job execution attempt began on a serving worker.
     JOB_STARTED = "job_started"
-    #: A failed job was re-queued with backoff for another attempt.
-    JOB_RETRIED = "job_retried"
     #: A job (or un-admitted arrival) was shed under overload.
     JOB_SHED = "job_shed"
     #: A job reached a terminal state (succeeded or failed).

@@ -20,8 +20,7 @@ class TestParser:
         arguments = build_parser().parse_args(
             ["serve", "--port", "0", "--journal", "j.jsonl",
              "--job-workers", "4", "--queue-limit", "16",
-             "--shed-threshold", "0.5", "--max-retries", "1",
-             "--backoff-s", "0.2", "--deadline-s", "30", "--no-sync"]
+             "--shed-threshold", "0.5", "--no-sync"]
         )
         assert arguments.command == "serve"
         assert arguments.port == 0
@@ -49,6 +48,18 @@ class TestParser:
     def test_submit_rejects_unknown_priority(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit", "--priority", "vip"])
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--max-retries", "1"],
+        ["serve", "--backoff-s", "0.2"],
+        ["serve", "--deadline-s", "30"],
+        ["submit", "--deadline-s", "5"],
+    ])
+    def test_job_retry_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_jobs_arguments(self):
         arguments = build_parser().parse_args(
@@ -119,6 +130,18 @@ class TestSubmitCommand:
         status = command_submit(port=1, out=out, **MICRO_ARGS)
         assert status == 2
         assert "cannot reach server" in out.getvalue()
+
+    def test_unknown_experiment_exits_2(self, tmp_path, server_thread_cls):
+        journal = tmp_path / "jobs.jsonl"
+        with server_thread_cls(str(journal), job_workers=1) as server:
+            out = io.StringIO()
+            status = command_submit(
+                experiment="fig99", port=server.port, out=out
+            )
+            assert status == 2
+            assert "unknown experiment 'fig99'" in out.getvalue()
+            assert server.stats.submitted == 0
+        assert not journal.exists() or journal.read_text() == ""
 
     def test_bad_spec_never_touches_the_network(self):
         out = io.StringIO()

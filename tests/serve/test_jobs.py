@@ -27,8 +27,6 @@ class TestJobSpecValidation:
             JobSpec(kind="ensemble", workers=0)
         with pytest.raises(ValueError, match="duration_s"):
             JobSpec(kind="ensemble", duration_s=0.0)
-        with pytest.raises(ValueError, match="deadline_s"):
-            JobSpec(kind="ensemble", deadline_s=-1.0)
 
     def test_faults_must_be_specs(self):
         with pytest.raises(TypeError, match="FaultSpec"):
@@ -49,7 +47,6 @@ class TestRoundTrip:
             workers=4,
             faults=(FaultSpec(kind="probe_loss", rate=0.1),),
             priority="interactive",
-            deadline_s=30.0,
         )
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
@@ -72,13 +69,11 @@ class TestJobKey:
         )
 
     def test_serving_metadata_does_not_change_the_key(self):
-        # The executor's output is backend-independent, and priority /
-        # deadlines are serving concerns: none of them may split the
-        # coalescing key.
+        # The executor's output is backend-independent, and priority is
+        # a serving concern: none of them may split the coalescing key.
         base = JobSpec(kind="ensemble", seeds=3)
         assert job_key(base) == job_key(base.with_options(workers=8))
         assert job_key(base) == job_key(base.with_options(priority="bulk"))
-        assert job_key(base) == job_key(base.with_options(deadline_s=99.0))
         assert job_key(base) == job_key(base.with_options(ensemble_retries=7))
 
     def test_scenario_changes_the_key(self):
@@ -95,7 +90,7 @@ class TestJobRecord:
     def test_lifecycle_history(self):
         record = JobRecord(job_id="job-1", key="k", spec=JobSpec(kind="ensemble"))
         record.transition(JobState.RUNNING, 1.0)
-        record.transition(JobState.PENDING, 2.0)  # retry
+        record.transition(JobState.PENDING, 2.0)  # an older journal's retry
         record.transition(JobState.RUNNING, 3.0)
         record.transition(JobState.SUCCEEDED, 4.0)
         assert record.terminal

@@ -92,9 +92,10 @@ class TestRequeue:
     def test_requeue_bypasses_admission(self):
         queue = AdmissionQueue(maxsize=2, shed_threshold=0.5)
         queue.offer(_record("a"))
-        retrying = _record("retry-1", "bulk")
-        # A fresh bulk offer would shed at 50% occupancy; a retry must not.
-        queue.requeue(retrying)
+        replayed = _record("replayed-1", "bulk")
+        # A fresh bulk offer would shed at 50% occupancy; a replayed job
+        # must not.
+        queue.requeue(replayed)
         assert len(queue) == 2
 
 

@@ -1,5 +1,5 @@
-"""Job server integration: lifecycle, coalescing, retries, shedding,
-journal replay, the wire protocol, and the blocking client.
+"""Job server integration: lifecycle, coalescing, terminal failures,
+shedding, journal replay, the wire protocol, and the blocking client.
 
 pytest-asyncio is not a dependency, so every async test drives its own
 loop through ``asyncio.run``; the blocking-client tests run the server
@@ -8,25 +8,31 @@ on a background thread's loop instead.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
-from repro.serve import JobClient, JobServer, RetryPolicy, ServerError
+import repro.serve.server
+from repro.serve import JobClient, JobServer, ServerError
 from repro.telemetry import EventKind, TelemetryRecorder, use_recorder
 
 #: A micro job cheap enough to run hundreds of times in the suite.
 MICRO_JOB = {"kind": "ensemble", "seeds": 1, "duration_s": 0.01}
 
 #: A job that fails every attempt: worker_crash at rate 1.0 crashes the
-#: run on every seed and every executor retry, so the ensemble always
-#: exceeds its failure budget and the *server's* retry layer engages.
+#: run on every seed and every executor retry (default budget: 2), so
+#: the ensemble always exceeds its failure budget and the job fails.
 DOOMED_JOB = {
     "kind": "ensemble",
     "seeds": 1,
     "duration_s": 0.01,
     "faults": [{"kind": "worker_crash", "rate": 1.0}],
-    "ensemble_retries": 0,
 }
+
+
+def _journal_ops(path):
+    with open(path, encoding="utf-8") as stream:
+        return [json.loads(line) for line in stream]
 
 
 async def _wait_terminal(server, job_id, timeout_s=30.0):
@@ -130,6 +136,65 @@ class TestStop:
 
         asyncio.run(scenario())
 
+    def test_stop_writes_a_queued_terminal_append(self, tmp_path, monkeypatch):
+        """stop() must not cancel a ``done`` append queued behind another.
+
+        The journal thread is parked once the job runs, so the job's
+        ``done`` append queues behind it; stop() then cancels the worker
+        awaiting that append.  The append must still reach the file, or a
+        restarted server re-runs the finished job.
+        """
+        journal = str(tmp_path / "jobs.jsonl")
+        running = threading.Event()
+        finish = threading.Event()
+        execute_job = repro.serve.server.execute_job
+
+        def gated_execute_job(spec):
+            running.set()
+            assert finish.wait(timeout=30.0)
+            return execute_job(spec)
+
+        monkeypatch.setattr(repro.serve.server, "execute_job", gated_execute_job)
+
+        async def first_life():
+            server = JobServer(journal, job_workers=1)
+            await server.start()
+            release = threading.Event()
+            try:
+                response = await server.submit(dict(MICRO_JOB))
+                assert await asyncio.to_thread(running.wait, 30.0)
+                parked = asyncio.get_running_loop().run_in_executor(
+                    server._journal_executor, release.wait, 30.0
+                )
+                finish.set()
+                record = await _wait_terminal(server, response["id"])
+                assert record.state == "succeeded"
+                stopping = asyncio.ensure_future(server.stop())
+                while not all(task.done() for task in server._workers):
+                    await asyncio.sleep(0.01)
+            finally:
+                finish.set()
+                release.set()
+            await asyncio.wait_for(stopping, timeout=30.0)
+            assert await parked
+            return response["id"]
+
+        async def second_life(job_id):
+            server = JobServer(journal, job_workers=1)
+            await server.start()
+            try:
+                again = await server.submit(dict(MICRO_JOB))
+                assert again["id"] == job_id and again.get("cached")
+                assert server.stats.executions == 0
+            finally:
+                await server.stop()
+
+        job_id = asyncio.run(first_life())
+        ops = _journal_ops(journal)
+        assert [op["op"] for op in ops] == ["submit", "start", "done"]
+        assert ops[-1]["state"] == "succeeded"
+        asyncio.run(second_life(job_id))
+
 
 class TestCoalescing:
     def test_duplicate_of_pending_job_coalesces(self, tmp_path):
@@ -176,52 +241,33 @@ class TestCoalescing:
         asyncio.run(scenario())
 
 
-class TestRetries:
-    def test_failing_job_retries_then_fails(self, tmp_path):
+class TestFailures:
+    def test_failing_job_fails_on_its_first_execution(self, tmp_path):
+        """The executor owns seed-run retries; the server re-runs nothing."""
+        journal = str(tmp_path / "jobs.jsonl")
+
         async def scenario():
-            server = JobServer(
-                str(tmp_path / "jobs.jsonl"),
-                job_workers=1,
-                retry_policy=RetryPolicy(max_retries=2, base_delay_s=0.01),
-            )
+            server = JobServer(journal, job_workers=1)
             await server.start()
             try:
                 response = await server.submit(dict(DOOMED_JOB))
                 record = await _wait_terminal(server, response["id"])
                 assert record.state == "failed"
-                assert record.attempts == 3  # 1 first try + 2 retries
-                assert "EnsembleError" in record.error
-                assert server.stats.retries == 2
-                assert server.stats.failed == 1
-            finally:
-                await server.stop()
-
-        asyncio.run(scenario())
-
-    def test_deadline_bounds_the_retry_loop(self, tmp_path):
-        async def scenario():
-            server = JobServer(
-                str(tmp_path / "jobs.jsonl"),
-                job_workers=1,
-                retry_policy=RetryPolicy(
-                    max_retries=50, base_delay_s=10.0, max_delay_s=10.0
-                ),
-            )
-            await server.start()
-            try:
-                # The first backoff (10s) alone would cross the 0.5s
-                # deadline, so the job fails terminally after one attempt.
-                response = await server.submit(
-                    dict(DOOMED_JOB, deadline_s=0.5)
-                )
-                record = await _wait_terminal(server, response["id"])
-                assert record.state == "failed"
                 assert record.attempts == 1
+                assert server.stats.executions == 1
+                assert server.stats.failed == 1
                 assert server.stats.retries == 0
+                return record
             finally:
                 await server.stop()
 
-        asyncio.run(scenario())
+        record = asyncio.run(scenario())
+        # The error is the executor's verdict after its last attempt.
+        assert record.error.startswith("EnsembleError: ")
+        assert "(seed 0, attempt 2)" in record.error
+        assert [op["op"] for op in _journal_ops(journal)] == [
+            "submit", "start", "done",
+        ]
 
 
 class TestShedding:
@@ -379,6 +425,59 @@ class TestReplay:
         assert record.state == "succeeded"
         assert record.result["runs"] == 1
 
+    def test_restart_finishes_a_retry_era_job(self, tmp_path):
+        """A journal that ended while an older server backed off a retry."""
+        from test_journal import RETRY_ERA_JOURNAL
+
+        journal = tmp_path / "jobs.jsonl"
+        journal.write_text(RETRY_ERA_JOURNAL, encoding="utf-8")
+
+        async def restart():
+            server = JobServer(str(journal), job_workers=1)
+            await server.start()
+            try:
+                return await _wait_terminal(server, "job-000001")
+            finally:
+                await server.stop()
+
+        record = asyncio.run(restart())
+        assert record.state == "succeeded"
+        assert record.attempts == 2
+        assert record.result["runs"] == 1
+
+    def test_append_after_a_torn_tail_keeps_the_journal_readable(
+        self, tmp_path
+    ):
+        """Three sessions: a crash tears the last line, the second
+        session appends, and the third must still replay every job."""
+        journal = tmp_path / "jobs.jsonl"
+
+        async def session(job):
+            server = JobServer(str(journal), job_workers=1)
+            await server.start()
+            try:
+                response = await server.submit(dict(job))
+                await _wait_terminal(server, response["id"])
+                return response["id"]
+            finally:
+                await server.stop()
+
+        first = asyncio.run(session(dict(MICRO_JOB, seeds=1)))
+        with open(journal, "a", encoding="utf-8") as stream:
+            stream.write('{"id": "job-000001", "op": "coal')  # kill -9 here
+        second = asyncio.run(session(dict(MICRO_JOB, seeds=2)))
+
+        async def third_start():
+            server = JobServer(str(journal), job_workers=0)
+            await server.start()
+            await server.stop()
+            return server.records
+
+        records = asyncio.run(third_start())
+        assert sorted(records) == [first, second]
+        assert all(r.state == "succeeded" for r in records.values())
+        assert records[first].submissions == 1
+
 
 class TestWireProtocol:
     @staticmethod
@@ -447,13 +546,61 @@ class TestWireProtocol:
 
         asyncio.run(scenario())
 
+    def test_unknown_experiment_is_rejected_before_the_journal(self, tmp_path):
+        journal = tmp_path / "jobs.jsonl"
+
+        async def scenario():
+            server = JobServer(str(journal), job_workers=1)
+            await server.start()
+            try:
+                return server, await self._roundtrip(
+                    server,
+                    {"op": "submit",
+                     "job": {"kind": "experiment", "experiment": "fig99"}},
+                )
+            finally:
+                await server.stop()
+
+        server, response = asyncio.run(scenario())
+        assert not response["ok"]
+        assert response["error"] == "bad_request"
+        assert "unknown experiment 'fig99'" in response["reason"]
+        assert "fig18" in response["reason"]  # lists the known ids
+        assert server.stats.submitted == 0
+        assert server.stats.executions == 0
+        assert not journal.exists() or journal.read_text() == ""
+
+    def test_non_string_experiment_id_is_a_bad_request(self, tmp_path):
+        journal = tmp_path / "jobs.jsonl"
+
+        async def scenario():
+            server = JobServer(str(journal), job_workers=1)
+            await server.start()
+            try:
+                responses = [
+                    await self._roundtrip(
+                        server,
+                        {"op": "submit",
+                         "job": {"kind": "experiment", "experiment": bad}},
+                    )
+                    for bad in (["fig18"], {"id": "fig18"})
+                ]
+                # The server still answers the next request.
+                assert (await self._roundtrip(server, {"op": "ping"}))["ok"]
+                return server, responses
+            finally:
+                await server.stop()
+
+        server, responses = asyncio.run(scenario())
+        for response in responses:
+            assert response["error"] == "bad_request"
+            assert "unknown experiment" in response["reason"]
+        assert server.stats.submitted == 0
+        assert not journal.exists() or journal.read_text() == ""
+
     def test_wait_streams_progress_then_terminal_record(self, tmp_path):
         async def scenario():
-            server = JobServer(
-                str(tmp_path / "jobs.jsonl"),
-                job_workers=1,
-                retry_policy=RetryPolicy(max_retries=1, base_delay_s=0.01),
-            )
+            server = JobServer(str(tmp_path / "jobs.jsonl"), job_workers=1)
             await server.start()
             try:
                 # Park a filler job on the lone worker first: the doomed
@@ -483,9 +630,7 @@ class TestWireProtocol:
                     writer.close()
                     await writer.wait_closed()
                 events = [p["event"] for p in payloads if "event" in p]
-                assert "started" in events
-                assert "retried" in events
-                assert "failed" in events
+                assert events == ["started", "failed"]
                 final = payloads[-1]
                 assert final["ok"] and final["job"]["state"] == "failed"
             finally:
@@ -497,11 +642,7 @@ class TestWireProtocol:
 class TestTelemetry:
     def test_job_lifecycle_hits_the_telemetry_bus(self, tmp_path):
         async def scenario():
-            server = JobServer(
-                str(tmp_path / "jobs.jsonl"),
-                job_workers=1,
-                retry_policy=RetryPolicy(max_retries=1, base_delay_s=0.01),
-            )
+            server = JobServer(str(tmp_path / "jobs.jsonl"), job_workers=1)
             await server.start()
             try:
                 ok = await server.submit(dict(MICRO_JOB))
@@ -516,8 +657,8 @@ class TestTelemetry:
             asyncio.run(scenario())
         kinds = recorder.events.kinds()
         assert kinds[EventKind.JOB_SUBMITTED] == 2
-        assert kinds[EventKind.JOB_STARTED] == 3  # 1 + (1 try + 1 retry)
-        assert kinds[EventKind.JOB_RETRIED] == 1
+        assert kinds[EventKind.JOB_STARTED] == 2  # one execution each
+        assert "job_retried" not in kinds
         assert kinds[EventKind.JOB_COMPLETED] == 2
         assert recorder.metrics.counter("serve.job_completed").value == 2
 

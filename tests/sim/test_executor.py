@@ -2,9 +2,8 @@
 
 Covers the acceptance contract: serial-vs-parallel bitwise equality on
 fixed seeds, one-poisoned-seed fault tolerance, failure-threshold
-escalation, the ``EnsembleSummary`` stats fields, the serial fallback
-for non-picklable factories, and the ``run_ensemble`` entry point
-(EnsembleSpec form, keyword form, positional-form rejection).
+escalation, the ``EnsembleSummary`` stats fields, and the serial
+fallback for non-picklable factories.
 """
 
 from functools import partial
@@ -18,13 +17,11 @@ from repro.phy.ofdm import ChannelSounder, OfdmConfig
 from repro.sim.executor import (
     EnsembleError,
     EnsembleSpec,
-    EnsembleSummary,
     ExecutorStats,
     RunFailure,
     execute_ensemble,
     parallel_map,
 )
-from repro.sim.runner import run_ensemble
 from repro.sim.scenarios import indoor_two_path_scenario
 
 ARRAY = UniformLinearArray(num_elements=8)
@@ -194,61 +191,6 @@ class TestStats:
         assert summary.stats.total_runs == 5
         # Failed runs still contribute their wall time.
         assert len(summary.stats.run_times_s) == 5
-
-
-class TestRunEnsembleCompat:
-    def test_spec_form(self):
-        summary = run_ensemble(fast_spec(seeds=range(2)))
-        assert isinstance(summary, EnsembleSummary)
-        assert len(summary.metrics) == 2
-
-    def test_spec_form_rejects_extra_arguments(self):
-        with pytest.raises(TypeError, match="no additional"):
-            run_ensemble(fast_spec(), workers=2)
-
-    def test_keyword_form_no_warning(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            summary = run_ensemble(
-                label="oracle",
-                scenario_factory=make_scenario,
-                manager_factory=make_oracle,
-                seeds=[0, 1],
-                duration_s=0.02,
-            )
-        assert len(summary.metrics) == 2
-
-    def test_positional_form_removed(self):
-        with pytest.raises(TypeError, match="no longer supported"):
-            run_ensemble(
-                "oracle",
-                scenario_factory=make_scenario,
-                manager_factory=make_oracle,
-                seeds=[0, 1], duration_s=0.02,
-            )
-
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(TypeError, match="run_ensemble"):
-            run_ensemble(
-                label="oracle",
-                scenario_factory=make_scenario,
-                manager_factory=make_oracle,
-                seeds=[0],
-                bogus_knob=1,
-            )
-
-    def test_executor_knobs_through_keywords(self):
-        summary = run_ensemble(
-            label="oracle",
-            scenario_factory=make_scenario,
-            manager_factory=make_oracle,
-            seeds=range(3),
-            duration_s=0.02,
-            workers=2,
-        )
-        assert summary.stats.backend == "process"
 
 
 class TestEnsembleTelemetry:

@@ -1,4 +1,4 @@
-"""Tests for scenarios, the link simulator, and the ensemble runner."""
+"""Tests for scenarios, the link simulator, and ensemble execution."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from repro.channel.mobility import LinearTrajectory
 from repro.core.maintenance import MultiBeamManager
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
 from repro.sim.link import LinkSimulator
-from repro.sim.runner import EnsembleSummary, run_ensemble
+from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
 from repro.sim.scenarios import (
     GeometricScenario,
     SyntheticScenario,
@@ -177,12 +177,14 @@ class TestEnsembleRunner:
             )
             return OracleBeam(array=array, sounder=sounder)
 
-        summary = run_ensemble(
-            label="oracle",
-            scenario_factory=scenario_factory,
-            manager_factory=manager_factory,
-            seeds=[0, 1, 2],
-            duration_s=0.1,
+        summary = execute_ensemble(
+            EnsembleSpec(
+                label="oracle",
+                scenario_factory=scenario_factory,
+                manager_factory=manager_factory,
+                seeds=[0, 1, 2],
+                duration_s=0.1,
+            )
         )
         assert summary.label == "oracle"
         assert len(summary.metrics) == 3
@@ -192,11 +194,13 @@ class TestEnsembleRunner:
 
     def test_empty_seeds_rejected(self, array):
         with pytest.raises(ValueError):
-            run_ensemble(
-                label="x",
-                scenario_factory=lambda s: None,
-                manager_factory=lambda s: None,
-                seeds=[],
+            execute_ensemble(
+                EnsembleSpec(
+                    label="x",
+                    scenario_factory=lambda s: None,
+                    manager_factory=lambda s: None,
+                    seeds=[],
+                )
             )
 
     def test_empty_metrics_rejected(self):

@@ -29,6 +29,10 @@ class TestRegistry:
         with pytest.raises(KeyError, match="fig14"):
             get_experiment("fig99")
 
+    def test_unhashable_experiment_id_is_unknown(self):
+        with pytest.raises(KeyError, match="unknown experiment"):
+            get_experiment(["fig14"])
+
     def test_entries_are_callable(self):
         for experiment in REGISTRY.values():
             assert callable(experiment.run)
