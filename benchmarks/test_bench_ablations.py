@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments import ablations
 
 
-def test_cfo_ablation(benchmark, once, capsys):
-    errors = once(benchmark, ablations.run_cfo_ablation)
+def test_cfo_ablation(capsys):
+    errors = ablations.run_cfo_ablation()
     # The paper's estimation argument: complex-ratio probing breaks
     # under CFO (phase errors ~uniform, mean ~90 deg) while the
     # magnitude-only two-probe method stays accurate.
@@ -18,8 +18,8 @@ def test_cfo_ablation(benchmark, once, capsys):
         print("CFO ablation (deg):", {k: round(v, 1) for k, v in errors.items()})
 
 
-def test_quantization_ablation(benchmark, once, capsys):
-    losses = once(benchmark, ablations.run_quantization_ablation)
+def test_quantization_ablation(capsys):
+    losses = ablations.run_quantization_ablation()
     # Section 5.1: 2-bit phase control suffices for coherent multi-beams
     # (sub-dB loss); 6-bit is essentially ideal.
     assert losses[2] < 1.5
@@ -31,8 +31,8 @@ def test_quantization_ablation(benchmark, once, capsys):
         print("Quantization loss (dB):", {k: round(v, 3) for k, v in losses.items()})
 
 
-def test_beam_count_ablation(benchmark, once, capsys):
-    tradeoff = once(benchmark, ablations.run_beam_count_ablation)
+def test_beam_count_ablation(capsys):
+    tradeoff = ablations.run_beam_count_ablation()
     # Gain saturates (diminishing returns) while overhead grows linearly.
     gains = tradeoff.snr_gain_db
     increments = np.diff(gains)
@@ -48,8 +48,8 @@ def test_beam_count_ablation(benchmark, once, capsys):
             print(f"  K={k}: gain {g:5.2f} dB, overhead {o:5.2f} ms")
 
 
-def test_regularization_ablation(benchmark, once, capsys):
-    mse = once(benchmark, ablations.run_regularization_ablation)
+def test_regularization_ablation(capsys):
+    mse = ablations.run_regularization_ablation()
     lambdas = sorted(mse)
     # The default (1e-4) sits on the flat part of the curve; gross
     # over-regularization destroys the estimate.
@@ -60,9 +60,8 @@ def test_regularization_ablation(benchmark, once, capsys):
         print("Superres lambda MSE (dB):", {k: round(v, 1) for k, v in mse.items()})
 
 
-def test_reprobe_cadence_ablation(benchmark, once, capsys):
-    results = once(
-        benchmark, ablations.run_reprobe_ablation,
+def test_reprobe_cadence_ablation(capsys):
+    results = ablations.run_reprobe_ablation(
         (10e-3, 25e-3, 100e-3), (0.0, 30.0), 0.4,
     )
     static = results[0.0]

@@ -26,7 +26,7 @@ from repro.sim.scenarios import two_path_channel
 ARRAY = UniformLinearArray(num_elements=8)
 
 
-def test_directional_ue_recovery(benchmark, once, capsys):
+def test_directional_ue_recovery(capsys):
     import sys
 
     sys.path.insert(0, "tests/core")
@@ -43,7 +43,7 @@ def test_directional_ue_recovery(benchmark, once, capsys):
         manager.step(moved, 0.1)
         return aligned, degraded, manager.link_snr_db(moved)
 
-    aligned, degraded, recovered = once(benchmark, run)
+    aligned, degraded, recovered = run()
     assert degraded < aligned - 1.0
     assert recovered > degraded + 1.0
     with capsys.disabled():
@@ -54,7 +54,7 @@ def test_directional_ue_recovery(benchmark, once, capsys):
         )
 
 
-def test_irs_turns_outage_into_survival(benchmark, once, capsys):
+def test_irs_turns_outage_into_survival(capsys):
     def run():
         carrier = 28e9
         scale = 10 ** (-16.0 / 20.0)
@@ -89,7 +89,7 @@ def test_irs_turns_outage_into_survival(benchmark, once, capsys):
         )
         return without, survived
 
-    without, survived = once(benchmark, run)
+    without, survived = run()
     assert without < OUTAGE_SNR_DB
     assert survived > OUTAGE_SNR_DB
     with capsys.disabled():
@@ -100,7 +100,7 @@ def test_irs_turns_outage_into_survival(benchmark, once, capsys):
         )
 
 
-def test_hybrid_multiuser_sum_rate(benchmark, once, capsys):
+def test_hybrid_multiuser_sum_rate(capsys):
     def run():
         user_a = two_path_channel(
             ARRAY, los_angle_rad=np.deg2rad(-30.0),
@@ -119,7 +119,7 @@ def test_hybrid_multiuser_sum_rate(benchmark, once, capsys):
             single.sum_spectral_efficiency(channels, 1.0, noise),
         )
 
-    multi_rate, single_rate = once(benchmark, run)
+    multi_rate, single_rate = run()
     assert multi_rate > single_rate
     with capsys.disabled():
         print()
@@ -129,7 +129,7 @@ def test_hybrid_multiuser_sum_rate(benchmark, once, capsys):
         )
 
 
-def test_compressive_training_probe_efficiency(benchmark, once, capsys):
+def test_compressive_training_probe_efficiency(capsys):
     def run():
         channel = two_path_channel(ARRAY, delta_db=-4.0)
         sounder = ChannelSounder(
@@ -147,7 +147,7 @@ def test_compressive_training_probe_efficiency(benchmark, once, capsys):
             np.rad2deg(angles)
         )
 
-    probes, grid, found = once(benchmark, run)
+    probes, grid, found = run()
     assert probes < grid  # fewer probes than directions
     assert found[0] == pytest.approx(0.0, abs=7.5)
     assert found[1] == pytest.approx(30.0, abs=7.5)
@@ -159,7 +159,7 @@ def test_compressive_training_probe_efficiency(benchmark, once, capsys):
         )
 
 
-def test_waveform_snr_consistency(benchmark, once, capsys):
+def test_waveform_snr_consistency(capsys):
     """The sounder's SNR matches what an actual OFDM receiver measures."""
 
     def run():
@@ -198,7 +198,7 @@ def test_waveform_snr_consistency(benchmark, once, capsys):
             expected_gap_db,
         )
 
-    link_snr, evm_snr, ber, expected_gap_db = once(benchmark, run)
+    link_snr, evm_snr, ber, expected_gap_db = run()
     assert link_snr - evm_snr == pytest.approx(expected_gap_db, abs=1.0)
     assert ber < 1e-2
     with capsys.disabled():
@@ -210,7 +210,7 @@ def test_waveform_snr_consistency(benchmark, once, capsys):
         )
 
 
-def test_handover_rescues_total_blockage(benchmark, once, capsys):
+def test_handover_rescues_total_blockage(capsys):
     import sys
 
     sys.path.insert(0, "tests/core")
@@ -231,7 +231,7 @@ def test_handover_rescues_total_blockage(benchmark, once, capsys):
             snrs.append(manager.link_snr_db(channels))
         return manager.handover_count, np.asarray(snrs)
 
-    handovers, snrs = once(benchmark, run)
+    handovers, snrs = run()
     assert handovers >= 1
     # After the handover (serving blocked 0.1-0.4 s) the link is healthy.
     post = snrs[40:70]  # 0.2-0.35 s
@@ -244,7 +244,7 @@ def test_handover_rescues_total_blockage(benchmark, once, capsys):
         )
 
 
-def test_olla_absorbs_cqi_bias(benchmark, once, capsys):
+def test_olla_absorbs_cqi_bias(capsys):
     from repro.phy.link_adaptation import simulate_olla
 
     def run():
@@ -254,7 +254,7 @@ def test_olla_absorbs_cqi_bias(benchmark, once, capsys):
         clean = simulate_olla(true_snr_db=18.0, num_blocks=3000, rng=0)
         return biased, clean
 
-    biased, clean = once(benchmark, run)
+    biased, clean = run()
     for loop in (biased, clean):
         assert loop.measured_bler == pytest.approx(0.1, abs=0.05)
     assert biased.margin_db > clean.margin_db + 1.0

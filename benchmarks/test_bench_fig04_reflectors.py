@@ -5,10 +5,8 @@ import numpy as np
 from repro.experiments import fig04_reflectors
 
 
-def test_fig04a_attenuation_cdf(benchmark, once, capsys):
-    study = once(
-        benchmark, fig04_reflectors.run_attenuation_study, 150, 0
-    )
+def test_fig04a_attenuation_cdf(capsys):
+    study = fig04_reflectors.run_attenuation_study(150, 0)
     # Paper shape: medians near 7.2 dB indoor / 5 dB outdoor, with
     # outdoor reflections relatively stronger (lower attenuation).
     assert 3.0 <= study.indoor_median_db <= 12.0
@@ -23,10 +21,8 @@ def test_fig04a_attenuation_cdf(benchmark, once, capsys):
         print(fig04_reflectors.report(study))
 
 
-def test_fig04b_motion_heatmap(benchmark, once, capsys):
-    heatmap = once(
-        benchmark, fig04_reflectors.run_motion_heatmap, 12, 49, 0
-    )
+def test_fig04b_motion_heatmap(capsys):
+    heatmap = fig04_reflectors.run_motion_heatmap(12, 49, 0)
     assert heatmap.shape == (12, 49)
     # A strong ridge (the LOS) exists at every time step.
     assert np.all(np.max(heatmap, axis=1) > np.median(heatmap, axis=1) + 3)

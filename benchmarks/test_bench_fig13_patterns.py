@@ -5,14 +5,10 @@ import pytest
 from repro.experiments import fig13_patterns
 
 
-def test_fig13d_pattern_fidelity(benchmark, once, capsys):
-    comparisons = once(
-        benchmark,
-        lambda: {
-            k: fig13_patterns.run_pattern_comparison(num_beams=k)
-            for k in (2, 3)
-        },
-    )
+def test_fig13d_pattern_fidelity(capsys):
+    comparisons = {
+        k: fig13_patterns.run_pattern_comparison(num_beams=k) for k in (2, 3)
+    }
     for comparison in comparisons.values():
         # Lobes land where the theory puts them...
         for error_deg in comparison.lobe_angle_errors_deg():

@@ -6,8 +6,8 @@ import pytest
 from repro.experiments import fig14_sensitivity
 
 
-def test_fig14_sensitivity_grid(benchmark, once, capsys):
-    grid = once(benchmark, fig14_sensitivity.run_sensitivity_grid)
+def test_fig14_sensitivity_grid(capsys):
+    grid = fig14_sensitivity.run_sensitivity_grid()
     # Paper landmark: peak gain 1.76 dB for the -3 dB / -40 deg channel.
     assert grid.peak_gain_db == pytest.approx(1.76, abs=0.15)
     # Tolerant to phase error: gain stays positive out to ~+/-75 deg.

@@ -6,8 +6,8 @@ import pytest
 from repro.experiments import fig15_combining
 
 
-def test_fig15ab_combining_accuracy(benchmark, once, capsys):
-    accuracy = once(benchmark, fig15_combining.run_combining_accuracy)
+def test_fig15ab_combining_accuracy(capsys):
+    accuracy = fig15_combining.run_combining_accuracy()
     # The two-probe estimate lands at the scan optimum (paper: 2.5 rad).
     phase_error = np.angle(
         np.exp(
@@ -30,15 +30,15 @@ def test_fig15ab_combining_accuracy(benchmark, once, capsys):
         )
 
 
-def test_fig15c_phase_stability(benchmark, once):
-    phases = once(benchmark, fig15_combining.run_phase_stability)
+def test_fig15c_phase_stability():
+    phases = fig15_combining.run_phase_stability()
     drift = float(np.max(phases) - np.min(phases))
     # Paper: less than 1 rad of per-beam phase drift over 100 MHz.
     assert drift < 1.0
 
 
-def test_fig15d_snr_gains(benchmark, once):
-    gains = once(benchmark, fig15_combining.run_snr_gains, 20, 15)
+def test_fig15d_snr_gains():
+    gains = fig15_combining.run_snr_gains(20, 15)
     # Paper: 2-beam ~1.04 dB, 3-beam ~2.27 dB, oracle ~2.5 dB; 3-beam
     # reaches ~92% of the oracle.  Shape: ordering + fraction.
     assert 0.5 <= gains.gains_db["2-beam"] <= 2.0

@@ -3,8 +3,8 @@
 from repro.experiments import fig16_blockage
 
 
-def test_fig16_walking_blocker(benchmark, once, capsys):
-    series = once(benchmark, fig16_blockage.run_walking_blocker)
+def test_fig16_walking_blocker(capsys):
+    series = fig16_blockage.run_walking_blocker()
     # Paper shape: single-beam LOS blockage costs ~26 dB and outages the
     # link; the multi-beam dips far less and never goes down.
     assert series.single_beam_max_drop_db > 18.0

@@ -5,15 +5,15 @@ import numpy as np
 from repro.experiments import fig17_tracking
 
 
-def test_fig17a_per_beam_power_follows_pattern(benchmark, once):
-    trace = once(benchmark, fig17_tracking.run_per_beam_power_trace)
+def test_fig17a_per_beam_power_follows_pattern():
+    trace = fig17_tracking.run_per_beam_power_trace()
     # Paper: the smoothed per-beam powers approximate the beam pattern
     # within ~1 dB.
     assert trace.fit_error_db() < 1.5
 
 
-def test_fig17b_angle_accuracy(benchmark, once, capsys):
-    errors = once(benchmark, fig17_tracking.run_angle_accuracy)
+def test_fig17b_angle_accuracy(capsys):
+    errors = fig17_tracking.run_angle_accuracy()
     # Paper: ~1 degree mean estimation error over 2-8 degree rotations.
     assert np.mean(list(errors.values())) < 1.5
     for error in errors.values():
@@ -23,8 +23,8 @@ def test_fig17b_angle_accuracy(benchmark, once, capsys):
         print("Fig. 17(b) angle errors:", {k: round(v, 2) for k, v in errors.items()})
 
 
-def test_fig17c_throughput_timeseries(benchmark, once, capsys):
-    comparison = once(benchmark, fig17_tracking.run_throughput_timeseries)
+def test_fig17c_throughput_timeseries(capsys):
+    comparison = fig17_tracking.run_throughput_timeseries()
     # Paper ordering: tracking + constructive combining sustains the
     # highest throughput; tracking alone is lower; no tracking decays.
     assert comparison.mean_mbps("tracking+CC") >= comparison.mean_mbps(

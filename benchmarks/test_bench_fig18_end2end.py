@@ -5,10 +5,8 @@ import pytest
 from repro.experiments import fig18_end2end
 
 
-def test_fig18a_static_with_blockers(benchmark, once, capsys):
-    static = once(
-        benchmark, fig18_end2end.run_static_blockers, (0, 1, 2), range(3)
-    )
+def test_fig18a_static_with_blockers(capsys):
+    static = fig18_end2end.run_static_blockers((0, 1, 2), range(3))
     # Paper shape: mmReliable's throughput barely drops with blockers
     # near the beams; the single-beam baselines drop much more.
     mmr = static["mmreliable-static"]
@@ -20,10 +18,8 @@ def test_fig18a_static_with_blockers(benchmark, once, capsys):
     assert mmr[2] > 0.7 * mmr[0]
 
 
-def test_fig18bc_mobile_reliability_and_product(benchmark, once, capsys):
-    summaries = once(
-        benchmark, fig18_end2end.run_mobile_ensembles, range(12)
-    )
+def test_fig18bc_mobile_reliability_and_product(capsys):
+    summaries = fig18_end2end.run_mobile_ensembles(range(12))
     mmr = summaries["mmreliable"]
     # Paper: mmReliable reliability close to 1 (median 1.0).
     assert mmr.median_reliability() > 0.93
@@ -51,8 +47,8 @@ def test_fig18bc_mobile_reliability_and_product(benchmark, once, capsys):
         print(f"  T x R gain over reactive: {gain:.2f}x (paper: 2.3x)")
 
 
-def test_fig18d_probing_overhead(benchmark, once, capsys):
-    overhead = once(benchmark, fig18_end2end.run_probing_overhead)
+def test_fig18d_probing_overhead(capsys):
+    overhead = fig18_end2end.run_probing_overhead()
     # Paper numbers: 3 ms at N=8 rising to 6 ms at N=64 for 5G NR
     # scanning; flat 0.4 / 0.6 ms for mmReliable 2- and 3-beam.
     nr = overhead["5G NR (log scan)"]

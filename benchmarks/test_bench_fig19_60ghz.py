@@ -3,8 +3,8 @@
 from repro.experiments import fig19_60ghz
 
 
-def test_fig19_carrier_comparison(benchmark, once, capsys):
-    comparison = once(benchmark, fig19_60ghz.run_carrier_comparison)
+def test_fig19_carrier_comparison(capsys):
+    comparison = fig19_60ghz.run_carrier_comparison()
     # Paper shape: multi-beam outperforms the single-beam baseline at
     # both carriers (~1.18x), and 28 GHz delivers several times the
     # 60 GHz throughput for the same bandwidth (paper: 4.7x) because of

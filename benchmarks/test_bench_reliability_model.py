@@ -6,8 +6,8 @@ import pytest
 from repro.experiments import reliability_model
 
 
-def test_reliability_model_curves(benchmark, once, capsys):
-    curves = once(benchmark, reliability_model.run_analytic_curves)
+def test_reliability_model_curves(capsys):
+    curves = reliability_model.run_analytic_curves()
     single = curves.curves["single-beam"]
     # Multi-beam dominates single beam at every beta, and more beams
     # dominate fewer.
@@ -24,8 +24,8 @@ def test_reliability_model_curves(benchmark, once, capsys):
         )
 
 
-def test_reliability_monte_carlo_matches_analytic(benchmark, once):
-    check = once(benchmark, reliability_model.run_monte_carlo_check)
+def test_reliability_monte_carlo_matches_analytic():
+    check = reliability_model.run_monte_carlo_check()
     for beta, row in check.items():
         for k, simulated in row.items():
             analytic = reliability_model.analytic_multibeam_reliability(

@@ -8,10 +8,8 @@ generator per seed and re-checks the ordering.
 from repro.experiments import robustness
 
 
-def test_clustered_channel_robustness(benchmark, once, capsys):
-    summaries = once(
-        benchmark, robustness.run_clustered_ensembles, range(8)
-    )
+def test_clustered_channel_robustness(capsys):
+    summaries = robustness.run_clustered_ensembles(range(8))
     mmr = summaries["mmreliable"]
     oracle = summaries["oracle"]
     # Ordering holds on random channels too.

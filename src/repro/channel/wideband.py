@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.channel.geometric import GeometricChannel
-from repro.perf.cache import BoundedCache, array_key
 from repro.utils import normalized_sinc
 
 __all__ = [
@@ -28,11 +27,6 @@ __all__ = [
     "cir_from_frequency_response",
     "per_beam_gains",
 ]
-
-#: Super-resolution dictionaries keyed on (kernel, bandwidth, grid spec,
-#: exact candidate delays).  The resolver re-fits the same candidate
-#: grids every maintenance round while the anchor holds still.
-_DICTIONARY_CACHE = BoundedCache("wideband.dictionary", maxsize=512)
 
 
 def ofdm_frequency_grid(
@@ -86,29 +80,8 @@ def sinc_dictionary(
     num_taps: int,
     start_time_s: float = 0.0,
 ) -> np.ndarray:
-    """The ``S`` matrix of Eq. (23): one sinc column per candidate ToF.
-
-    Results are cached (read-only) keyed on the kernel, bandwidth, grid
-    spec, and the exact delay values.
-    """
+    """The ``S`` matrix of Eq. (23): one sinc column per candidate ToF."""
     delays = np.asarray(candidate_delays_s, dtype=float)
-    key = (
-        "sinc", float(bandwidth_hz), int(num_taps), float(start_time_s),
-        array_key(delays),
-    )
-    return _DICTIONARY_CACHE.get_or_build(
-        key, lambda: _build_sinc_dictionary(
-            delays, bandwidth_hz, num_taps, start_time_s
-        )
-    )
-
-
-def _build_sinc_dictionary(
-    delays: np.ndarray,
-    bandwidth_hz: float,
-    num_taps: int,
-    start_time_s: float,
-) -> np.ndarray:
     sample_times = start_time_s + np.arange(num_taps) / bandwidth_hz
     return normalized_sinc(
         bandwidth_hz * (sample_times[:, None] - delays[None, :])
@@ -153,19 +126,12 @@ def dirichlet_dictionary(
     :func:`sinc_dictionary` when modelling an ideal band-limited receiver
     (Eq. 22) instead.
 
-    Every column comes from one batched IFFT; the (read-only) result is
-    cached.
+    Every column comes from one batched IFFT.
     """
     delays = np.asarray(candidate_delays_s, dtype=float)
-    key = (
-        "dirichlet", float(bandwidth_hz), int(num_taps), array_key(delays),
-    )
-    return _DICTIONARY_CACHE.get_or_build(
-        key,
-        lambda: stacked_dirichlet_dictionaries(
-            delays.ravel()[None, :], bandwidth_hz, num_taps
-        )[0],
-    )
+    return stacked_dirichlet_dictionaries(
+        delays.ravel()[None, :], bandwidth_hz, num_taps
+    )[0]
 
 
 def stacked_dirichlet_dictionaries(

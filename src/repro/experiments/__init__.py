@@ -2,8 +2,8 @@
 
 Each module exposes a ``run_*`` function returning plain data (arrays,
 dataclasses) plus a ``report()`` helper that prints the same rows/series
-the paper plots.  The ``benchmarks/`` tree wires each one into
-pytest-benchmark; the modules are also directly runnable:
+the paper plots.  The ``benchmarks/`` tree asserts each one's shape
+under pytest; the modules are also directly runnable:
 
     python -m repro.experiments.fig14_sensitivity
 """

@@ -251,10 +251,7 @@ class ChannelSounder:
         return self.config.snr_db(float(np.mean(np.abs(response) ** 2)))
 
     def link_snr_db_batch(
-        self,
-        channels,
-        tx_weights: np.ndarray,
-        rx_weights: Optional[np.ndarray] = None,
+        self, channels, tx_weights: np.ndarray
     ) -> np.ndarray:
         """Noiseless link SNR [dB] for many channel states at once.
 
@@ -269,23 +266,16 @@ class ChannelSounder:
         from repro.channel.batch import ChannelBatch, batch_from_channels
 
         if not isinstance(channels, ChannelBatch):
-            batch = (
-                batch_from_channels(channels) if rx_weights is None else None
-            )
+            batch = batch_from_channels(channels)
             if batch is None:
                 return np.array(
                     [
-                        self.link_snr_db(channel, tx_weights, rx_weights)
+                        self.link_snr_db(channel, tx_weights)
                         for channel in channels
                     ],
                     dtype=float,
                 )
             channels = batch
-        if rx_weights is not None:
-            raise ValueError(
-                "ChannelBatch models a quasi-omni UE; rx_weights are not "
-                "supported on the batched path"
-            )
         if self.fault_injector is not None:
             tx_weights = self.fault_injector.apply_element_faults(tx_weights)
         freqs = self.config.frequency_grid()

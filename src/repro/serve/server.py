@@ -112,10 +112,6 @@ class JobServer:
         Admission-control knobs (see :class:`AdmissionQueue`).
     journal_sync:
         fsync every journal append (leave on outside benchmarks).
-    journal_timeout_s:
-        Deadline for a single journal append (flush + fsync).  A wedged
-        disk surfaces as ``asyncio.TimeoutError`` instead of silently
-        hanging the transition that needed the write.
     """
 
     def __init__(
@@ -128,7 +124,6 @@ class JobServer:
         shed_threshold: float = 0.75,
         protect_priority: str = "interactive",
         journal_sync: bool = True,
-        journal_timeout_s: float = 30.0,
     ) -> None:
         if job_workers < 0:
             raise ValueError(f"job_workers must be >= 0, got {job_workers!r}")
@@ -155,7 +150,6 @@ class JobServer:
         ] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._journal_executor: Optional[ThreadPoolExecutor] = None
-        self.journal_timeout_s = float(journal_timeout_s)
         self._sanitizer: Optional[sanitize.LoopLagMonitor] = None
         self._stopping = False
         self._stopped = asyncio.Event()
@@ -273,7 +267,7 @@ class JobServer:
     # journal path
 
     async def _journal_append(self, op: str, **fields: object) -> None:
-        """Append one journal entry off-loop (ordered, fsync-bounded).
+        """Append one journal entry off-loop (ordered, fsynced).
 
         The append runs on the single journal thread, so entries hit the
         file in the order the event loop issued them.  Callers apply
@@ -288,14 +282,14 @@ class JobServer:
         """
         assert self._journal_executor is not None
         loop = asyncio.get_running_loop()
-        await asyncio.wait_for(
-            asyncio.shield(
-                loop.run_in_executor(
-                    self._journal_executor,
-                    functools.partial(self.journal.append, op, **fields),
-                )
-            ),
-            timeout=self.journal_timeout_s,
+        # Unbounded on purpose: the journal thread cannot be interrupted
+        # mid-fsync, so a timeout would free nothing; it would only kill
+        # the awaiting worker while the append still lands.
+        await asyncio.shield(
+            loop.run_in_executor(
+                self._journal_executor,
+                functools.partial(self.journal.append, op, **fields),
+            )
         )
 
     # ------------------------------------------------------------------
@@ -416,11 +410,9 @@ class JobServer:
         assert self._wakeup is not None
         while True:
             async with self._wakeup:
-                # stop() cancels this task, but before Python 3.12 a
-                # finite-timeout wait_for returns its result instead when
-                # the cancel lands in the same loop iteration as the
-                # awaited journal append completing.  Checking the
-                # flag before every wait lets such a worker still exit.
+                # stop() sets the flag before cancelling this task;
+                # checking it before every wait keeps a worker woken
+                # after stop() from taking another job.
                 while len(self.queue) == 0 and not self._stopping:
                     await self._wakeup.wait()
                 if self._stopping:

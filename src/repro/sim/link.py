@@ -24,7 +24,8 @@ evaluated one sample at a time inside the segment.  Against a plain
 per-sample loop (the test oracle ``tests/sim/link_oracle.py``) the
 batched math agrees to floating-point tolerance (see
 ``repro.channel.batch``), and maintenance timing, RNG draw order,
-telemetry event order, and error handling agree exactly.
+telemetry event order, and establish/step error handling agree exactly.
+A batched evaluation that raises fails the run.
 
 Maintenance ticks are derived from an integer tick counter (the
 threshold is always ``tick * maintenance_period_s``), not by repeatedly
@@ -275,16 +276,6 @@ class LinkSimulator:
             boundaries.append(index)
             tick += 1
 
-    def _chunk_frequencies(self):
-        """The sounder frequency grid, for chunk precomputation."""
-        sounder = getattr(self.manager, "sounder", None)
-        if sounder is None:
-            return None
-        try:
-            return sounder.config.frequency_grid()
-        except Exception:
-            return None
-
     def _segment_snr(
         self,
         times: np.ndarray,
@@ -299,9 +290,8 @@ class LinkSimulator:
         Channel parameters (and the weight-independent response tensors)
         are built once per ``MAX_BATCH_SAMPLES``-aligned chunk and shared
         across the segments inside it; segments see cheap slice views.
-        Managers without ``link_snr_db_batch``, and any sub-range whose
-        batched evaluation raises, go one sample at a time instead
-        (:meth:`_sample_snr`).
+        Managers without ``link_snr_db_batch`` go one sample at a time
+        instead (:meth:`_sample_snr`).
         """
         if not hasattr(self.manager, "link_snr_db_batch"):
             self._sample_snr(times, snr, start, end)
@@ -313,38 +303,31 @@ class LinkSimulator:
             chunk_lo = chunk * MAX_BATCH_SAMPLES
             chunk_hi = min(chunk_lo + MAX_BATCH_SAMPLES, times.shape[0])
             sub_end = min(end, chunk_hi)
-            sub_times = times[position:sub_end]
-            try:
-                if batched_scenario:
-                    if chunk not in chunk_cache:
-                        # Segments consume chunks in time order; older
-                        # chunks are never revisited, so keep only one.
-                        chunk_cache.clear()
-                        batch = self.scenario.channel_batch(
-                            times[chunk_lo:chunk_hi]
-                        )
-                        frequencies = self._chunk_frequencies()
-                        if frequencies is not None:
-                            batch.precompute(frequencies)
-                        chunk_cache[chunk] = batch
-                    channels = chunk_cache[chunk].sliced(
-                        position - chunk_lo, sub_end - chunk_lo
+            if batched_scenario:
+                if chunk not in chunk_cache:
+                    # Segments consume chunks in time order; older
+                    # chunks are never revisited, so keep only one.
+                    chunk_cache.clear()
+                    batch = self.scenario.channel_batch(
+                        times[chunk_lo:chunk_hi]
                     )
-                else:
-                    channels = [
-                        self.scenario.channel_at(float(t))
-                        for t in sub_times
-                    ]
-                snr[position:sub_end] = self.manager.link_snr_db_batch(
-                    channels
+                    batch.precompute(
+                        self.manager.sounder.config.frequency_grid()
+                    )
+                    chunk_cache[chunk] = batch
+                channels = chunk_cache[chunk].sliced(
+                    position - chunk_lo, sub_end - chunk_lo
                 )
-            except Exception:
-                self._sample_snr(times, snr, position, sub_end)
             else:
-                if recorder.enabled:
-                    size = sub_end - position
-                    recorder.counter("sim.fast_samples").inc(size)
-                    recorder.gauge("sim.last_batch_samples").set(size)
+                channels = [
+                    self.scenario.channel_at(float(t))
+                    for t in times[position:sub_end]
+                ]
+            snr[position:sub_end] = self.manager.link_snr_db_batch(channels)
+            if recorder.enabled:
+                size = sub_end - position
+                recorder.counter("sim.fast_samples").inc(size)
+                recorder.gauge("sim.last_batch_samples").set(size)
             position = sub_end
 
     def _sample_snr(

@@ -25,7 +25,6 @@ from repro.core.superres import (
     SuperResolver,
     estimate_pulse_tof,
 )
-from repro.perf import clear_caches
 
 BANDWIDTH = 400e6
 RELATIVE = (0.0, 1.2e-9)
@@ -80,17 +79,6 @@ class TestStackedDictionaries:
             stacked_dirichlet_dictionaries(
                 np.array([25e-9, 26e-9]), BANDWIDTH, 64
             )
-
-    def test_dictionary_cache_reuses_fast_builds(self):
-        from repro.channel.wideband import _DICTIONARY_CACHE
-
-        clear_caches("wideband.dictionary")
-        delays = [25e-9, 26.2e-9]
-        first = dirichlet_dictionary(delays, BANDWIDTH, 64)
-        hits_before = _DICTIONARY_CACHE.hits
-        second = dirichlet_dictionary(delays, BANDWIDTH, 64)
-        assert second is first
-        assert _DICTIONARY_CACHE.hits == hits_before + 1
 
 
 class TestResolverFastMatchesNaive:

@@ -9,6 +9,7 @@ on a background thread's loop instead.
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -86,14 +87,12 @@ class TestLifecycle:
 
 class TestStop:
     def test_stop_returns_when_a_worker_loses_its_cancellation(self, tmp_path):
-        """stop() must return even when its cancel is swallowed.
+        """stop() must return when its cancel meets a finished append.
 
-        Before Python 3.12, a finite-timeout ``wait_for`` whose inner
-        future completes in the same loop iteration as the cancel returns
-        the result instead of raising.  A done-callback on the final
-        journal append's executor future starts ``stop()``; registered
-        ahead of ``wait_for``'s own callback, it runs first, so its cancel
-        reaches the worker after the append is already done.
+        A done-callback on the final journal append's executor future
+        starts ``stop()``; registered ahead of the shield's own callback,
+        it runs first, so its cancel reaches the worker in the same loop
+        iteration as the append completing.
         """
 
         async def scenario():
@@ -194,6 +193,86 @@ class TestStop:
         assert [op["op"] for op in ops] == ["submit", "start", "done"]
         assert ops[-1]["state"] == "succeeded"
         asyncio.run(second_life(job_id))
+
+
+class TestSlowDisk:
+    def test_slow_terminal_appends_delay_but_never_drop_a_job(
+        self, tmp_path, monkeypatch
+    ):
+        """A slow disk is the journal thread's alone: acks and terminal
+        records wait for the fsync, and no worker gives up on it.
+
+        Every ``done`` append takes 0.5 s.  The lone worker holds the
+        first job until the second is journaled, so it must outlive one
+        slow append to start the second.
+        """
+        journal = str(tmp_path / "jobs.jsonl")
+        with pytest.raises(TypeError):
+            JobServer(journal, journal_timeout_s=1)
+        running = threading.Event()
+        finish = threading.Event()
+        execute_job = repro.serve.server.execute_job
+
+        def gated_execute_job(spec):
+            running.set()
+            assert finish.wait(timeout=30.0)
+            return execute_job(spec)
+
+        monkeypatch.setattr(repro.serve.server, "execute_job", gated_execute_job)
+
+        async def scenario():
+            server = JobServer(journal, job_workers=1)
+            append = server.journal.append
+
+            def slow_append(op, **fields):
+                if op == "done":
+                    time.sleep(0.5)
+                append(op, **fields)
+
+            server.journal.append = slow_append
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                first = await server.submit(dict(MICRO_JOB))
+                assert await asyncio.to_thread(running.wait, 30.0)
+                second = await server.submit(dict(MICRO_JOB, duration_s=0.02))
+                writer.write(
+                    (json.dumps({"op": "wait", "id": first["id"]}) + "\n")
+                    .encode()
+                )
+                await writer.drain()
+                for _ in range(3000):
+                    if first["id"] in server._subscribers:
+                        break
+                    await asyncio.sleep(0.01)
+                assert first["id"] in server._subscribers
+                finish.set()
+                payloads = [
+                    json.loads(
+                        await asyncio.wait_for(reader.readline(), timeout=30.0)
+                    )
+                    for _ in range(2)
+                ]
+                records = [
+                    await _wait_terminal(server, response["id"])
+                    for response in (first, second)
+                ]
+            finally:
+                finish.set()
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+            assert payloads[0]["event"] == "completed"
+            assert payloads[1]["ok"]
+            assert payloads[1]["job"]["state"] == "succeeded"
+            assert [record.state for record in records] == ["succeeded"] * 2
+
+        asyncio.run(scenario())
+        assert [op["op"] for op in _journal_ops(journal)] == [
+            "submit", "start", "submit", "done", "start", "done",
+        ]
 
 
 class TestCoalescing:
