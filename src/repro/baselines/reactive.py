@@ -35,7 +35,6 @@ def emit_retrain(manager, time_s: float, num_probes: int) -> None:
             num_probes=int(num_probes),
             round=manager.training_rounds,
         )
-        recorder.counter("maintenance.retrains").inc()
 
 
 @dataclass(frozen=True)

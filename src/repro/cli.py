@@ -278,34 +278,6 @@ def _collect_fault_specs(
     return tuple(specs)
 
 
-def _append_perf_counters(recorder) -> None:
-    """Fold fast-path metrics into the trace as one synthetic event.
-
-    Cache hit/miss counters and batch gauges are metrics, not events, so
-    they would otherwise never reach the JSONL file; appending them as a
-    final ``perf_counters`` event lets ``repro trace`` show whether the
-    vectorized paths were exercised.
-    """
-    snapshot = recorder.metrics.snapshot()
-    fields = {
-        name: value
-        for name, value in snapshot["counters"].items()
-        if name.startswith(("perf.cache.", "sim."))
-    }
-    fields.update(
-        (name, value)
-        for name, value in snapshot["gauges"].items()
-        if name.startswith("sim.")
-    )
-    if not fields:
-        return
-    from repro.telemetry import EventKind
-
-    events = recorder.events
-    last_time = events[-1].time_s if len(events) else 0.0
-    recorder.emit(EventKind.PERF_COUNTERS, last_time, **fields)
-
-
 def _locate_repro_lint_tools() -> Optional[str]:
     """Find the ``tools/`` directory that holds the repro_lint package.
 
@@ -391,7 +363,6 @@ def command_run(
         config = ExperimentConfig(
             seeds=seeds,
             workers=workers,
-            telemetry=trace_path is not None,
             faults=faults,
             scenario=scenario_spec,
         )
@@ -440,7 +411,6 @@ def command_run(
         status = _run_all()
     if status != 0:
         return status
-    _append_perf_counters(recorder)
     try:
         with open(trace_path, "w", encoding="utf-8") as stream:
             count = write_events_jsonl(recorder.events, stream)

@@ -145,10 +145,9 @@ class MultiBeamManager:
     def establish(self, channel: GeometricChannel, time_s: float = 0.0) -> MultiBeam:
         """Beam-train, probe, and stand up the constructive multi-beam."""
         recorder = get_recorder()
-        with recorder.timer("maintenance.establish_s"):
-            result = self.trainer.train(
-                channel, budget=self.budget, time_s=time_s
-            )
+        result = self.trainer.train(
+            channel, budget=self.budget, time_s=time_s
+        )
         self.training_rounds += 1
         self.training_windows.append(
             (time_s, result.num_probes * ssb_duration_s(self.budget.numerology))
@@ -161,7 +160,6 @@ class MultiBeamManager:
                 num_probes=int(result.num_probes),
                 round=self.training_rounds,
             )
-            recorder.counter("maintenance.retrains").inc()
         angles, _powers = top_k_directions(
             result, self.num_beams, self.min_beam_separation_rad,
             interpolate=True,
@@ -184,7 +182,6 @@ class MultiBeamManager:
                     fallback="establish_degraded_probe",
                     valid=[bool(v) for v in outcome.valid],
                 )
-                recorder.counter("maintenance.fallbacks").inc()
         if self.constructive:
             gains = estimate.relative_gains
         else:
@@ -276,8 +273,6 @@ class MultiBeamManager:
             # The SNR/CQI report for this round never arrived: hold every
             # decision (acting on a missing report would be guessing).
             self.degraded_rounds += 1
-            if recorder.enabled:
-                recorder.counter("maintenance.feedback_dropouts").inc()
             return MaintenanceReport(
                 time_s=time_s,
                 snr_db=float("nan"),
@@ -371,7 +366,6 @@ class MultiBeamManager:
                     reference_db=float(self._watchdog_ref_db),
                     streak=int(self._watchdog_streak),
                 )
-                recorder.counter("maintenance.watchdog_trips").inc()
             self._last_retrain_s = time_s
             self.establish(channel, time_s=time_s)
             return MaintenanceReport(
@@ -477,8 +471,6 @@ class MultiBeamManager:
         recorder = get_recorder()
         self._invalid_streak += 1
         self.degraded_rounds += 1
-        if recorder.enabled:
-            recorder.counter("maintenance.dropped_measurements").inc()
         action = "measurement_dropped"
         if (
             self._invalid_streak >= self.watchdog_rounds
@@ -491,7 +483,6 @@ class MultiBeamManager:
                     streak=int(self._invalid_streak),
                     reason="blind",
                 )
-                recorder.counter("maintenance.watchdog_trips").inc()
             self._last_retrain_s = time_s
             self.establish(channel, time_s=time_s)
             action = "watchdog_retrain"
@@ -530,7 +521,6 @@ class MultiBeamManager:
                 beam=strongest,
                 reason=reason,
             )
-            recorder.counter("maintenance.fallbacks").inc()
 
     def _tracking_powers(
         self, powers_db: np.ndarray, blocked: np.ndarray
@@ -643,5 +633,4 @@ class MultiBeamManager:
                     fallback="survivor_beams",
                     valid=[bool(v) for v in outcome.valid],
                 )
-                recorder.counter("maintenance.fallbacks").inc()
         return estimate.num_probes

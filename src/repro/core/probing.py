@@ -331,13 +331,6 @@ class ProbeController:
             else:
                 gains.append(gain)
                 valid.append(True)
-        if recorder.enabled:
-            recorder.counter("probing.gain_rounds").inc()
-            recorder.counter("probing.probes_spent").inc(probes_used)
-            if retries_used:
-                recorder.counter("probing.retries").inc(retries_used)
-            if not all(valid):
-                recorder.counter("probing.degraded_rounds").inc()
         estimate = RelativeGainEstimate(
             angles_rad=tuple(angles),
             relative_gains=tuple(gains),

@@ -250,4 +250,3 @@ class MultiBeamTracker:
             snr_db=float(refined_snr_db),
             previous_snr_db=float(previous_snr_db),
         )
-        recorder.counter("tracking.realignments").inc()

@@ -18,12 +18,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.faults import FaultSpec
 from repro.sim.spec import ScenarioSpec
-from repro.telemetry import (
-    TelemetryRecorder,
-    TelemetrySummary,
-    get_recorder,
-    use_recorder,
-)
+from repro.telemetry import TelemetrySummary, get_recorder
 
 
 @dataclass(frozen=True)
@@ -33,19 +28,16 @@ class ExperimentConfig:
     ``seeds`` overrides the number of Monte-Carlo seeds for experiments
     built on ensembles (``fig18``, ``robustness``); ``workers`` sets the
     ensemble executor's process-pool width.  Experiments without an
-    ensemble ignore both.  ``telemetry`` collects link events and
-    metrics during the run and attaches a
-    :class:`~repro.telemetry.TelemetrySummary` to the result.
-    ``faults`` injects a chaos campaign (CLI ``--fault`` / ``--faults``)
-    into every ensemble the experiment runs.  ``scenario`` (CLI
-    ``--scenario``) carries a :class:`~repro.sim.spec.ScenarioSpec` for
-    scenario-driven experiments (``network_scale``); experiments without
-    a scenario knob ignore it.
+    ensemble ignore both.  ``faults`` injects a chaos campaign (CLI
+    ``--fault`` / ``--faults``) into every ensemble the experiment
+    runs.  ``scenario`` (CLI ``--scenario``) carries a
+    :class:`~repro.sim.spec.ScenarioSpec` for scenario-driven
+    experiments (``network_scale``); experiments without a scenario
+    knob ignore it.
     """
 
     seeds: Optional[int] = None
     workers: int = 1
-    telemetry: bool = False
     faults: Tuple[FaultSpec, ...] = ()
     scenario: Optional[ScenarioSpec] = None
 
@@ -100,36 +92,24 @@ class Experiment:
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Produce the experiment's structured data, with timing.
 
-        With ``config.telemetry`` set, link events and metrics are
-        collected while the runner executes and summarized onto the
-        result.  If the calling process already has an active recorder
-        (e.g. the CLI's ``--trace``), events flow into it and the
-        summary covers just this experiment's slice; otherwise a private
-        recorder is installed for the duration of the run.
+        When a recorder is active on this thread (e.g. the CLI's
+        ``--trace``), link events flow into it and the result's
+        ``telemetry`` summarizes just this experiment's slice of them.
         """
         config = DEFAULT_CONFIG if config is None else config
-        active = get_recorder()
-        telemetry_summary: Optional[TelemetrySummary] = None
+        recorder = get_recorder()
+        mark = recorder.mark() if recorder.enabled else 0
         started = time.perf_counter()
-        if active.enabled:
-            mark = active.mark()
-            data = self.runner(config)
-            if config.telemetry:
-                telemetry_summary = active.summary(since=mark)
-        elif config.telemetry:
-            recorder = TelemetryRecorder(scope=self.identifier)
-            with use_recorder(recorder):
-                data = self.runner(config)
-            telemetry_summary = recorder.summary()
-        else:
-            data = self.runner(config)
+        data = self.runner(config)
         return ExperimentResult(
             identifier=self.identifier,
             title=self.title,
             config=config,
             data=data,
             elapsed_s=time.perf_counter() - started,
-            telemetry=telemetry_summary,
+            telemetry=(
+                recorder.summary(since=mark) if recorder.enabled else None
+            ),
         )
 
     def render(self, result) -> str:

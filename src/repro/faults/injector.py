@@ -126,7 +126,6 @@ class FaultInjector:
         recorder = get_recorder()
         if recorder.enabled:
             recorder.emit(EventKind.FAULT_INJECTED, time_s, fault=kind, **fields)
-            recorder.counter("faults.injected").inc()
 
     # ------------------------------------------------------------------
     # probe-level hooks (called by ChannelSounder.sound)

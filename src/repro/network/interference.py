@@ -177,9 +177,6 @@ class InterferenceModel:
                     mean_penalty_db=float(np.mean(penalties[:, e])),
                     max_penalty_db=float(np.max(penalties[:, e])),
                 )
-            recorder.counter("network.interference_epochs").inc(
-                int(epochs.shape[0])
-            )
         return penalties
 
     def _victim_noise_config(self, cell: "CellConfig") -> "OfdmConfig":

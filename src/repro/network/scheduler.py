@@ -208,6 +208,4 @@ class SlotScheduler:
                 users=int(attached.size),
                 fairness=plan.fairness(attached),
             )
-            recorder.counter("network.slots_planned").inc(num_slots)
-            recorder.counter("network.probe_slots_denied").inc(denied)
         return plan

@@ -248,12 +248,10 @@ class NetworkSimulator:
         self._injector = injector
 
     def _build_link(
-        self, batch: UserBatch, user_index: int
+        self, batch: UserBatch, user_index: int, link_scenario: object
     ) -> LinkSimulator:
         simulator = LinkSimulator(
-            scenario=self.scenario.link_scenario(
-                self.seed, batch, user_index
-            ),
+            scenario=link_scenario,
             manager=self.scenario.build_manager(
                 self.seed, batch, user_index
             ),
@@ -279,7 +277,6 @@ class NetworkSimulator:
                     cell=int(batch.serving_cell[u]),
                     distance_m=batch.serving_distance_m(u),
                 )
-            recorder.counter("network.users").inc(batch.num_users)
 
         scheduler = SlotScheduler(
             duration_s=scenario.duration_s,
@@ -299,9 +296,10 @@ class NetworkSimulator:
             scenario.link_scenario(self.seed, batch, u)
             for u in range(batch.num_users)
         )
-        traces: List[SimulationTrace] = []
-        for u in range(batch.num_users):
-            traces.append(self._build_link(batch, u).run())
+        traces: List[SimulationTrace] = [
+            self._build_link(batch, u, link_scenario).run()
+            for u, link_scenario in enumerate(link_scenarios)
+        ]
 
         epoch_times = np.arange(
             0.0, scenario.duration_s, scenario.interference_update_period_s

@@ -11,10 +11,8 @@ Every cache registers itself in a process-wide registry:
 
 * :func:`clear_caches` invalidates everything (or one cache by name) —
   required after monkeypatching kernel internals in tests;
-* :func:`cache_stats` snapshots hit/miss/size per cache;
-* each lookup bumps ``perf.cache.<name>.hits`` / ``.misses`` counters on
-  the active telemetry recorder, so ``repro trace`` can show whether the
-  fast paths were actually exercised.
+* :func:`cache_stats` snapshots hit/miss/size per cache (the repository
+  benchmark reads it for its ``perf.cache.hit_ratio``).
 
 Cached ``ndarray`` values are frozen (``writeable=False``) before being
 shared; callers must copy before mutating (none of the hot paths do).
@@ -46,7 +44,7 @@ def _freeze(value: _T) -> _T:
 
 
 class BoundedCache:
-    """A named, size-bounded LRU cache with telemetry counters.
+    """A named, size-bounded LRU cache with hit/miss tallies.
 
     Thread-safe: the serve layer's worker threads hit the process-wide
     caches concurrently, so every read-modify-write on the LRU order,
@@ -59,7 +57,7 @@ class BoundedCache:
     Parameters
     ----------
     name:
-        Registry key; also names the ``perf.cache.<name>.*`` counters.
+        Registry key; also names the cache in :func:`cache_stats`.
     maxsize:
         Entry bound; the least recently used entry is evicted first.
     """
@@ -85,25 +83,18 @@ class BoundedCache:
 
     def get_or_build(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """The cached value for ``key``, building and storing on a miss."""
-        from repro.telemetry import get_recorder
-
-        recorder = get_recorder()
         with self._lock:
             self.lookups += 1
             try:
                 value = self._entries[key]
             except KeyError:
                 self.misses += 1
-                if recorder.enabled:
-                    recorder.counter(f"perf.cache.{self.name}.misses").inc()
                 built = _freeze(build())
                 self._entries[key] = built
                 if len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
                 return built
             self.hits += 1
-            if recorder.enabled:
-                recorder.counter(f"perf.cache.{self.name}.hits").inc()
             self._entries.move_to_end(key)
             # The registry is type-erased: every entry for ``key`` was
             # built by this method with the same build callable.

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro.phy.mcs import McsEntry, select_mcs
-from repro.telemetry import get_recorder
 from repro.utils import ensure_rng
 
 #: Slope of the per-MCS BLER waterfall [1/dB]; mmWave OFDM link-level
@@ -62,7 +61,6 @@ class OuterLoopLinkAdaptation:
     margin_db: float = field(default=0.0, init=False)
     acks: int = field(default=0, init=False)
     nacks: int = field(default=0, init=False)
-    _last_mcs_index: Optional[int] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_bler < 1.0:
@@ -78,14 +76,7 @@ class OuterLoopLinkAdaptation:
 
     def select(self, reported_snr_db: float) -> Optional[McsEntry]:
         """MCS for the margin-corrected SNR (None = stay silent)."""
-        entry = select_mcs(reported_snr_db - self.margin_db)
-        index = None if entry is None else entry.index
-        if index != self._last_mcs_index:
-            recorder = get_recorder()
-            if recorder.enabled:
-                recorder.counter("olla.mcs_switches").inc()
-            self._last_mcs_index = index
-        return entry
+        return select_mcs(reported_snr_db - self.margin_db)
 
     def feedback(self, ack: bool) -> None:
         """Fold in one HARQ outcome."""
@@ -98,10 +89,6 @@ class OuterLoopLinkAdaptation:
         self.margin_db = float(
             np.clip(self.margin_db, -self.max_margin_db, self.max_margin_db)
         )
-        recorder = get_recorder()
-        if recorder.enabled:
-            recorder.counter("olla.acks" if ack else "olla.nacks").inc()
-            recorder.gauge("olla.margin_db").set(self.margin_db)
 
     @property
     def measured_bler(self) -> float:

@@ -140,7 +140,6 @@ class ProbeBudget:
             recorder.emit(
                 EventKind.PROBE_TX, time_s, probe=kind.value, count=count
             )
-            recorder.counter(f"probes.{kind.value}").inc(count)
 
     def total_probes(self, kind: ProbeKind = None) -> int:
         if kind is not None:

@@ -170,7 +170,6 @@ class JobServer:
         recorder = get_recorder()
         if recorder.enabled:
             recorder.emit(kind, self.now(), **fields)
-            recorder.counter(f"serve.{kind}").inc()
 
     def _notify(self, record: JobRecord, event: str, **extra: object) -> None:
         payload: Dict[str, object] = {

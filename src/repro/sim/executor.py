@@ -43,6 +43,7 @@ from repro.faults import (
 from repro.sim.link import LinkSimulator
 from repro.sim.metrics import LinkMetrics
 from repro.telemetry import (
+    Event,
     EventKind,
     TelemetryRecorder,
     TelemetrySummary,
@@ -162,8 +163,8 @@ class EnsembleSummary:
     metrics: tuple
     failures: Tuple[RunFailure, ...] = ()
     stats: Optional[ExecutorStats] = None
-    #: Merged across every seed-run's recorder (``None`` when telemetry
-    #: was disabled for the ensemble).
+    #: Digest of the successful seed-runs' events in seed order
+    #: (``None`` when no recorder was active for the ensemble).
     telemetry: Optional[TelemetrySummary] = None
 
     def __post_init__(self) -> None:
@@ -245,11 +246,6 @@ class EnsembleSpec:
     maintenance_period_s: float = 5e-3
     workers: int = 1
     max_failure_fraction: float = 0.5
-    #: Collect per-run telemetry (events + metrics) inside every worker
-    #: and merge it into :attr:`EnsembleSummary.telemetry`.  Telemetry is
-    #: also collected when the calling process already has an active
-    #: recorder (``repro run --trace``), regardless of this flag.
-    telemetry: bool = False
     #: How many times a failed seed-run is re-attempted.  Retries are
     #: deterministic: the retry schedule depends only on the spec, and
     #: each attempt passes its index to the fault injector so injected
@@ -343,7 +339,7 @@ def _run_one_seed(payload: tuple) -> tuple:
     traceback is captured inside the worker, where the frames still
     exist, and shipped back as a string.  When telemetry is requested, a
     recorder scoped to ``"<label>/seed<n>"`` is installed for the run and
-    its summary + raw events ship back as plain picklable data.
+    its events ship back as plain picklable data.
 
     When the payload carries fault specs, a :class:`FaultInjector` keyed
     by ``(seed, attempt)`` is built first: executor chaos (slow run,
@@ -405,17 +401,13 @@ def _run_one_seed(payload: tuple) -> tuple:
     finally:
         if recorder is not None:
             set_recorder(previous_recorder)
-    run_telemetry = (
-        None
-        if recorder is None
-        else (recorder.summary(), tuple(recorder.events))
-    )
+    run_events = None if recorder is None else tuple(recorder.events)
     return (
         "success",
         int(seed),
         metrics,
         time.perf_counter() - started,
-        run_telemetry,
+        run_events,
     )
 
 
@@ -520,7 +512,7 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
     """
     backend = _resolve_backend(spec)
     parent_recorder = get_recorder()
-    collect_telemetry = spec.telemetry or parent_recorder.enabled
+    collect_telemetry = parent_recorder.enabled
     actual_workers = (
         min(spec.workers, len(spec.seeds)) if backend == "process" else 1
     )
@@ -553,7 +545,6 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
                         attempt=int(attempt),
                         error=last_failure[index].error,
                     )
-                    parent_recorder.counter("executor.retries").inc()
         items = [
             (index, _make_payload(spec, seed, collect_telemetry, attempt))
             for index, seed, attempt in pending
@@ -575,7 +566,6 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
                         label=spec.label,
                         remaining=len(leftover),
                     )
-                    parent_recorder.counter("executor.serial_fallbacks").inc()
                 for index, payload in leftover:
                     results[index] = _run_one_seed(payload)
                     serial_fallback_runs += 1
@@ -600,19 +590,15 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
     wall_time_s = time.perf_counter() - started
 
     metrics: List[LinkMetrics] = []
-    run_summaries: List[TelemetrySummary] = []
+    run_events: List[Event] = []
     for index in sorted(outcomes):
-        _, _, run_metrics, _elapsed_s, run_telemetry = outcomes[index]
+        _, _, run_metrics, _elapsed_s, events = outcomes[index]
         metrics.append(run_metrics)
-        if run_telemetry is not None:
-            summary, events = run_telemetry
-            run_summaries.append(summary)
-            if parent_recorder.enabled:
-                # Per-seed logs flow back into the caller's trace, and
-                # metric totals (cache hit rates, batch counters) into
-                # its registry so the caller's summary reflects them.
-                parent_recorder.absorb(events)
-                parent_recorder.absorb_metrics(summary)
+        if events is not None:
+            run_events.extend(events)
+    if collect_telemetry:
+        # Per-seed logs flow back into the caller's trace, in seed order.
+        parent_recorder.absorb(run_events)
     failures = tuple(last_failure[index] for index in sorted(last_failure))
 
     total = len(spec.seeds)
@@ -637,8 +623,8 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
         failures=failures,
         stats=stats,
         telemetry=(
-            TelemetrySummary.merge(run_summaries)
-            if collect_telemetry and run_summaries
+            TelemetrySummary.from_events(run_events)
+            if collect_telemetry
             else None
         ),
     )

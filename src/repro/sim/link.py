@@ -152,7 +152,6 @@ class LinkSimulator:
                     stage=stage,
                     error=repr(error),
                 )
-                recorder.counter("sim.degraded_intervals").inc()
 
         def exit_degraded(time_s: float) -> None:
             nonlocal degraded_since
@@ -164,8 +163,7 @@ class LinkSimulator:
         established = False
         initial = self.scenario.channel_at(0.0)
         try:
-            with recorder.timer("sim.establish_s"):
-                self.manager.establish(initial, time_s=0.0)
+            self.manager.establish(initial, time_s=0.0)
             established = True
         except Exception as error:
             enter_degraded(0.0, "establish", error)
@@ -179,8 +177,7 @@ class LinkSimulator:
                     self.manager.establish(channel, time_s=t)
                     established = True
                 else:
-                    with recorder.timer("sim.maintenance_step_s"):
-                        report = self.manager.step(channel, time_s=t)
+                    report = self.manager.step(channel, time_s=t)
                     if getattr(report, "action", "none") != "none":
                         actions.append((t, report.action))
             except Exception as error:
@@ -224,9 +221,7 @@ class LinkSimulator:
             if start == end:
                 continue
             if established:
-                self._segment_snr(
-                    times, snr, start, end, recorder, chunk_cache
-                )
+                self._segment_snr(times, snr, start, end, chunk_cache)
             else:
                 snr[start:end] = -np.inf
             if tracing:
@@ -236,7 +231,6 @@ class LinkSimulator:
         budget = getattr(self.manager, "budget", None)
         probe_airtime = budget.airtime_s() if budget is not None else 0.0
         if tracing:
-            recorder.counter("sim.samples").inc(len(times))
             recorder.end_run(
                 float(self.duration_s),
                 samples=len(times),
@@ -282,7 +276,6 @@ class LinkSimulator:
         snr: np.ndarray,
         start: int,
         end: int,
-        recorder,
         chunk_cache: dict,
     ) -> None:
         """Fill ``snr[start:end]`` through the manager's batched evaluator.
@@ -324,10 +317,6 @@ class LinkSimulator:
                     for t in times[position:sub_end]
                 ]
             snr[position:sub_end] = self.manager.link_snr_db_batch(channels)
-            if recorder.enabled:
-                size = sub_end - position
-                recorder.counter("sim.fast_samples").inc(size)
-                recorder.gauge("sim.last_batch_samples").set(size)
             position = sub_end
 
     def _sample_snr(

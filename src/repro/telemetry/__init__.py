@@ -1,16 +1,18 @@
-"""Link-event tracing, metrics, and profiling for the reproduction.
+"""Link-event tracing for the reproduction.
 
-Three pieces:
+The event stream is the one telemetry record:
 
 * an **event bus** — typed, simulation-time-stamped :class:`Event`
   records (``probe_tx``, ``blockage_onset``, ``beam_retrain``,
-  ``mcs_switch``, ...) collected on an :class:`EventLog`;
-* a **metrics registry** — counters, gauges, histograms, and ``timer()``
-  context managers, free when telemetry is disabled (the
-  :class:`NullRecorder` backs every instrumentation site by default);
-* **exporters** — JSONL trace files, the mergeable
-  :class:`TelemetrySummary` digest the executor aggregates across pool
-  workers, and a human-readable timeline renderer.
+  ``mcs_switch``, ...) collected on an :class:`EventLog`, free when
+  telemetry is disabled (the :class:`NullRecorder` backs every
+  instrumentation site by default);
+* **exporters** — JSONL trace files, the :class:`TelemetrySummary`
+  digest (event counts by kind and run, derived from the events alone),
+  and a human-readable timeline renderer.
+
+Per-layer wall time is not recorded here; the repository benchmark
+(``perfbench/``) measures it from outside ``src/``.
 
 Quickstart::
 
@@ -31,12 +33,6 @@ from repro.telemetry.export import (
     render_timeline,
     write_events_jsonl,
 )
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.telemetry.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -53,10 +49,6 @@ __all__ = [
     "EventKind",
     "EventLog",
     "KNOWN_KINDS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_RECORDER",
     "NullRecorder",
     "RecorderLike",

@@ -58,8 +58,6 @@ class EventKind:
     WATCHDOG_TRIP = "watchdog_trip"
     #: The executor re-queued a failed run for another attempt.
     RUN_RETRY = "run_retry"
-    #: Synthetic trailer event folding perf counters into a trace (CLI).
-    PERF_COUNTERS = "perf_counters"
     #: A cell's slot plan was drawn up (network engine, per cell).
     SLOT_SCHEDULED = "slot_scheduled"
     #: Inter-cell interference was recomputed at an epoch boundary.

@@ -20,46 +20,10 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from types import TracebackType
-from typing import (
-    TYPE_CHECKING,
-    ContextManager,
-    Iterable,
-    Iterator,
-    Optional,
-    Protocol,
-    Type,
-)
+from typing import Iterable, Iterator, Optional, Protocol
 
 from repro.telemetry.events import Event, EventKind, EventLog
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    _Timer,
-)
-
-if TYPE_CHECKING:
-    from repro.telemetry.summary import TelemetrySummary
-
-
-class CounterLike(Protocol):
-    """Anything a hot path can ``inc()`` (real counter or null sink)."""
-
-    def inc(self, amount: float = 1.0) -> None: ...
-
-
-class GaugeLike(Protocol):
-    """Anything a hot path can ``set()``."""
-
-    def set(self, value: float) -> None: ...
-
-
-class HistogramLike(Protocol):
-    """Anything a hot path can ``observe()``."""
-
-    def observe(self, value: float) -> None: ...
+from repro.telemetry.summary import TelemetrySummary
 
 
 class RecorderLike(Protocol):
@@ -78,50 +42,6 @@ class RecorderLike(Protocol):
     def begin_run(self, label: str, time_s: float = 0.0) -> str: ...
 
     def end_run(self, time_s: float, **fields: object) -> None: ...
-
-    def counter(self, name: str) -> CounterLike: ...
-
-    def gauge(self, name: str) -> GaugeLike: ...
-
-    def histogram(self, name: str) -> HistogramLike: ...
-
-    def timer(self, name: str) -> ContextManager[object]: ...
-
-
-class _NullTimer:
-    """A reusable do-nothing context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        pass
-
-
-class _NullMetric:
-    """Accepts any update and drops it."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_TIMER = _NullTimer()
-_NULL_METRIC = _NullMetric()
 
 
 class NullRecorder:
@@ -143,24 +63,12 @@ class NullRecorder:
     def end_run(self, time_s: float, **fields: object) -> None:
         pass
 
-    def counter(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def timer(self, name: str) -> _NullTimer:
-        return _NULL_TIMER
-
 
 NULL_RECORDER = NullRecorder()
 
 
 class TelemetryRecorder:
-    """Collects events into an :class:`EventLog` plus a metrics registry.
+    """Collects events into an :class:`EventLog`.
 
     ``scope`` prefixes every run label this recorder opens (the ensemble
     executor scopes each worker recorder to ``"<label>/seed<n>"``), so
@@ -172,7 +80,6 @@ class TelemetryRecorder:
     def __init__(self, scope: str = "") -> None:
         self.scope = scope
         self.events = EventLog()
-        self.metrics = MetricsRegistry()
         self._run_sequence: Iterator[int] = itertools.count()
         self._current_run = scope
 
@@ -200,7 +107,6 @@ class TelemetryRecorder:
         sequence = next(self._run_sequence)
         name = f"{label}#{sequence}"
         self._current_run = f"{self.scope}:{name}" if self.scope else name
-        self.counter("telemetry.runs").inc()
         self.emit(EventKind.RUN_START, time_s, label=label)
         return self._current_run
 
@@ -213,41 +119,13 @@ class TelemetryRecorder:
         """Fold in events recorded elsewhere (e.g. by a pool worker)."""
         self.events.extend(events)
 
-    def absorb_metrics(self, summary: "TelemetrySummary") -> None:
-        """Fold a worker run's counter/gauge totals into this registry.
-
-        Pool workers record onto private recorders; their events come
-        back through :meth:`absorb` and their metric totals through a
-        :class:`~repro.telemetry.TelemetrySummary`.  Counters add,
-        gauges last-write-wins.  Histogram moments cannot be replayed
-        into live histograms and stay summary-only.
-        """
-        for name, value in summary.counters.items():
-            self.counter(name).inc(value)
-        for name, value in summary.gauges.items():
-            self.gauge(name).set(value)
-
-    def counter(self, name: str) -> Counter:
-        return self.metrics.counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self.metrics.gauge(name)
-
-    def histogram(self, name: str) -> Histogram:
-        return self.metrics.histogram(name)
-
-    def timer(self, name: str) -> _Timer:
-        return self.metrics.timer(name)
-
     def mark(self) -> int:
         """The current event count (for since-mark summaries)."""
         return len(self.events)
 
-    def summary(self, since: int = 0) -> "TelemetrySummary":
-        """A :class:`TelemetrySummary` of everything recorded so far."""
-        from repro.telemetry.summary import TelemetrySummary
-
-        return TelemetrySummary.from_recorder(self, since=since)
+    def summary(self, since: int = 0) -> TelemetrySummary:
+        """A :class:`TelemetrySummary` of the events after mark ``since``."""
+        return TelemetrySummary.from_events(self.events[since:])
 
 
 # The active recorder is thread-scoped: the serve layer runs jobs on

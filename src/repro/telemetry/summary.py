@@ -1,125 +1,43 @@
-"""Aggregated telemetry: what happened, how often, and how long it took.
+"""Aggregated telemetry: what happened, and how often.
 
-A :class:`TelemetrySummary` is the picklable, mergeable digest of one
-recorder: event counts by kind, counter totals, last gauge values, and
-histogram moments.  Pool workers summarize locally and the executor
-merges the per-seed summaries into the one carried by
-``EnsembleSummary.telemetry``; experiment runs attach theirs to
-``ExperimentResult.telemetry``.
+A :class:`TelemetrySummary` is the picklable digest of an event stream:
+the event count, the number of distinct runs, and event counts by kind.
+It is built by :meth:`TelemetrySummary.from_events` alone, so a summary
+always agrees with the events it digests — a live recorder's window, a
+JSONL trace read back from disk, or the executor's per-seed worker
+events concatenated in seed order (``EnsembleSummary.telemetry``).
+Experiment runs attach theirs to ``ExperimentResult.telemetry``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, Set, Tuple
 
-if TYPE_CHECKING:
-    from repro.telemetry.recorder import TelemetryRecorder
-
-
-def _merge_histograms(
-    left: Mapping[str, float], right: Mapping[str, float]
-) -> Dict[str, float]:
-    count = left["count"] + right["count"]
-    total = left["total"] + right["total"]
-    contributors = [h for h in (left, right) if h["count"]]
-    if not contributors:
-        return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-    return {
-        "count": count,
-        "total": total,
-        "min": min(h["min"] for h in contributors),
-        "max": max(h["max"] for h in contributors),
-        "mean": total / count,
-    }
+from repro.telemetry.events import Event
 
 
 @dataclass(frozen=True)
 class TelemetrySummary:
-    """Mergeable digest of one (or many) telemetry recorders."""
+    """Digest of one event stream."""
 
     num_events: int = 0
     num_runs: int = 0
     event_counts: Dict[str, int] = field(default_factory=dict)
-    counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @classmethod
-    def from_recorder(
-        cls, recorder: "TelemetryRecorder", since: int = 0
-    ) -> "TelemetrySummary":
-        """Summarize a :class:`TelemetryRecorder`'s state.
-
-        ``since`` restricts the *event* tallies to events appended after
-        that mark (metrics are cumulative and always included whole).
-        """
-        events = list(recorder.events)[since:]
+    def from_events(cls, events: Iterable[Event]) -> "TelemetrySummary":
+        """Count ``events`` by kind and by distinct run label."""
         counts: Dict[str, int] = {}
         runs: Set[str] = set()
+        num_events = 0
         for event in events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
             runs.add(event.run)
-        metrics = recorder.metrics.snapshot()
+            num_events += 1
         return cls(
-            num_events=len(events),
-            num_runs=len(runs),
-            event_counts=counts,
-            counters=dict(metrics["counters"]),
-            gauges=dict(metrics["gauges"]),
-            histograms={
-                name: dict(stats)
-                for name, stats in metrics["histograms"].items()
-            },
+            num_events=num_events, num_runs=len(runs), event_counts=counts
         )
-
-    @classmethod
-    def merge(
-        cls, summaries: Iterable[Optional["TelemetrySummary"]]
-    ) -> "TelemetrySummary":
-        """Combine per-worker/per-run summaries into one.
-
-        ``None`` entries (runs without telemetry) are skipped; gauges are
-        last-value-wins in iteration order.
-        """
-        merged = cls()
-        for summary in summaries:
-            if summary is None:
-                continue
-            event_counts = dict(merged.event_counts)
-            for kind, count in summary.event_counts.items():
-                event_counts[kind] = event_counts.get(kind, 0) + count
-            counters = dict(merged.counters)
-            for name, value in summary.counters.items():
-                counters[name] = counters.get(name, 0.0) + value
-            gauges = dict(merged.gauges)
-            gauges.update(summary.gauges)
-            histograms = dict(merged.histograms)
-            for name, stats in summary.histograms.items():
-                if name in histograms:
-                    histograms[name] = _merge_histograms(
-                        histograms[name], stats
-                    )
-                else:
-                    histograms[name] = dict(stats)
-            merged = cls(
-                num_events=merged.num_events + summary.num_events,
-                num_runs=merged.num_runs + summary.num_runs,
-                event_counts=event_counts,
-                counters=counters,
-                gauges=gauges,
-                histograms=histograms,
-            )
-        return merged
 
     def count(self, kind: str) -> int:
         """Events of one kind."""
@@ -133,60 +51,13 @@ class TelemetrySummary:
         return tuple(ranked[:limit])
 
     def describe(self) -> str:
-        """One printable paragraph (CLI and report output)."""
+        """One printable line (CLI and report output)."""
         if not self.num_events:
             return "telemetry: no events recorded"
         kinds = ", ".join(
             f"{kind}={count}" for kind, count in self.top_kinds()
         )
-        lines = [
+        return (
             f"telemetry: {self.num_events} events across "
             f"{self.num_runs} run(s) [{kinds}]"
-        ]
-        for name, stats in sorted(self.histograms.items()):
-            if not stats["count"]:
-                continue
-            lines.append(
-                f"  {name}: n={stats['count']} mean={stats['mean']:.3g}s "
-                f"max={stats['max']:.3g}s total={stats['total']:.3g}s"
-            )
-        lines.extend(self._fast_path_lines())
-        return "\n".join(lines)
-
-    def _fast_path_lines(self) -> List[str]:
-        """Lines showing whether the perf fast paths were exercised.
-
-        Covers the ``perf.cache.<name>.hits/.misses`` counters bumped by
-        :class:`repro.perf.BoundedCache` and the simulator's batched
-        sample-clock counters/gauges.
-        """
-        lines: List[str] = []
-        caches: Dict[str, Dict[str, float]] = {}
-        for name, value in self.counters.items():
-            if not name.startswith("perf.cache."):
-                continue
-            cache, _, outcome = name[len("perf.cache."):].rpartition(".")
-            if outcome in ("hits", "misses"):
-                caches.setdefault(cache, {})[outcome] = value
-        for cache in sorted(caches):
-            hits = caches[cache].get("hits", 0.0)
-            misses = caches[cache].get("misses", 0.0)
-            total = hits + misses
-            rate = hits / total if total else 0.0
-            lines.append(
-                f"  cache {cache}: hits={hits:g} misses={misses:g} "
-                f"hit_rate={rate:.1%}"
-            )
-        fast = self.counters.get("sim.fast_samples")
-        total_samples = self.counters.get("sim.samples")
-        if fast is not None:
-            share = (
-                f" ({fast / total_samples:.1%} of {total_samples:g})"
-                if total_samples
-                else ""
-            )
-            lines.append(f"  batched samples: {fast:g}{share}")
-        last_batch = self.gauges.get("sim.last_batch_samples")
-        if last_batch is not None:
-            lines.append(f"  last batch size: {last_batch:g}")
-        return lines
+        )

@@ -102,11 +102,13 @@ class TestProbeOutcomeFlags:
         )
         recorder = TelemetryRecorder()
         with use_recorder(recorder):
-            controller.probe_relative_gains(channel, self.ANGLES, max_retries=2)
+            outcome = controller.probe_relative_gains(
+                channel, self.ANGLES, max_retries=2
+            )
         retries = [e for e in recorder.events if e.kind == "probe_retry"]
         assert retries
         assert {e.fields["stage"] for e in retries} <= {"reference", "pair"}
-        assert recorder.counter("probing.degraded_rounds").value >= 1
+        assert not all(outcome.valid)
 
     def test_estimate_relative_gains_wrapper_never_raises_on_loss(
         self, channel

@@ -1,8 +1,7 @@
 """Tests for the bounded hot-path caches.
 
 Covers the perf contract: keyed reuse, LRU bounding, explicit
-invalidation, hit/miss accounting (both local tallies and telemetry
-counters), and value freezing.
+invalidation, hit/miss tallies, and value freezing.
 """
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from repro.perf import BoundedCache, array_key, cache_stats, clear_caches
 from repro.perf.cache import _REGISTRY
-from repro.telemetry import TelemetryRecorder, use_recorder
 
 
 @pytest.fixture
@@ -85,14 +83,6 @@ class TestBoundedCache:
     def test_maxsize_validated(self):
         with pytest.raises(ValueError, match="maxsize"):
             BoundedCache("test.cache.bad", maxsize=0)
-
-    def test_telemetry_counters(self, cache):
-        with use_recorder(TelemetryRecorder()) as recorder:
-            cache.get_or_build("k", lambda: 1)
-            cache.get_or_build("k", lambda: 1)
-            counters = recorder.metrics.snapshot()["counters"]
-        assert counters[f"perf.cache.{cache.name}.misses"] == 1
-        assert counters[f"perf.cache.{cache.name}.hits"] == 1
 
 
 class TestArrayKey:

@@ -48,7 +48,6 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
                 stage=stage,
                 error=repr(error),
             )
-            recorder.counter("sim.degraded_intervals").inc()
 
     def exit_degraded(time_s: float) -> None:
         nonlocal degraded_since
@@ -60,8 +59,7 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
     established = False
     initial = scenario.channel_at(0.0)
     try:
-        with recorder.timer("sim.establish_s"):
-            manager.establish(initial, time_s=0.0)
+        manager.establish(initial, time_s=0.0)
         established = True
     except Exception as error:
         enter_degraded(0.0, "establish", error)
@@ -73,8 +71,7 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
                 manager.establish(channel, time_s=t)
                 established = True
             else:
-                with recorder.timer("sim.maintenance_step_s"):
-                    report = manager.step(channel, time_s=t)
+                report = manager.step(channel, time_s=t)
                 if getattr(report, "action", "none") != "none":
                     actions.append((t, report.action))
         except Exception as error:
@@ -117,7 +114,6 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
     budget = getattr(manager, "budget", None)
     probe_airtime = budget.airtime_s() if budget is not None else 0.0
     if tracing:
-        recorder.counter("sim.samples").inc(len(times))
         recorder.end_run(
             float(simulator.duration_s),
             samples=len(times),

@@ -157,8 +157,7 @@ class TestJsonExport:
         parsed = json.loads(result_to_json(result))
         assert parsed["identifier"] == "demo"
         assert parsed["config"] == {
-            "seeds": 4, "workers": 2, "telemetry": False,
-            "faults": [], "scenario": None,
+            "seeds": 4, "workers": 2, "faults": [], "scenario": None,
         }
         assert parsed["data"]["grid"] == [[1.0, 0.0], [0.0, 1.0]]
         assert parsed["data"]["summary"]["stats"]["backend"] == "process"

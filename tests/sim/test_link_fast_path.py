@@ -114,20 +114,6 @@ class TestFastMatchesNaive:
                 else:
                     assert ours.fields[key] == value
 
-    def test_fast_flag_defaults_on_and_counts_samples(self):
-        simulator = LinkSimulator(
-            scenario=make_scenario(0),
-            manager=make_manager("mmreliable", seed=0),
-            duration_s=0.1,
-        )
-        with use_recorder(TelemetryRecorder()) as recorder:
-            trace = simulator.run()
-            counters = recorder.metrics.snapshot()["counters"]
-            gauges = recorder.metrics.snapshot()["gauges"]
-        assert counters["sim.fast_samples"] == len(trace.times_s)
-        assert counters["sim.samples"] == len(trace.times_s)
-        assert gauges["sim.last_batch_samples"] >= 1
-
     def test_scenario_without_channel_batch_still_fast(self):
         scenario = make_scenario(2)
 

@@ -16,11 +16,6 @@ class TestNullRecorder:
         NULL_RECORDER.emit("probe_tx", 0.0, count=1)
         assert NULL_RECORDER.begin_run("x") == ""
         NULL_RECORDER.end_run(1.0)
-        NULL_RECORDER.counter("c").inc()
-        NULL_RECORDER.gauge("g").set(1.0)
-        NULL_RECORDER.histogram("h").observe(1.0)
-        with NULL_RECORDER.timer("t"):
-            pass
         # Nothing above raised and nothing was stored anywhere.
 
     def test_is_the_default(self):
@@ -91,22 +86,6 @@ class TestTelemetryRecorder:
         assert len(recorder.events) == 2
         assert recorder.events[1].run == "w/seed0:X#0"
 
-    def test_absorb_metrics_sums_counters_and_sets_gauges(self):
-        def worker_summary(hits, batch):
-            worker = TelemetryRecorder()
-            worker.counter("perf.cache.steering.single_beam.hits").inc(hits)
-            worker.gauge("sim.last_batch_samples").set(batch)
-            return worker.summary()
-
-        recorder = TelemetryRecorder()
-        recorder.absorb_metrics(worker_summary(hits=5, batch=10))
-        recorder.absorb_metrics(worker_summary(hits=3, batch=40))
-        snapshot = recorder.metrics.snapshot()
-        assert (
-            snapshot["counters"]["perf.cache.steering.single_beam.hits"] == 8
-        )
-        assert snapshot["gauges"]["sim.last_batch_samples"] == 40
-
     def test_mark_and_since_summary(self):
         recorder = TelemetryRecorder()
         recorder.emit("probe_tx", 0.0)
@@ -116,14 +95,3 @@ class TestTelemetryRecorder:
         assert summary.num_events == 1
         assert summary.count("mcs_switch") == 1
         assert summary.count("probe_tx") == 0
-
-    def test_summary_includes_metrics(self):
-        recorder = TelemetryRecorder()
-        recorder.counter("probes.ssb").inc(33)
-        recorder.gauge("olla.margin_db").set(1.5)
-        with recorder.timer("sim.establish_s"):
-            pass
-        summary = recorder.summary()
-        assert summary.counters["probes.ssb"] == 33
-        assert summary.gauges["olla.margin_db"] == 1.5
-        assert summary.histograms["sim.establish_s"]["count"] == 1

@@ -1,21 +1,20 @@
-"""Unit tests for the mergeable telemetry digest."""
+"""Unit tests for the telemetry digest."""
 
 import pickle
-
-import pytest
 
 from repro.telemetry import TelemetryRecorder, TelemetrySummary
 
 
-def _summary(**kwargs):
-    recorder = TelemetryRecorder()
+def _recorder(scope=""):
+    recorder = TelemetryRecorder(scope=scope)
     recorder.begin_run("X", time_s=0.0)
     recorder.emit("probe_tx", 0.1, count=1)
-    recorder.counter("probes.ssb").inc(4)
-    recorder.gauge("margin").set(kwargs.get("margin", 1.0))
-    recorder.histogram("step_s").observe(kwargs.get("step", 0.5))
     recorder.end_run(1.0)
-    return recorder.summary()
+    return recorder
+
+
+def _summary():
+    return _recorder().summary()
 
 
 class TestFromRecorder:
@@ -24,41 +23,26 @@ class TestFromRecorder:
         assert summary.num_events == 3  # run_start, probe_tx, run_end
         assert summary.num_runs == 1
         assert summary.count("probe_tx") == 1
-        assert summary.counters["telemetry.runs"] == 1
 
     def test_picklable(self):
         summary = _summary()
         assert pickle.loads(pickle.dumps(summary)) == summary
 
 
-class TestMerge:
-    def test_merge_sums_counts_and_counters(self):
-        merged = TelemetrySummary.merge([_summary(), _summary(), None])
-        assert merged.num_events == 6
-        assert merged.num_runs == 2
-        assert merged.count("probe_tx") == 2
-        assert merged.counters["probes.ssb"] == 8
-
-    def test_merge_histogram_moments(self):
-        merged = TelemetrySummary.merge(
-            [_summary(step=1.0), _summary(step=3.0)]
+class TestFromEvents:
+    def test_concatenated_streams_sum_counts_and_runs(self):
+        events = list(_recorder("a/seed0").events) + list(
+            _recorder("a/seed1").events
         )
-        stats = merged.histograms["step_s"]
-        assert stats["count"] == 2
-        assert stats["min"] == 1.0
-        assert stats["max"] == 3.0
-        assert stats["mean"] == pytest.approx(2.0)
+        summary = TelemetrySummary.from_events(events)
+        assert summary.num_events == 6
+        assert summary.num_runs == 2
+        assert summary.count("probe_tx") == 2
 
-    def test_merge_gauges_last_wins(self):
-        merged = TelemetrySummary.merge(
-            [_summary(margin=1.0), _summary(margin=-2.0)]
-        )
-        assert merged.gauges["margin"] == -2.0
-
-    def test_merge_empty_is_empty(self):
-        merged = TelemetrySummary.merge([None, None])
-        assert merged == TelemetrySummary()
-        assert merged.num_events == 0
+    def test_empty_stream_is_empty(self):
+        summary = TelemetrySummary.from_events([])
+        assert summary == TelemetrySummary()
+        assert summary.num_events == 0
 
 
 class TestDescribe:
@@ -69,32 +53,9 @@ class TestDescribe:
         text = _summary().describe()
         assert "3 events" in text
         assert "probe_tx=1" in text
-        assert "step_s" in text
 
     def test_top_kinds_ranked(self):
         summary = _summary()
         ranked = summary.top_kinds(limit=2)
         assert len(ranked) == 2
         assert ranked[0][1] >= ranked[1][1]
-
-    def test_fast_path_lines(self):
-        recorder = TelemetryRecorder()
-        recorder.begin_run("X", time_s=0.0)
-        recorder.counter("perf.cache.multibeam.weights.hits").inc(30)
-        recorder.counter("perf.cache.multibeam.weights.misses").inc(10)
-        recorder.counter("sim.samples").inc(200)
-        recorder.counter("sim.fast_samples").inc(200)
-        recorder.gauge("sim.last_batch_samples").set(50)
-        recorder.end_run(1.0)
-        text = recorder.summary().describe()
-        assert (
-            "cache multibeam.weights: hits=30 misses=10 hit_rate=75.0%"
-            in text
-        )
-        assert "batched samples: 200 (100.0% of 200)" in text
-        assert "last batch size: 50" in text
-
-    def test_no_fast_path_lines_without_counters(self):
-        text = _summary().describe()
-        assert "cache " not in text
-        assert "batched samples" not in text

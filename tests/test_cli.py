@@ -127,8 +127,7 @@ class TestCliStructuredFlags:
         parsed = json.loads(target.read_text())
         assert parsed["identifier"] == "reliability"
         assert parsed["config"] == {
-            "seeds": None, "workers": 1, "telemetry": False,
-            "faults": [], "scenario": None,
+            "seeds": None, "workers": 1, "faults": [], "scenario": None,
         }
         assert "analytic" in parsed["data"]
 
