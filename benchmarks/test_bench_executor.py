@@ -7,27 +7,32 @@ than speedup — the numbers are printed, not asserted — but the parallel
 path must reproduce the serial metrics bitwise.
 """
 
+from dataclasses import replace
 from functools import partial
 
 from repro.experiments.common import make_manager
 from repro.experiments.fig18_end2end import _mobile_scenario
 from repro.sim.executor import EnsembleSpec, execute_ensemble
+from repro.sim.link import build_link_simulator
 
 SPEC = EnsembleSpec(
     label="mmreliable",
-    scenario_factory=partial(
-        _mobile_scenario, speed_mps=1.5, blockage_depth_db=30.0,
-        distance_m=25.0,
+    simulator_factory=partial(
+        build_link_simulator,
+        partial(
+            _mobile_scenario, speed_mps=1.5, blockage_depth_db=30.0,
+            distance_m=25.0,
+        ),
+        partial(make_manager, "mmreliable"),
+        0.25,
     ),
-    manager_factory=partial(make_manager, "mmreliable"),
     seeds=tuple(range(16)),
-    duration_s=0.25,
 )
 
 
 def test_executor_serial_vs_parallel(capsys):
     serial = execute_ensemble(SPEC)
-    parallel = execute_ensemble(SPEC.with_options(workers=4))
+    parallel = execute_ensemble(replace(SPEC, workers=4))
 
     # The whole point of the pool: identical per-seed metrics.
     assert parallel.metrics == serial.metrics

@@ -14,9 +14,9 @@ guarantees:
   duplicate submissions provably joined the existing execution instead
   of starting their own;
 * **one retry owner** — no job starts twice within one server life.
-  The executor retries failed seed-runs inside a single execution, and
-  only journal replay re-runs a job: one that was mid-run at the kill
-  starts once before it and once after.
+  Nothing re-runs a job or a seed-run that raised; only journal replay
+  re-runs a job: one that was mid-run at the kill starts once before it
+  and once after.
 
 Usage::
 
@@ -49,16 +49,19 @@ sys.path.insert(0, SRC)
 from repro.serve import JobClient, ServerError  # noqa: E402
 from repro.serve.jobs import TERMINAL_STATES  # noqa: E402
 
-#: The chaos profile: crashes that the executor's retries usually
-#: recover, plus artificial slowness so the queue actually fills.
+#: The chaos profile.  Chaos is drawn once per seed, and every micro
+#: job runs seeds 0..n-1, so a rate picks the same seeds in every job:
+#: at 0.3, ``worker_crash`` fails the run of seed 1, which a two-seed
+#: job absorbs within its failure budget.  Every run is slowed, so the
+#: queue actually fills.
 CHAOS_FAULTS = [
     {"kind": "worker_crash", "rate": 0.3},
-    {"kind": "slow_run", "rate": 0.5, "delay_s": 0.05},
+    {"kind": "slow_run", "rate": 1.0, "delay_s": 0.05},
 ]
 
-#: A handful of jobs are doomed (crash every attempt) so the
-#: terminal-failure path runs under load too: the executor exhausts its
-#: retries and the server fails the job on its first execution.
+#: A handful of jobs are doomed (every seed crashes) so the
+#: terminal-failure path runs under load too: the ensemble exceeds its
+#: failure budget and the server fails the job on its first execution.
 DOOMED_FAULTS = [{"kind": "worker_crash", "rate": 1.0}]
 
 
@@ -76,7 +79,6 @@ def make_jobs(total: int, duplicates: int) -> List[Dict[str, Any]]:
                 "seeds": 1,
                 "duration_s": duration_s,
                 "faults": DOOMED_FAULTS,
-                "ensemble_retries": 0,
             }
         else:
             job = {
@@ -84,7 +86,6 @@ def make_jobs(total: int, duplicates: int) -> List[Dict[str, Any]]:
                 "seeds": 1 + index % 2,
                 "duration_s": duration_s,
                 "faults": CHAOS_FAULTS,
-                "ensemble_retries": 3,
             }
         job["priority"] = ("interactive", "batch", "bulk")[index % 3]
         jobs.append(job)

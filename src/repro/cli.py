@@ -278,6 +278,18 @@ def _collect_fault_specs(
     return tuple(specs)
 
 
+def _load_scenario(scenario: str, out):
+    """Load ``--scenario NAME_OR_PATH``; returns None on bad input."""
+    from repro.sim.spec import load_scenario_spec
+
+    try:
+        return load_scenario_spec(scenario)
+    except (KeyError, OSError, ValueError, TypeError) as error:
+        message = error.args[0] if error.args else error
+        out.write(f"error: --scenario {scenario!r}: {message}\n")
+        return None
+
+
 def _locate_repro_lint_tools() -> Optional[str]:
     """Find the ``tools/`` directory that holds the repro_lint package.
 
@@ -339,13 +351,8 @@ def command_run(
 ) -> int:
     scenario_spec = None
     if scenario is not None:
-        from repro.sim.spec import load_scenario_spec
-
-        try:
-            scenario_spec = load_scenario_spec(scenario)
-        except (KeyError, OSError, ValueError, TypeError) as error:
-            message = error.args[0] if error.args else error
-            out.write(f"error: --scenario {scenario!r}: {message}\n")
+        scenario_spec = _load_scenario(scenario, out)
+        if scenario_spec is None:
             return 2
         if identifier is None:
             identifier = "network_scale"
@@ -480,6 +487,12 @@ def command_serve(
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
+    except OSError as error:
+        out.write(f"error: {error}\n")
+        return 2
+    if server.journal_failure is not None:
+        out.write(f"error: server stopped: {server.journal_failure}\n")
+        return 2
     out.write("server stopped\n")
     return 0
 
@@ -509,13 +522,8 @@ def command_submit(
         return 2
     scenario_spec = None
     if scenario is not None:
-        from repro.sim.spec import load_scenario_spec
-
-        try:
-            scenario_spec = load_scenario_spec(scenario)
-        except (KeyError, OSError, ValueError, TypeError) as error:
-            message = error.args[0] if error.args else error
-            out.write(f"error: --scenario {scenario!r}: {message}\n")
+        scenario_spec = _load_scenario(scenario, out)
+        if scenario_spec is None:
             return 2
         if experiment is None:
             experiment = "network_scale"
@@ -575,9 +583,13 @@ def command_submit(
     if record.get("error"):
         out.write(f"  error: {record['error']}\n")
     if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as stream:
-            json_module.dump(record, stream, indent=2)
-            stream.write("\n")
+        try:
+            with open(json_path, "w", encoding="utf-8") as stream:
+                json_module.dump(record, stream, indent=2)
+                stream.write("\n")
+        except OSError as error:
+            out.write(f"error: cannot write {json_path}: {error}\n")
+            return 2
         out.write(f"-- wrote job record to {json_path} --\n")
     return 0 if record["state"] == "succeeded" else 1
 

@@ -14,6 +14,7 @@ from repro.baselines import (
 from repro.beamtraining import ExhaustiveTrainer, HierarchicalTrainer
 from repro.core.maintenance import MultiBeamManager
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
+from repro.utils.rng import RngLike
 
 #: The testbed's azimuth array: 8 elements at 28 GHz, lambda/2 spacing.
 TESTBED_ULA = UniformLinearArray(num_elements=8)
@@ -38,7 +39,7 @@ def make_config(bandwidth_hz: float = FULL_BAND) -> OfdmConfig:
 
 
 def make_sounder(
-    seed: int, bandwidth_hz: float = FULL_BAND, cfo_model=None
+    seed: RngLike, bandwidth_hz: float = FULL_BAND, cfo_model=None
 ) -> ChannelSounder:
     return ChannelSounder(
         config=make_config(bandwidth_hz), cfo_model=cfo_model, rng=seed
@@ -47,22 +48,24 @@ def make_sounder(
 
 def make_manager(
     kind: str,
-    seed: int,
+    seed: RngLike,
     array: UniformLinearArray = TESTBED_ULA,
     bandwidth_hz: float = FULL_BAND,
     num_beams: int = 2,
+    codebook_size: int = CODEBOOK_SIZE,
     **overrides,
 ):
     """Build any of the evaluated beam managers by name.
 
     ``kind`` is one of ``mmreliable``, ``mmreliable-static`` (no tracking,
     for the Fig. 18a static comparison), ``mmreliable-nocc`` (tracking
-    without constructive combining), ``reactive``, ``beamspy``,
-    ``widebeam``, ``oracle``.
+    without constructive combining), ``mmreliable-notrack-nocc``,
+    ``reactive``, ``beamspy``, ``widebeam``, ``oracle``.  ``seed`` seeds
+    the sounder's noise; a ``Generator`` is used as is.
     """
     sounder = make_sounder(seed, bandwidth_hz)
     exhaustive = ExhaustiveTrainer(
-        codebook=uniform_codebook(array, CODEBOOK_SIZE), sounder=sounder
+        codebook=uniform_codebook(array, codebook_size), sounder=sounder
     )
     hierarchical = HierarchicalTrainer(
         array=array, sounder=sounder, num_levels=5

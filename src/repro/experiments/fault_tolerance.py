@@ -23,6 +23,7 @@ from repro.experiments.common import format_series, make_manager
 from repro.experiments.fig18_end2end import _mobile_scenario
 from repro.faults import FaultKind, FaultSpec
 from repro.sim.executor import EnsembleSpec, execute_ensemble
+from repro.sim.link import build_link_simulator
 
 #: The default fault-rate axis (0.0 doubles as the no-chaos reference).
 DEFAULT_RATES = (0.0, 0.1, 0.2, 0.3)
@@ -55,10 +56,13 @@ def run_fault_rate_sweep(
             summary = execute_ensemble(
                 EnsembleSpec(
                     label=f"{system}@{kind}={rate:.2f}",
-                    scenario_factory=scenario_factory,
-                    manager_factory=partial(make_manager, system),
+                    simulator_factory=partial(
+                        build_link_simulator,
+                        scenario_factory,
+                        partial(make_manager, system),
+                        duration_s,
+                    ),
                     seeds=tuple(seeds),
-                    duration_s=duration_s,
                     workers=workers,
                     max_failure_fraction=1.0,
                     faults=faults,

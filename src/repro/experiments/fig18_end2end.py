@@ -30,7 +30,7 @@ from repro.phy.reference_signals import (
     multibeam_maintenance_time_s,
 )
 from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
-from repro.sim.link import LinkSimulator
+from repro.sim.link import LinkSimulator, build_link_simulator
 from repro.sim.scenarios import indoor_two_path_scenario
 from repro.utils.rng import named_substream
 
@@ -137,15 +137,18 @@ def run_mobile_ensembles(
         summaries[system] = execute_ensemble(
             EnsembleSpec(
                 label=system,
-                scenario_factory=partial(
-                    _mobile_scenario,
-                    speed_mps=speed_mps,
-                    blockage_depth_db=blockage_depth_db,
-                    distance_m=distance_m,
+                simulator_factory=partial(
+                    build_link_simulator,
+                    partial(
+                        _mobile_scenario,
+                        speed_mps=speed_mps,
+                        blockage_depth_db=blockage_depth_db,
+                        distance_m=distance_m,
+                    ),
+                    partial(make_manager, system),
+                    duration_s,
                 ),
-                manager_factory=partial(make_manager, system),
                 seeds=tuple(seeds),
-                duration_s=duration_s,
                 workers=workers,
                 faults=tuple(faults),
             )

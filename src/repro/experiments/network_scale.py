@@ -13,6 +13,7 @@ airtime productive.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import Dict, Optional, Sequence
 
@@ -42,15 +43,16 @@ def run_user_scaling(
     ``spec`` fixes the cell layout and clocks (default: the registered
     ``dual-cell`` spec); each sweep point overrides its user count and
     manager kind.  Per-seed runs go through the ordinary ensemble
-    executor via ``simulator_factory`` — retries, fault campaigns, and
-    telemetry merging all apply to network runs unchanged.
+    executor via ``simulator_factory`` — the failure budget, fault
+    campaigns, and telemetry merging all apply to network runs unchanged.
     """
     base = spec if spec is not None else get_scenario_spec("dual-cell")
     results: Dict[str, Dict[int, EnsembleSummary]] = {}
     for system in SYSTEMS:
         results[system] = {}
         for users in user_counts:
-            scenario = base.with_options(
+            scenario = replace(
+                base,
                 name=f"{base.name}-{system}-u{users}",
                 users=int(users),
                 manager_kind=system,

@@ -22,6 +22,7 @@ from repro.channel.clusters import (
 )
 from repro.experiments.common import TESTBED_ULA, make_manager
 from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
+from repro.sim.link import build_link_simulator
 from repro.sim.scenarios import SyntheticScenario
 
 
@@ -83,10 +84,13 @@ def run_clustered_ensembles(
         summaries[system] = execute_ensemble(
             EnsembleSpec(
                 label=system,
-                scenario_factory=partial(clustered_scenario, profile=profile),
-                manager_factory=partial(make_manager, system),
+                simulator_factory=partial(
+                    build_link_simulator,
+                    partial(clustered_scenario, profile=profile),
+                    partial(make_manager, system),
+                    duration_s,
+                ),
                 seeds=tuple(seeds),
-                duration_s=duration_s,
                 workers=workers,
                 faults=tuple(faults),
             )

@@ -21,7 +21,6 @@ from repro.faults.injector import (
     wire_manager_faults,
 )
 from repro.faults.spec import (
-    CHAOS_KINDS,
     KNOWN_FAULT_KINDS,
     FaultKind,
     FaultSpec,
@@ -31,7 +30,6 @@ from repro.faults.spec import (
 )
 
 __all__ = [
-    "CHAOS_KINDS",
     "KNOWN_FAULT_KINDS",
     "FaultInjector",
     "FaultKind",

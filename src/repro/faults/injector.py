@@ -10,9 +10,8 @@ count or scheduling order.
 
 Probe-level kinds draw exactly once per sounding from their own stream,
 so the schedule of one kind does not shift when another kind's rate
-changes.  Chaos kinds (worker crash, slow run) draw once per run
-*attempt*: a retried run redraws, which is what lets ``max_retries``
-recover from injected crashes.
+changes.  Chaos kinds (worker crash, slow run) draw once per run, from
+streams keyed like every other kind's.
 
 Consumers stay decoupled: the sounder and the maintenance manager expose
 an optional ``fault_injector`` attribute, and simulators that accept
@@ -39,7 +38,7 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
-from repro.faults.spec import CHAOS_KINDS, KNOWN_FAULT_KINDS, FaultKind, FaultSpec
+from repro.faults.spec import KNOWN_FAULT_KINDS, FaultKind, FaultSpec
 from repro.telemetry import EventKind, get_recorder
 from repro.utils import db_to_linear
 
@@ -58,24 +57,14 @@ class FaultInjector:
     Parameters
     ----------
     seed:
-        The run's seed.  Identical ``(seed, specs, attempt)`` triples
-        produce identical fault schedules everywhere.
+        The run's seed.  Identical ``(seed, specs)`` pairs produce
+        identical fault schedules everywhere.
     specs:
         The chaos campaign.  At most one spec per kind.
-    attempt:
-        The executor's retry counter.  Only chaos streams are keyed by
-        it, so in-run fault schedules stay stable across retries while
-        injected crashes/delays get a fresh draw.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        specs: Sequence[FaultSpec] = (),
-        attempt: int = 0,
-    ) -> None:
+    def __init__(self, seed: int, specs: Sequence[FaultSpec] = ()) -> None:
         self.seed = int(seed)
-        self.attempt = int(attempt)
         self.specs: Tuple[FaultSpec, ...] = tuple(specs)
         self._spec_by_kind: Dict[str, FaultSpec] = {}
         for spec in self.specs:
@@ -107,10 +96,9 @@ class FaultInjector:
     def _rng(self, kind: str) -> np.random.Generator:
         rng = self._rngs.get(kind)
         if rng is None:
-            key = [_FAULT_SALT, self.seed, KNOWN_FAULT_KINDS.index(kind)]
-            if kind in CHAOS_KINDS:
-                key.append(self.attempt)
-            rng = np.random.default_rng(key)
+            rng = np.random.default_rng(
+                [_FAULT_SALT, self.seed, KNOWN_FAULT_KINDS.index(kind)]
+            )
             self._rngs[kind] = rng
         return rng
 
@@ -206,7 +194,7 @@ class FaultInjector:
         return False
 
     # ------------------------------------------------------------------
-    # executor chaos (drawn once per run attempt)
+    # executor chaos (drawn once per run)
 
     def _chaos_draws(self) -> Tuple[float, bool]:
         if self._chaos is None:
@@ -218,7 +206,7 @@ class FaultInjector:
                 self._record(FaultKind.SLOW_RUN, 0.0, delay_s=delay_s)
             crash = self._draw(FaultKind.WORKER_CRASH)
             if crash:
-                self._record(FaultKind.WORKER_CRASH, 0.0, attempt=self.attempt)
+                self._record(FaultKind.WORKER_CRASH, 0.0)
             self._chaos = (delay_s, crash)
         return self._chaos
 
@@ -227,7 +215,7 @@ class FaultInjector:
         return self._chaos_draws()[0]
 
     def chaos_crash(self) -> bool:
-        """Whether ``worker_crash`` fires for this run attempt."""
+        """Whether ``worker_crash`` fires for this run."""
         return self._chaos_draws()[1]
 
 

@@ -49,9 +49,6 @@ class FaultKind:
 #: Every kind the injector implements, for validation.
 KNOWN_FAULT_KINDS: Tuple[str, ...] = FaultKind.all()
 
-#: Kinds that fire once per run in the executor, not per probe.
-CHAOS_KINDS: Tuple[str, ...] = (FaultKind.WORKER_CRASH, FaultKind.SLOW_RUN)
-
 ParamsLike = Union[
     Mapping[str, float], Iterable[Tuple[str, float]], Tuple[Tuple[str, float], ...]
 ]

@@ -22,7 +22,7 @@ The victim's SNR trace then becomes SINR via
     sinr_db    = snr_db - penalty_db,
 
 applied only where the penalty is strictly positive, so a run with zero
-interference (any single-cell network, in particular the 1x1 wrap) keeps
+interference (any single-cell network, in particular a 1x1 one) keeps
 its SNR samples bitwise untouched.
 """
 

@@ -12,20 +12,20 @@ each (cell, user) attachment becomes a
 :class:`~repro.sim.scenarios.SyntheticScenario` whose LOS geometry
 (distance, bearing) comes from the shared placement and whose secondary
 path, drift, and blockage schedule come from per-user registered RNG
-substreams.  The single-link special case (:meth:`NetworkScenario.
-single_link`) wraps arbitrary scenario/manager factories unchanged, so a
-1x1 network run reproduces a :class:`~repro.sim.link.LinkSimulator` run
-bitwise.
+substreams.  A 1x1 network's lone user runs through the plain
+:class:`~repro.sim.link.LinkSimulator` path with no interference and a
+full slot share, so its trace equals a ``LinkSimulator`` over the same
+link scenario and manager bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from repro.arrays import UniformLinearArray, uniform_codebook
+from repro.arrays import UniformLinearArray
 from repro.channel.blockage import random_blockage_schedule
 from repro.network.state import UserBatch
 from repro.sim.scenarios import SyntheticScenario, two_path_channel
@@ -126,11 +126,12 @@ class NetworkScenario:
     the shared geometry plus per-user random reflection, drift, and
     blockage draws.
 
-    ``manager_kind`` selects the per-user beam manager (same names as
-    the experiment suite: ``mmreliable``, ``reactive``, ``beamspy``,
-    ``widebeam``, ``oracle``); ``num_beams`` applies to multi-beam
-    kinds.  ``probe_slot_budget`` bounds how many probe slots one cell
-    may grant per maintenance period (shared across its users).
+    ``manager_kind`` selects the per-user beam manager (any kind
+    :func:`repro.experiments.common.make_manager` builds: ``mmreliable``,
+    ``reactive``, ``beamspy``, ``widebeam``, ``oracle``, ...);
+    ``num_beams`` applies to multi-beam kinds.  ``probe_slot_budget``
+    bounds how many probe slots one cell may grant per maintenance
+    period (shared across its users).
     """
 
     cells: Tuple[CellConfig, ...]
@@ -152,14 +153,6 @@ class NetworkScenario:
     probe_slot_budget: int = 64
     codebook_size: int = 33
     name: str = "network"
-    #: Single-link wrap (see :meth:`single_link`): when set, the lone
-    #: user's scenario/manager come from these factories verbatim.
-    link_scenario_factory: Optional[Callable[[int], object]] = field(
-        default=None, repr=False
-    )
-    link_manager_factory: Optional[Callable[[int], object]] = field(
-        default=None, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not self.cells:
@@ -178,65 +171,11 @@ class NetworkScenario:
             raise ValueError("user_range_m must satisfy 0 < min < max")
         if self.probe_slot_budget < 1:
             raise ValueError("probe_slot_budget must be >= 1")
-        if (self.link_scenario_factory is None) != (
-            self.link_manager_factory is None
-        ):
-            raise ValueError(
-                "link_scenario_factory and link_manager_factory must be "
-                "set together"
-            )
-        if self.link_scenario_factory is not None and (
-            len(self.cells) != 1 or self.num_users != 1
-        ):
-            raise ValueError(
-                "single-link factories require exactly 1 cell and 1 user"
-            )
         object.__setattr__(self, "cells", tuple(self.cells))
-
-    # ------------------------------------------------------------------
-    # construction helpers
-
-    @classmethod
-    def single_link(
-        cls,
-        scenario_factory: Callable[[int], object],
-        manager_factory: Callable[[int], object],
-        duration_s: float = 1.0,
-        sample_period_s: float = 1e-3,
-        maintenance_period_s: float = 5e-3,
-        name: str = "single-link",
-    ) -> "NetworkScenario":
-        """Wrap a link-simulator (scenario, manager) pair as a 1x1 network.
-
-        The network engine runs the wrapped factories through the exact
-        :class:`~repro.sim.link.LinkSimulator` code path with no
-        interference and a full slot share, so the resulting trace and
-        metrics are bitwise identical to today's single-link runs (the
-        differential test in ``tests/network`` enforces this).
-        """
-        return cls(
-            cells=(CellConfig(position_m=(0.0, 0.0)),),
-            num_users=1,
-            duration_s=duration_s,
-            sample_period_s=sample_period_s,
-            maintenance_period_s=maintenance_period_s,
-            name=name,
-            link_scenario_factory=scenario_factory,
-            link_manager_factory=manager_factory,
-        )
-
-    @property
-    def is_single_link(self) -> bool:
-        """True when this scenario wraps a plain link-simulator pair."""
-        return self.link_scenario_factory is not None
 
     @property
     def num_cells(self) -> int:
         return len(self.cells)
-
-    def with_options(self, **changes: object) -> "NetworkScenario":
-        """A copy of this scenario with the given fields replaced."""
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     # per-seed realization
@@ -285,8 +224,6 @@ class NetworkScenario:
         departure angle sweeps at ``v / d`` and the wall image at 60% of
         that — with the network's geometry substituted in.
         """
-        if self.is_single_link:
-            return self.link_scenario_factory(int(seed))
         cell = self.cells[int(batch.serving_cell[user_index])]
         distance = batch.serving_distance_m(user_index)
         los_angle = batch.serving_angle_rad(user_index)
@@ -329,57 +266,16 @@ class NetworkScenario:
         self, seed: int, batch: UserBatch, user_index: int
     ) -> object:
         """The per-user beam manager, seeded from the user's substream."""
-        if self.is_single_link:
-            return self.link_manager_factory(int(seed))
-        from repro.baselines import (
-            BeamSpySingleBeam,
-            OracleBeam,
-            ReactiveSingleBeam,
-            WideBeam,
-        )
-        from repro.beamtraining import ExhaustiveTrainer, HierarchicalTrainer
-        from repro.core.maintenance import MultiBeamManager
-        from repro.phy.ofdm import ChannelSounder, OfdmConfig
+        # Imported here, as in repro.serve.runner: repro.experiments sits
+        # above repro.network in the layering.
+        from repro.experiments.common import make_manager
 
         cell = self.cells[int(batch.serving_cell[user_index])]
-        array = cell.array()
-        sounder = ChannelSounder(
-            config=OfdmConfig(
-                bandwidth_hz=cell.bandwidth_hz, num_subcarriers=64
-            ),
-            rng=_user_stream(seed, _STREAM_SOUNDER, user_index),
+        return make_manager(
+            self.manager_kind,
+            _user_stream(seed, _STREAM_SOUNDER, user_index),
+            array=cell.array(),
+            bandwidth_hz=cell.bandwidth_hz,
+            num_beams=self.num_beams,
+            codebook_size=self.codebook_size,
         )
-        exhaustive = ExhaustiveTrainer(
-            codebook=uniform_codebook(array, self.codebook_size),
-            sounder=sounder,
-        )
-        kind = self.manager_kind
-        if kind == "mmreliable":
-            return MultiBeamManager(
-                array=array, sounder=sounder, trainer=exhaustive,
-                num_beams=self.num_beams,
-            )
-        if kind == "mmreliable-static":
-            return MultiBeamManager(
-                array=array, sounder=sounder, trainer=exhaustive,
-                num_beams=self.num_beams, enable_tracking=False,
-            )
-        if kind == "reactive":
-            return ReactiveSingleBeam(
-                array=array, sounder=sounder,
-                trainer=HierarchicalTrainer(
-                    array=array, sounder=sounder, num_levels=5
-                ),
-            )
-        if kind == "beamspy":
-            return BeamSpySingleBeam(
-                array=array, sounder=sounder, trainer=exhaustive
-            )
-        if kind == "widebeam":
-            return WideBeam(
-                array=array, sounder=sounder, trainer=exhaustive,
-                active_elements=3,
-            )
-        if kind == "oracle":
-            return OracleBeam(array=array, sounder=sounder)
-        raise ValueError(f"unknown manager kind {kind!r}")

@@ -18,10 +18,10 @@ one deterministic run:
    :class:`~repro.sim.metrics.LinkMetrics` so the ensemble executor
    aggregates network runs unchanged.
 
-The 1x1 wrap (:meth:`NetworkScenario.single_link`) takes the same path
-with one cell, one user, no interference, and a slot share of exactly
-``1.0`` — bitwise identical to running the wrapped factories through
-:class:`LinkSimulator` directly (enforced by the differential test).
+A 1x1 network takes the same path with one cell, one user, no
+interference, and a slot share of exactly ``1.0`` — bitwise identical to
+running its link scenario and manager through :class:`LinkSimulator`
+directly (enforced by the differential test).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.serve.jobs import (
     ServiceOverload,
     job_key,
 )
-from repro.serve.journal import JobJournal, replay_journal
+from repro.serve.journal import JobJournal, JournalFailure, replay_journal
 from repro.serve.queue import AdmissionQueue
 from repro.serve.runner import execute_job
 from repro.serve.server import JobServer, ServerStats
@@ -41,6 +41,7 @@ __all__ = [
     "AdmissionQueue",
     "JobClient",
     "JobJournal",
+    "JournalFailure",
     "JobRecord",
     "JobServer",
     "JobSpec",

@@ -7,8 +7,8 @@ hash of the fields that determine the computed result
 (:func:`job_key`): two submissions with the same key provably compute
 the same thing (the executor's output is backend-independent by
 design), so the server runs one execution and both submissions share
-it.  Serving metadata — priority class, worker count, executor retry
-budget — is deliberately excluded from the key.
+it.  Serving metadata — priority class and worker count — is
+deliberately excluded from the key.
 
 A :class:`JobRecord` is the server-side mutable lifecycle of one
 accepted submission: state machine ``pending -> running -> terminal``,
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults import FaultSpec, parse_fault_specs
@@ -113,8 +113,6 @@ class JobSpec:
     faults: Tuple[FaultSpec, ...] = ()
     #: Per-run duration for ``kind="ensemble"`` micro jobs [s].
     duration_s: float = 0.02
-    #: Executor-level retry budget threaded into ``EnsembleSpec``.
-    ensemble_retries: int = 2
     priority: str = "batch"
 
     def __post_init__(self) -> None:
@@ -138,10 +136,6 @@ class JobSpec:
             raise ValueError(
                 f"duration_s must be positive, got {self.duration_s!r}"
             )
-        if self.ensemble_retries < 0:
-            raise ValueError(
-                f"ensemble_retries must be >= 0, got {self.ensemble_retries!r}"
-            )
         faults = tuple(self.faults)
         for spec in faults:
             if not isinstance(spec, FaultSpec):
@@ -156,17 +150,12 @@ class JobSpec:
                 f"scenario must be a ScenarioSpec, got {self.scenario!r}"
             )
 
-    def with_options(self, **changes: Any) -> "JobSpec":
-        """A copy of this spec with the given fields replaced."""
-        return replace(self, **changes)
-
     def to_dict(self) -> Dict[str, object]:
         """Plain-scalar dict; :meth:`from_dict` inverts it exactly."""
         payload: Dict[str, object] = {
             "kind": self.kind,
             "workers": self.workers,
             "duration_s": self.duration_s,
-            "ensemble_retries": self.ensemble_retries,
             "priority": self.priority,
         }
         if self.experiment is not None:
@@ -184,7 +173,7 @@ class JobSpec:
         """Build a spec from a submission dict, loudly on bad keys."""
         known = {
             "kind", "experiment", "scenario", "seeds", "workers",
-            "faults", "duration_s", "ensemble_retries", "priority",
+            "faults", "duration_s", "priority",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -208,7 +197,7 @@ class JobSpec:
 #: therefore excluded from the coalescing key.  ``workers`` is excluded
 #: because the executor's output is bitwise identical at any worker
 #: count.
-_NON_CONTENT_FIELDS = frozenset({"workers", "priority", "ensemble_retries"})
+_NON_CONTENT_FIELDS = frozenset({"workers", "priority"})
 
 
 def job_key(spec: JobSpec) -> str:

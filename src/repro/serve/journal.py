@@ -16,7 +16,10 @@ into :class:`~repro.serve.jobs.JobRecord`s:
 
 A torn final line (the crash happened mid-write, so the line has no
 newline) is dropped rather than poisoning the replay, and the first
-append of the next session cuts it off the file before writing.
+append of the next session cuts it off the file before writing.  An
+append that cannot reach the file (full disk, ``EIO``, permissions)
+raises :class:`JournalFailure`, and so does every later append on the
+same journal: no op can land after one that was lost.
 
 Op vocabulary (one JSON object per line)::
 
@@ -39,7 +42,7 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from repro.serve.jobs import JobRecord, JobSpec, JobState
 
-__all__ = ["JobJournal", "replay_journal"]
+__all__ = ["JobJournal", "JournalFailure", "replay_journal"]
 
 _OPS = ("submit", "coalesce", "start", "done", "shed")
 
@@ -66,6 +69,10 @@ def _cut_torn_tail(path: str) -> None:
         os.fsync(stream.fileno())
 
 
+class JournalFailure(RuntimeError):
+    """An append did not reach the journal; the journal takes no more."""
+
+
 class JobJournal:
     """Append-only JSONL journal with crash-safe replay.
 
@@ -82,6 +89,7 @@ class JobJournal:
         self.path = str(path)
         self.sync = bool(sync)
         self._stream: Optional[TextIO] = None
+        self._failure: Optional[JournalFailure] = None
 
     # ------------------------------------------------------------------
     # writing
@@ -95,18 +103,30 @@ class JobJournal:
         return self._stream
 
     def append(self, op: str, **fields: Any) -> None:
-        """Durably append one op line."""
+        """Durably append one op line; raises :class:`JournalFailure`
+        when it cannot, and on every append after such a failure."""
         if op not in _OPS:
             raise ValueError(
                 f"unknown journal op {op!r}; expected one of {', '.join(_OPS)}"
             )
+        if self._failure is not None:
+            raise JournalFailure(
+                f"{self.path}: no appends after a failed one ({self._failure})"
+            )
         record: Dict[str, Any] = {"op": op}
         record.update(fields)
-        stream = self._ensure_open()
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
-        stream.flush()
-        if self.sync:
-            os.fsync(stream.fileno())
+        line = json.dumps(record, sort_keys=True) + "\n"
+        try:
+            stream = self._ensure_open()
+            stream.write(line)
+            stream.flush()
+            if self.sync:
+                os.fsync(stream.fileno())
+        except OSError as error:
+            self._failure = JournalFailure(
+                f"cannot append to {self.path}: {error}"
+            )
+            raise self._failure from error
 
     def close(self) -> None:
         if self._stream is not None and not self._stream.closed:
@@ -166,13 +186,15 @@ class JobJournal:
             if op == "submit":
                 job = dict(payload["job"])
                 # Older journals may carry keys the job spec has lost:
-                # "backend" (a compute backend to serve it) and
-                # "deadline_s" (a bound on the server's retry loop).
-                # Neither was part of the job key, so dropping them
-                # replays the same job; new submissions naming them are
-                # still rejected.
+                # "backend" (a compute backend to serve it),
+                # "deadline_s" (a bound on the server's retry loop) and
+                # "ensemble_retries" (the executor's seed-run retries).
+                # None was part of the job key, so dropping them replays
+                # the same job; new submissions naming them are still
+                # rejected.
                 job.pop("backend", None)
                 job.pop("deadline_s", None)
+                job.pop("ensemble_retries", None)
                 spec = JobSpec.from_dict(job)
                 records[job_id] = JobRecord(
                     job_id=job_id,

@@ -6,7 +6,7 @@ same way — by deciding, at admission time, which work it will not do.
 The policy, cheapest rejection first:
 
 1. **Soft shedding** — above ``shed_threshold`` occupancy, arrivals in
-   the classes below ``protect_priority`` (default: everything but
+   every class below :data:`PROTECTED_PRIORITY` (everything but
    ``interactive``) are rejected immediately with a structured
    :class:`~repro.serve.jobs.ServiceOverload`.  Rejecting an un-queued
    job costs one hash and one JSON line; rejecting it later costs a
@@ -30,7 +30,10 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.serve.jobs import PRIORITIES, JobRecord, ServiceOverload
 
-__all__ = ["AdmissionQueue"]
+__all__ = ["AdmissionQueue", "PROTECTED_PRIORITY"]
+
+#: The worst class still admitted during soft shedding.
+PROTECTED_PRIORITY = "interactive"
 
 
 def _rank(priority: str) -> int:
@@ -46,31 +49,18 @@ class AdmissionQueue:
         Hard queue bound; admission beyond it requires an eviction.
     shed_threshold:
         Occupancy fraction in ``(0, 1]`` at which soft shedding of
-        non-protected classes begins.
-    protect_priority:
-        The worst class still admitted during soft shedding.
+        classes below :data:`PROTECTED_PRIORITY` begins.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 64,
-        shed_threshold: float = 0.75,
-        protect_priority: str = "interactive",
-    ) -> None:
+    def __init__(self, maxsize: int = 64, shed_threshold: float = 0.75) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize!r}")
         if not 0.0 < shed_threshold <= 1.0:
             raise ValueError(
                 f"shed_threshold must be in (0, 1], got {shed_threshold!r}"
             )
-        if protect_priority not in PRIORITIES:
-            raise ValueError(
-                f"unknown priority {protect_priority!r}; expected one of "
-                f"{', '.join(PRIORITIES)}"
-            )
         self.maxsize = int(maxsize)
         self.shed_threshold = float(shed_threshold)
-        self.protect_rank = _rank(protect_priority)
         self._sequence = itertools.count()
         #: Min-heap of (priority_rank, seq, record); lazily pruned of
         #: entries whose record was evicted.
@@ -124,7 +114,7 @@ class AdmissionQueue:
         if (
             self._live < self.maxsize
             and self.occupancy >= self.shed_threshold
-            and rank > self.protect_rank
+            and rank > _rank(PROTECTED_PRIORITY)
         ):
             raise ServiceOverload(
                 reason=(

@@ -5,8 +5,8 @@ through the experiment registry (and from there through the ensemble
 executor where the experiment has one), ``kind="ensemble"`` builds a
 micro link ensemble directly on :func:`execute_ensemble`.  The micro
 path exists so load tests and health probes can push many cheap jobs
-through the *real* pipeline (process pool, fault injection, retries)
-without paying for a full figure reproduction per job.
+through the *real* pipeline (process pool, fault injection, failure
+budget) without paying for a full figure reproduction per job.
 
 Everything here is synchronous and runs on a server worker thread; the
 asyncio layer never blocks on it.  Module-level factories keep the
@@ -52,18 +52,21 @@ def _micro_manager(seed: int) -> object:
 def _run_ensemble_job(spec: JobSpec) -> Dict[str, Any]:
     from repro.sim.executor import EnsembleSpec, execute_ensemble
     from repro.sim.export import to_jsonable
+    from repro.sim.link import build_link_simulator
 
     duration_s = max(_MIN_DURATION_S, spec.duration_s)
     seeds = spec.seeds if spec.seeds is not None else 2
     ensemble = EnsembleSpec(
         label="serve-ensemble",
-        scenario_factory=partial(_micro_scenario, duration_s),
-        manager_factory=_micro_manager,
+        simulator_factory=partial(
+            build_link_simulator,
+            partial(_micro_scenario, duration_s),
+            _micro_manager,
+            duration_s,
+        ),
         seeds=range(seeds),
-        duration_s=duration_s,
         workers=spec.workers,
         faults=spec.faults,
-        max_retries=spec.ensemble_retries,
     )
     summary = execute_ensemble(ensemble)
     return {

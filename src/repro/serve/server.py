@@ -14,18 +14,18 @@ returned.  The reliability ledger:
 * **Durability** — every transition is journaled (flushed + fsynced)
   *before* the server acknowledges it; a ``kill -9`` at any instant is
   recovered by :meth:`JobServer.start`'s journal replay.  Execution is
-  at-least-once, the terminal state exactly-once.
+  at-least-once, the terminal state exactly-once.  An append that fails
+  stops the server: the submitter gets a ``journal_failed`` error, and
+  replay on restart rebuilds every state the journal holds.
 * **Coalescing** — submissions are keyed on the content hash of the
   result-determining spec fields (:func:`repro.serve.jobs.job_key`);
   a duplicate of a pending/running job joins that execution, and a
   duplicate of a *succeeded* job is served straight from the record.
-* **One retry owner per failure** — the ensemble executor retries
-  failed seed-runs (``ensemble_retries``) and absorbs a broken process
-  pool; journal replay re-runs jobs a server crash interrupted; every
-  other failure is a terminal ``failed`` carrying its error.  The
-  server never re-runs a job that raised: a re-run restarts the
-  executor at attempt 0, which redraws the same chaos and repeats the
-  same error.
+* **One retry owner per failure** — journal replay re-runs jobs a
+  server crash interrupted, and the ensemble executor absorbs a broken
+  process pool; every other failure is a terminal ``failed`` carrying
+  its error.  Nothing re-runs a job or a seed-run that raised: each run
+  is a pure function of its seed and would repeat the same error.
 * **Backpressure** — admission control and priority-aware shedding
   live in :class:`repro.serve.queue.AdmissionQueue`; rejected arrivals
   get a structured overload payload, evicted jobs a terminal ``shed``
@@ -59,7 +59,7 @@ from repro.serve.jobs import (
     ServiceOverload,
     job_key,
 )
-from repro.serve.journal import JobJournal
+from repro.serve.journal import JobJournal, JournalFailure
 from repro.serve.queue import AdmissionQueue
 from repro.serve.runner import execute_job
 from repro.telemetry import EventKind, get_recorder
@@ -70,9 +70,8 @@ __all__ = ["JobServer", "ServerStats"]
 class ServerStats:
     """Monotonic serving counters (JSON-safe snapshot via to_dict).
 
-    ``retries`` always reads 0: the server re-runs no failed job (the
-    executor retries seed-runs inside one execution).  The key stays so
-    existing stats readers keep working.
+    ``retries`` always reads 0: nothing re-runs a failed job or
+    seed-run.  The key stays so existing stats readers keep working.
     """
 
     __slots__ = (
@@ -108,7 +107,7 @@ class JobServer:
     job_workers:
         Concurrent executions.  ``0`` accepts-but-never-runs, which is
         the hook restart/replay tests use to freeze a queue.
-    queue_limit, shed_threshold, protect_priority:
+    queue_limit, shed_threshold:
         Admission-control knobs (see :class:`AdmissionQueue`).
     journal_sync:
         fsync every journal append (leave on outside benchmarks).
@@ -122,7 +121,6 @@ class JobServer:
         job_workers: int = 2,
         queue_limit: int = 64,
         shed_threshold: float = 0.75,
-        protect_priority: str = "interactive",
         journal_sync: bool = True,
     ) -> None:
         if job_workers < 0:
@@ -131,9 +129,7 @@ class JobServer:
         self.port = int(port)
         self.job_workers = int(job_workers)
         self.queue = AdmissionQueue(
-            maxsize=queue_limit,
-            shed_threshold=shed_threshold,
-            protect_priority=protect_priority,
+            maxsize=queue_limit, shed_threshold=shed_threshold
         )
         self.journal = JobJournal(journal_path, sync=journal_sync)
         self.records: Dict[str, JobRecord] = {}
@@ -153,6 +149,9 @@ class JobServer:
         self._sanitizer: Optional[sanitize.LoopLagMonitor] = None
         self._stopping = False
         self._stopped = asyncio.Event()
+        #: The failed journal append that stopped the server, if any.
+        self.journal_failure: Optional[JournalFailure] = None
+        self._failure_stop: Optional["asyncio.Future[None]"] = None
 
     # ------------------------------------------------------------------
     # clocks and bookkeeping helpers
@@ -220,9 +219,13 @@ class JobServer:
             record = records[job_id]
             self._active[record.key] = job_id
             self.queue.requeue(record)
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.host, port=self.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_client, host=self.host, port=self.port
+            )
+        except OSError:
+            await self.stop()
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
         self._workers = [
             asyncio.create_task(self._worker_loop(index))
@@ -278,18 +281,30 @@ class JobServer:
         cancelling a worker) must not cancel an append still queued
         behind another fsync, or the transition it records would be
         lost.  ``stop()`` drains the journal thread before closing.
+
+        A failed append stops the server and re-raises the
+        :class:`JournalFailure` to the caller, which sends no
+        acknowledgement.  The journal takes no later append, so what it
+        holds stays replayable.
         """
         assert self._journal_executor is not None
         loop = asyncio.get_running_loop()
-        # Unbounded on purpose: the journal thread cannot be interrupted
-        # mid-fsync, so a timeout would free nothing; it would only kill
-        # the awaiting worker while the append still lands.
-        await asyncio.shield(
-            loop.run_in_executor(
-                self._journal_executor,
-                functools.partial(self.journal.append, op, **fields),
+        try:
+            # Unbounded on purpose: the journal thread cannot be
+            # interrupted mid-fsync, so a timeout would free nothing; it
+            # would only kill the awaiting worker while the append
+            # still lands.
+            await asyncio.shield(
+                loop.run_in_executor(
+                    self._journal_executor,
+                    functools.partial(self.journal.append, op, **fields),
+                )
             )
-        )
+        except JournalFailure as failure:
+            if self.journal_failure is None:
+                self.journal_failure = failure
+                self._failure_stop = asyncio.ensure_future(self.stop())
+            raise
 
     # ------------------------------------------------------------------
     # submission path
@@ -314,6 +329,14 @@ class JobServer:
 
     async def submit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Admit one submission; returns the wire response payload."""
+        try:
+            return await self._admit(payload)
+        except JournalFailure as failure:
+            return {
+                "ok": False, "error": "journal_failed", "reason": str(failure),
+            }
+
+    async def _admit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         try:
             spec = JobSpec.from_dict(payload)
         except (TypeError, ValueError, KeyError) as error:
@@ -419,7 +442,10 @@ class JobServer:
                 record = self.queue.pop()
             if record is None or record.terminal:
                 continue
-            await self._execute(record)
+            try:
+                await self._execute(record)
+            except JournalFailure:
+                return  # the server is stopping; replay resumes the job
 
     async def _execute(self, record: JobRecord) -> None:
         loop = asyncio.get_running_loop()

@@ -22,7 +22,7 @@ from repro.sim.scenarios import (
     indoor_two_path_scenario,
     indoor_mobile_scenario,
 )
-from repro.sim.link import LinkSimulator, SimulationTrace
+from repro.sim.link import LinkSimulator, SimulationTrace, build_link_simulator
 from repro.sim.executor import (
     EnsembleError,
     EnsembleSpec,
@@ -64,6 +64,7 @@ __all__ = [
     "indoor_mobile_scenario",
     "LinkSimulator",
     "SimulationTrace",
+    "build_link_simulator",
     "ScenarioSpec",
     "available_scenarios",
     "get_scenario_spec",

@@ -29,7 +29,7 @@ import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +40,6 @@ from repro.faults import (
     FaultTarget,
     InjectedWorkerCrash,
 )
-from repro.sim.link import LinkSimulator
 from repro.sim.metrics import LinkMetrics
 from repro.telemetry import (
     Event,
@@ -68,11 +67,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunFailure:
-    """One seed-run attempt that raised instead of producing metrics.
+    """One seed-run that raised instead of producing metrics.
 
     ``kind`` classifies the failure: ``"error"`` (the simulation raised)
     or ``"crash"`` (the worker process died or injected chaos killed it).
-    ``attempt`` is the retry counter of the attempt that failed.
     """
 
     seed: int
@@ -80,7 +78,6 @@ class RunFailure:
     traceback: str
     elapsed_s: float
     kind: str = "error"
-    attempt: int = 0
 
     def __str__(self) -> str:
         return f"seed {self.seed}: {self.error}"
@@ -93,7 +90,7 @@ class ExecutorStats:
     ``workers`` is the number of workers *actually used* — the pool is
     never wider than the seed count, and the serial backend always uses
     one — so :attr:`utilization` reflects real pool occupancy.
-    ``run_times_s`` includes every attempt (retries are real cost).
+    ``run_times_s`` holds one wall time per seed, failed runs included.
     """
 
     backend: str
@@ -102,9 +99,8 @@ class ExecutorStats:
     failed_runs: int
     wall_time_s: float
     run_times_s: Tuple[float, ...]
-    #: Retry accounting (deterministic: same spec -> same counts).
+    #: Always 0: every seed runs exactly once.  Kept for stats readers.
     total_retries: int = 0
-    retried_runs: int = 0
     #: Runs executed on the in-process serial path after the process
     #: pool broke (``BrokenProcessPool`` fallback).
     serial_fallback_runs: int = 0
@@ -145,11 +141,6 @@ class ExecutorStats:
             f"({self.runs_per_second:.1f} runs/s, "
             f"utilization {self.utilization:.0%})"
         )
-        if self.total_retries:
-            line += (
-                f" [{self.total_retries} retr{'y' if self.total_retries == 1 else 'ies'}"
-                f" over {self.retried_runs} run(s)]"
-            )
         if self.serial_fallback_runs:
             line += f" [{self.serial_fallback_runs} serial-fallback run(s)]"
         return line
@@ -220,46 +211,29 @@ class EnsembleSummary:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Everything needed to run one (scenario, manager) ensemble.
+    """Everything needed to run one ensemble: a simulator per seed.
 
-    Both factories receive the seed so scenario randomness (blockage
-    timing, environment draw) and manager randomness (probe noise) are
-    reproducible per run.  For ``workers > 1`` the factories must be
-    picklable (module-level functions or :func:`functools.partial` over
-    them); non-picklable factories fall back to the serial path with a
-    warning.
-
-    Instead of the (scenario, manager) factory pair, a spec may carry a
-    ``simulator_factory`` building a whole simulator from the seed —
-    anything whose ``run()`` returns a trace with a ``metrics()`` method
-    and which implements the :class:`repro.faults.FaultTarget` protocol.
-    This is how :class:`repro.network.simulator.NetworkSimulator`
-    ensembles reuse the executor unchanged.
+    ``simulator_factory(seed)`` builds the whole run — anything whose
+    ``run()`` returns a trace with a ``metrics()`` method and which
+    implements the :class:`repro.faults.FaultTarget` protocol.  Link
+    ensembles pass ``partial(build_link_simulator, scenario_factory,
+    manager_factory, duration_s)`` (see :mod:`repro.sim.link`); network
+    ensembles pass ``partial(build_network_simulator, scenario)``.  For
+    ``workers > 1`` the factory must be picklable (module-level
+    functions or :func:`functools.partial` over them); a factory that
+    cannot be pickled falls back to the serial path with a warning.
     """
 
     label: str
-    scenario_factory: Optional[Callable[[int], object]] = None
-    manager_factory: Optional[Callable[[int], object]] = None
+    simulator_factory: Callable[[int], object]
     seeds: Tuple[int, ...] = ()
-    duration_s: float = 1.0
-    sample_period_s: float = 1e-3
-    maintenance_period_s: float = 5e-3
     workers: int = 1
     max_failure_fraction: float = 0.5
-    #: How many times a failed seed-run is re-attempted.  Retries are
-    #: deterministic: the retry schedule depends only on the spec, and
-    #: each attempt passes its index to the fault injector so injected
-    #: executor chaos redraws per attempt.
-    max_retries: int = 0
     #: Fault-injection campaign applied inside every run (a
-    #: :class:`repro.faults.FaultInjector` is built per ``(seed,
-    #: attempt)``).  Empty means no injector at all; all-zero rates are
-    #: bitwise identical to that.
+    #: :class:`repro.faults.FaultInjector` is built per seed).  Empty
+    #: means no injector at all; all-zero rates are bitwise identical
+    #: to that.
     faults: Tuple[FaultSpec, ...] = ()
-    #: Build a complete simulator (a :class:`repro.faults.FaultTarget`
-    #: with ``run()``) from the seed, instead of the link-simulator
-    #: (scenario, manager) pair.  Mutually exclusive with the factories.
-    simulator_factory: Optional[Callable[[int], object]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -267,20 +241,6 @@ class EnsembleSpec:
         )
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.simulator_factory is not None:
-            if (
-                self.scenario_factory is not None
-                or self.manager_factory is not None
-            ):
-                raise ValueError(
-                    "simulator_factory is mutually exclusive with the "
-                    "scenario_factory/manager_factory pair"
-                )
-        elif self.scenario_factory is None or self.manager_factory is None:
-            raise ValueError(
-                "need either simulator_factory or both scenario_factory "
-                "and manager_factory"
-            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if not 0.0 <= self.max_failure_fraction <= 1.0:
@@ -288,19 +248,11 @@ class EnsembleSpec:
                 "max_failure_fraction must be in [0, 1], got "
                 f"{self.max_failure_fraction!r}"
             )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries!r}"
-            )
         faults = tuple(self.faults)
         for spec in faults:
             if not isinstance(spec, FaultSpec):
                 raise TypeError(f"faults must be FaultSpec instances, got {spec!r}")
         object.__setattr__(self, "faults", faults)
-
-    def with_options(self, **changes) -> "EnsembleSpec":
-        """A copy of this spec with the given fields replaced."""
-        return replace(self, **changes)
 
 
 class EnsembleError(RuntimeError):
@@ -342,13 +294,11 @@ def _run_one_seed(payload: tuple) -> tuple:
     its events ship back as plain picklable data.
 
     When the payload carries fault specs, a :class:`FaultInjector` keyed
-    by ``(seed, attempt)`` is built first: executor chaos (slow run,
-    injected worker crash) applies before the simulation, and the
-    injector is installed on the manager/sounder for in-run faults.
+    by the seed is built first: executor chaos (slow run, injected
+    worker crash) applies before the simulation, and the injector is
+    installed on the simulator for in-run faults.
     """
-    (seed, label, scenario_factory, manager_factory, simulator_factory,
-     duration_s, sample_period_s, maintenance_period_s, collect_telemetry,
-     faults, attempt) = payload
+    seed, label, simulator_factory, collect_telemetry, faults = payload
     started = time.perf_counter()
     recorder = (
         TelemetryRecorder(scope=f"{label}/seed{int(seed)}")
@@ -361,28 +311,15 @@ def _run_one_seed(payload: tuple) -> tuple:
     try:
         injector = None
         if faults:
-            injector = FaultInjector(
-                seed=int(seed), specs=faults, attempt=int(attempt)
-            )
+            injector = FaultInjector(seed=int(seed), specs=faults)
             delay_s = injector.chaos_delay_s()
             if delay_s > 0.0:
                 time.sleep(delay_s)
             if injector.chaos_crash():
                 raise InjectedWorkerCrash(
-                    f"injected worker crash (seed {int(seed)}, "
-                    f"attempt {int(attempt)})"
+                    f"injected worker crash (seed {int(seed)})"
                 )
-        simulator: FaultTarget
-        if simulator_factory is not None:
-            simulator = simulator_factory(int(seed))
-        else:
-            simulator = LinkSimulator(
-                scenario=scenario_factory(int(seed)),
-                manager=manager_factory(int(seed)),
-                duration_s=duration_s,
-                sample_period_s=sample_period_s,
-                maintenance_period_s=maintenance_period_s,
-            )
+        simulator: FaultTarget = simulator_factory(int(seed))
         if injector is not None:
             simulator.install_fault_injector(injector)
         metrics = simulator.run().metrics()
@@ -395,7 +332,6 @@ def _run_one_seed(payload: tuple) -> tuple:
                 traceback=traceback.format_exc(),
                 elapsed_s=time.perf_counter() - started,
                 kind="crash" if isinstance(error, InjectedWorkerCrash) else "error",
-                attempt=int(attempt),
             ),
         )
     finally:
@@ -414,12 +350,10 @@ def _run_one_seed(payload: tuple) -> tuple:
 def _resolve_backend(spec: EnsembleSpec) -> str:
     if spec.workers <= 1 or len(spec.seeds) <= 1:
         return "serial"
-    if not _is_picklable(
-        (spec.scenario_factory, spec.manager_factory, spec.simulator_factory)
-    ):
+    if not _is_picklable(spec.simulator_factory):
         warnings.warn(
-            f"ensemble {spec.label!r}: factories are not picklable "
-            "(closures/lambdas?); falling back to serial execution. "
+            f"ensemble {spec.label!r}: simulator_factory is not picklable "
+            "(closure/lambda?); falling back to serial execution. "
             "Use module-level functions or functools.partial to enable "
             f"workers={spec.workers}.",
             RuntimeWarning,
@@ -427,24 +361,6 @@ def _resolve_backend(spec: EnsembleSpec) -> str:
         )
         return "serial"
     return "process"
-
-
-def _make_payload(
-    spec: EnsembleSpec, seed: int, collect_telemetry: bool, attempt: int
-) -> tuple:
-    return (
-        seed,
-        spec.label,
-        spec.scenario_factory,
-        spec.manager_factory,
-        spec.simulator_factory,
-        spec.duration_s,
-        spec.sample_period_s,
-        spec.maintenance_period_s,
-        collect_telemetry,
-        spec.faults,
-        attempt,
-    )
 
 
 def _run_process_batch(
@@ -486,7 +402,6 @@ def _run_process_batch(
                                 traceback="",
                                 elapsed_s=0.0,
                                 kind="crash",
-                                attempt=int(payload[-1]),
                             ),
                         )
             except (KeyboardInterrupt, SystemExit):
@@ -499,16 +414,16 @@ def _run_process_batch(
 
 
 def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
-    """Run every seed of ``spec`` and summarize the distribution.
+    """Run every seed of ``spec`` once and summarize the distribution.
 
     Seeds run in parallel when ``spec.workers > 1`` (process pool), with
     results collected in seed order so the output is independent of the
-    backend.  Failed seeds are retried up to ``spec.max_retries`` times
-    (each attempt's index feeds the fault injector, so injected chaos
-    redraws); a broken process pool drops the remaining seeds onto the
-    serial path instead of aborting.  Raises :class:`EnsembleError` when
-    the failed fraction exceeds ``spec.max_failure_fraction`` or no run
-    succeeded.
+    backend.  A seed-run that raises becomes a :class:`RunFailure`;
+    nothing re-runs it, because a run is a pure function of its seed and
+    would only replay the same failure.  A broken process pool drops the
+    remaining seeds onto the serial path instead of aborting.  Raises
+    :class:`EnsembleError` when the failed fraction exceeds
+    ``spec.max_failure_fraction`` or no run succeeded.
     """
     backend = _resolve_backend(spec)
     parent_recorder = get_recorder()
@@ -518,93 +433,58 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
     )
     started = time.perf_counter()
 
-    outcomes: Dict[int, tuple] = {}
-    last_failure: Dict[int, RunFailure] = {}
-    run_times: List[float] = []
-    total_retries = 0
-    retried_indexes: set = set()
-    serial_fallback_runs = 0
-    pool_broken = False
-
-    pending: List[Tuple[int, int, int]] = [
-        (index, seed, 0) for index, seed in enumerate(spec.seeds)
+    items = [
+        (
+            index,
+            (seed, spec.label, spec.simulator_factory, collect_telemetry,
+             spec.faults),
+        )
+        for index, seed in enumerate(spec.seeds)
     ]
-    for _round in range(spec.max_retries + 1):
-        if not pending:
-            break
-        if _round > 0:
-            total_retries += len(pending)
-            for index, seed, attempt in pending:
-                retried_indexes.add(index)
-                if parent_recorder.enabled:
-                    parent_recorder.emit(
-                        EventKind.RUN_RETRY,
-                        0.0,
-                        label=spec.label,
-                        seed=int(seed),
-                        attempt=int(attempt),
-                        error=last_failure[index].error,
-                    )
-        items = [
-            (index, _make_payload(spec, seed, collect_telemetry, attempt))
-            for index, seed, attempt in pending
-        ]
-        results: Dict[int, tuple] = {}
-        if backend == "process" and not pool_broken:
-            results, leftover, broke = _run_process_batch(
-                items, actual_workers
-            )
-            if broke:
-                # The pool is gone (a worker died hard).  Finish the
-                # orphaned items in-process rather than giving up.
-                pool_broken = True
-                if parent_recorder.enabled:
-                    parent_recorder.emit(
-                        EventKind.FALLBACK_ENGAGED,
-                        0.0,
-                        fallback="serial_executor",
-                        label=spec.label,
-                        remaining=len(leftover),
-                    )
-                for index, payload in leftover:
-                    results[index] = _run_one_seed(payload)
-                    serial_fallback_runs += 1
-        else:
-            for index, payload in items:
+    serial_fallback_runs = 0
+    if backend == "process":
+        results, leftover, broke = _run_process_batch(items, actual_workers)
+        if broke:
+            # The pool is gone (a worker died hard).  Finish the
+            # orphaned items in-process rather than giving up.
+            if parent_recorder.enabled:
+                parent_recorder.emit(
+                    EventKind.FALLBACK_ENGAGED,
+                    0.0,
+                    fallback="serial_executor",
+                    label=spec.label,
+                    remaining=len(leftover),
+                )
+            for index, payload in leftover:
                 results[index] = _run_one_seed(payload)
-                if pool_broken:
-                    serial_fallback_runs += 1
-        next_pending: List[Tuple[int, int, int]] = []
-        for index, seed, attempt in pending:
-            outcome = results[index]
-            if outcome[0] == "success":
-                outcomes[index] = outcome
-                run_times.append(outcome[3])
-                last_failure.pop(index, None)
-            else:
-                failure = outcome[1]
-                run_times.append(failure.elapsed_s)
-                last_failure[index] = failure
-                next_pending.append((index, seed, attempt + 1))
-        pending = next_pending
+                serial_fallback_runs += 1
+    else:
+        results = {index: _run_one_seed(payload) for index, payload in items}
     wall_time_s = time.perf_counter() - started
 
     metrics: List[LinkMetrics] = []
     run_events: List[Event] = []
-    for index in sorted(outcomes):
-        _, _, run_metrics, _elapsed_s, events = outcomes[index]
-        metrics.append(run_metrics)
-        if events is not None:
-            run_events.extend(events)
+    failures: List[RunFailure] = []
+    run_times: List[float] = []
+    for index in range(len(items)):
+        outcome = results[index]
+        if outcome[0] == "success":
+            _, _, run_metrics, elapsed_s, events = outcome
+            metrics.append(run_metrics)
+            run_times.append(elapsed_s)
+            if events is not None:
+                run_events.extend(events)
+        else:
+            failures.append(outcome[1])
+            run_times.append(outcome[1].elapsed_s)
     if collect_telemetry:
         # Per-seed logs flow back into the caller's trace, in seed order.
         parent_recorder.absorb(run_events)
-    failures = tuple(last_failure[index] for index in sorted(last_failure))
 
     total = len(spec.seeds)
     fraction = len(failures) / total
     if not metrics or fraction > spec.max_failure_fraction:
-        raise EnsembleError(spec.label, failures, total)
+        raise EnsembleError(spec.label, tuple(failures), total)
 
     stats = ExecutorStats(
         backend=backend,
@@ -613,14 +493,12 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
         failed_runs=len(failures),
         wall_time_s=wall_time_s,
         run_times_s=tuple(run_times),
-        total_retries=total_retries,
-        retried_runs=len(retried_indexes),
         serial_fallback_runs=serial_fallback_runs,
     )
     return EnsembleSummary(
         label=spec.label,
         metrics=tuple(metrics),
-        failures=failures,
+        failures=tuple(failures),
         stats=stats,
         telemetry=(
             TelemetrySummary.from_events(run_events)

@@ -36,7 +36,7 @@ float accumulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,6 +84,27 @@ class SimulationTrace:
             probe_airtime_s=self.probe_airtime_s,
             **kwargs,
         )
+
+
+def build_link_simulator(
+    scenario_factory: Callable[[int], object],
+    manager_factory: Callable[[int], object],
+    duration_s: float,
+    seed: int,
+) -> "LinkSimulator":
+    """Module-level simulator factory for link ensemble specs.
+
+    ``functools.partial(build_link_simulator, scenario_factory,
+    manager_factory, duration_s)`` is picklable whenever both factories
+    are, so link ensembles can use the executor's process pool.  The
+    scenario is built before the manager, and both receive the seed.
+    """
+    scenario = scenario_factory(int(seed))
+    return LinkSimulator(
+        scenario=scenario,
+        manager=manager_factory(int(seed)),
+        duration_s=duration_s,
+    )
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Tuple
 
 __all__ = [
@@ -91,10 +91,6 @@ class ScenarioSpec:
         if "name" not in payload:
             raise ValueError("scenario spec requires a 'name'")
         return cls(**payload)
-
-    def with_options(self, **changes) -> "ScenarioSpec":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
 
     def to_network_scenario(self):
         """The runnable :class:`~repro.network.NetworkScenario`."""

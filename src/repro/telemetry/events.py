@@ -56,8 +56,6 @@ class EventKind:
     FALLBACK_ENGAGED = "fallback_engaged"
     #: The tracking-divergence watchdog forced a full retrain.
     WATCHDOG_TRIP = "watchdog_trip"
-    #: The executor re-queued a failed run for another attempt.
-    RUN_RETRY = "run_retry"
     #: A cell's slot plan was drawn up (network engine, per cell).
     SLOT_SCHEDULED = "slot_scheduled"
     #: Inter-cell interference was recomputed at an epoch boundary.

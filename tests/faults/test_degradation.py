@@ -21,7 +21,7 @@ from repro.experiments.fig18_end2end import _mobile_scenario
 from repro.faults import FaultInjector, FaultSpec, wire_manager_faults
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
 from repro.sim.executor import EnsembleSpec, execute_ensemble
-from repro.sim.link import LinkSimulator
+from repro.sim.link import LinkSimulator, build_link_simulator
 from repro.sim.scenarios import two_path_channel
 
 ARRAY = UniformLinearArray(num_elements=8)
@@ -224,13 +224,16 @@ class TestEnsembleAcceptance:
         summary = execute_ensemble(
             EnsembleSpec(
                 label="mmreliable-chaos",
-                scenario_factory=partial(
-                    _mobile_scenario, speed_mps=1.5,
-                    blockage_depth_db=30.0, distance_m=25.0,
+                simulator_factory=partial(
+                    build_link_simulator,
+                    partial(
+                        _mobile_scenario, speed_mps=1.5,
+                        blockage_depth_db=30.0, distance_m=25.0,
+                    ),
+                    partial(make_manager, "mmreliable"),
+                    0.2,
                 ),
-                manager_factory=partial(make_manager, "mmreliable"),
                 seeds=range(4),
-                duration_s=0.2,
                 workers=2,
                 max_failure_fraction=1.0,
                 faults=(FaultSpec(kind="probe_loss", rate=0.3),),

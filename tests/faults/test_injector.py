@@ -12,8 +12,8 @@ from repro.faults import (
 )
 
 
-def make_injector(*specs, seed=7, attempt=0):
-    return FaultInjector(seed=seed, specs=specs, attempt=attempt)
+def make_injector(*specs, seed=7):
+    return FaultInjector(seed=seed, specs=specs)
 
 
 def sample_csi(rng_seed=0, n=32):
@@ -77,8 +77,8 @@ class TestDeterminism:
         FaultSpec(kind="probe_corruption", rate=0.2),
     )
 
-    def _schedule(self, seed, attempt=0, rounds=50):
-        injector = FaultInjector(seed=seed, specs=self.SPECS, attempt=attempt)
+    def _schedule(self, seed, rounds=50):
+        injector = FaultInjector(seed=seed, specs=self.SPECS)
         for i in range(rounds):
             injector.filter_probe(sample_csi(i), time_s=i * 1e-3)
         return list(injector.injected)
@@ -88,12 +88,6 @@ class TestDeterminism:
 
     def test_different_seed_different_schedule(self):
         assert self._schedule(seed=11) != self._schedule(seed=12)
-
-    def test_attempt_does_not_shift_probe_streams(self):
-        # Only chaos kinds are keyed by attempt.
-        assert self._schedule(seed=11, attempt=0) == self._schedule(
-            seed=11, attempt=3
-        )
 
     def test_kind_streams_are_independent(self):
         # Adding a second kind must not shift the first kind's schedule.
@@ -201,15 +195,34 @@ class TestChaosFaults:
         injector = make_injector(FaultSpec(kind="worker_crash", rate=0.5))
         assert injector.chaos_crash() == injector.chaos_crash()
 
-    def test_attempt_redraws_chaos(self):
-        # At rate 0.5 the crash decision must vary across attempts (this
-        # is what makes max_retries able to recover from injected chaos).
+    def test_chaos_is_keyed_by_seed(self):
+        # Chaos streams are keyed (salt, seed, kind) like every other
+        # kind: a seed's crash decision never changes, and at rate 0.5
+        # it varies across seeds.
         spec = FaultSpec(kind="worker_crash", rate=0.5)
-        draws = {
-            FaultInjector(seed=3, specs=(spec,), attempt=a).chaos_crash()
-            for a in range(16)
-        }
-        assert draws == {True, False}
+        draws = [
+            FaultInjector(seed=seed, specs=(spec,)).chaos_crash()
+            for seed in range(16)
+        ]
+        assert set(draws) == {True, False}
+        assert draws == [
+            FaultInjector(seed=seed, specs=(spec,)).chaos_crash()
+            for seed in range(16)
+        ]
+
+    def test_crash_event_names_no_attempt(self):
+        from repro.telemetry import TelemetryRecorder, use_recorder
+
+        injector = make_injector(FaultSpec(kind="worker_crash", rate=1.0))
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            assert injector.chaos_crash()
+        (event,) = recorder.events
+        assert event.fields == {"fault": "worker_crash"}
+
+    def test_attempt_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="attempt"):
+            FaultInjector(seed=3, specs=(), attempt=1)
 
     def test_injected_crash_is_runtime_error(self):
         assert issubclass(InjectedWorkerCrash, RuntimeError)

@@ -15,19 +15,23 @@ from repro.experiments.common import make_manager
 from repro.experiments.fig18_end2end import _mobile_scenario
 from repro.faults import FaultInjector, FaultSpec
 from repro.sim.executor import EnsembleSpec, execute_ensemble
+from repro.sim.link import build_link_simulator
 from repro.telemetry import TelemetryRecorder, use_recorder
 
 
 def chaos_spec(faults=(), workers=1, seeds=range(4)):
     return EnsembleSpec(
         label="stability",
-        scenario_factory=partial(
-            _mobile_scenario, speed_mps=1.5, blockage_depth_db=30.0,
-            distance_m=25.0,
+        simulator_factory=partial(
+            build_link_simulator,
+            partial(
+                _mobile_scenario, speed_mps=1.5, blockage_depth_db=30.0,
+                distance_m=25.0,
+            ),
+            partial(make_manager, "mmreliable"),
+            0.1,
         ),
-        manager_factory=partial(make_manager, "mmreliable"),
         seeds=seeds,
-        duration_s=0.1,
         workers=workers,
         max_failure_fraction=1.0,
         faults=faults,

@@ -1,11 +1,12 @@
 """Network simulator end-to-end: determinism, metrics, executor reuse."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.experiments.common import TESTBED_ULA, make_manager
+from repro.experiments.common import make_manager
 from repro.network import (
     NetworkScenario,
     NetworkSimulator,
@@ -14,7 +15,6 @@ from repro.network import (
 )
 from repro.sim.executor import EnsembleSpec, execute_ensemble
 from repro.sim.link import LinkSimulator
-from repro.sim.scenarios import indoor_two_path_scenario
 
 
 def small_scenario(num_cells=2, num_users=4, duration_s=0.05):
@@ -23,14 +23,6 @@ def small_scenario(num_cells=2, num_users=4, duration_s=0.05):
         num_users=num_users,
         duration_s=duration_s,
     )
-
-
-def _wrap_scenario(seed):
-    return indoor_two_path_scenario(TESTBED_ULA)
-
-
-def _wrap_manager(seed):
-    return make_manager("mmreliable", seed=seed)
 
 
 class TestRun:
@@ -69,7 +61,7 @@ class TestRun:
 
     def test_growing_users_preserves_existing_placement(self):
         scenario = small_scenario(num_users=3)
-        bigger = scenario.with_options(num_users=6)
+        bigger = replace(scenario, num_users=6)
         small_batch = scenario.user_batch(9)
         big_batch = bigger.user_batch(9)
         np.testing.assert_array_equal(
@@ -145,7 +137,7 @@ class TestExecutorReuse:
             seeds=(0, 1, 2, 3),
         )
         serial = execute_ensemble(spec)
-        parallel = execute_ensemble(spec.with_options(workers=2))
+        parallel = execute_ensemble(replace(spec, workers=2))
         assert serial.throughput_values().tolist() == (
             parallel.throughput_values().tolist()
         )
@@ -165,19 +157,22 @@ class TestExecutorReuse:
 
 
 class TestSingleLinkDifferential:
-    """The 1x1 network wrap must be bitwise identical to LinkSimulator."""
+    """A 1x1 network must be bitwise identical to LinkSimulator."""
 
     def test_trace_and_metrics_bitwise_identical(self):
-        seed = 11
-        duration = 0.2
-        link_trace = LinkSimulator(
-            scenario=_wrap_scenario(seed),
-            manager=_wrap_manager(seed),
-            duration_s=duration,
-        ).run()
-        network = NetworkScenario.single_link(
-            _wrap_scenario, _wrap_manager, duration_s=duration
+        seed = 2
+        network = NetworkScenario(
+            cells=row_of_cells(1), num_users=1, duration_s=0.2
         )
+        batch = network.user_batch(seed)
+        link_trace = LinkSimulator(
+            scenario=network.link_scenario(seed, batch, 0),
+            manager=network.build_manager(seed, batch, 0),
+            duration_s=network.duration_s,
+            sample_period_s=network.sample_period_s,
+            maintenance_period_s=network.maintenance_period_s,
+        ).run()
+        assert link_trace.actions  # the control loop acted
         net_trace = NetworkSimulator(scenario=network, seed=seed).run()
         user_trace = net_trace.user_traces[0]
         np.testing.assert_array_equal(link_trace.snr_db, user_trace.snr_db)
@@ -203,20 +198,28 @@ class TestSingleLinkDifferential:
         assert link_metrics.training_rounds == net_metrics.training_rounds
         assert link_metrics.probe_airtime_s == net_metrics.probe_airtime_s
 
-    def test_single_link_requires_factory_pair(self):
-        with pytest.raises(ValueError, match="together"):
-            NetworkScenario(
-                cells=row_of_cells(1),
-                num_users=1,
-                link_scenario_factory=_wrap_scenario,
-            )
-        with pytest.raises(ValueError, match="1 cell"):
-            NetworkScenario(
-                cells=row_of_cells(2),
-                num_users=2,
-                link_scenario_factory=_wrap_scenario,
-                link_manager_factory=_wrap_manager,
-            )
+
+#: Every kind ``repro.experiments.common.make_manager`` builds.
+MANAGER_KINDS = (
+    "mmreliable", "mmreliable-static", "mmreliable-nocc",
+    "mmreliable-notrack-nocc", "reactive", "beamspy", "widebeam", "oracle",
+)
+
+
+class TestManagerKinds:
+    @pytest.mark.parametrize("kind", MANAGER_KINDS)
+    def test_every_make_manager_kind_builds(self, kind):
+        scenario = NetworkScenario(
+            cells=row_of_cells(1, bandwidth_hz=100e6),
+            num_users=1,
+            manager_kind=kind,
+            duration_s=0.02,
+        )
+        manager = scenario.build_manager(0, scenario.user_batch(0), 0)
+        assert type(manager) is type(make_manager(kind, 0))
+        assert manager.sounder.config.bandwidth_hz == 100e6
+        trace = NetworkSimulator(scenario=scenario, seed=0).run()
+        assert 0.0 <= trace.metrics().reliability <= 1.0
 
 
 class TestScenarioValidation:

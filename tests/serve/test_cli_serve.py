@@ -3,14 +3,16 @@
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import time
 
 import pytest
 
-from repro.cli import build_parser, command_jobs, command_submit
-from repro.serve import JobClient
+import repro.serve
+from repro.cli import build_parser, command_jobs, command_serve, command_submit
+from repro.serve import JobClient, ServerError
 
 MICRO_ARGS = dict(seeds=1, duration_s=0.01)
 
@@ -143,6 +145,28 @@ class TestSubmitCommand:
             assert server.stats.submitted == 0
         assert not journal.exists() or journal.read_text() == ""
 
+    def test_unwritable_json_path_exits_2(self, tmp_path, monkeypatch):
+        class SucceedingClient:
+            def __init__(self, host, port):
+                pass
+
+            def submit(self, job):
+                return {"id": "job-000001", "state": "pending"}
+
+            def wait(self, job_id, on_event=None):
+                return {"id": job_id, "state": "succeeded"}
+
+        monkeypatch.setattr(repro.serve, "JobClient", SucceedingClient)
+        out = io.StringIO()
+        json_path = tmp_path / "missing" / "out.json"
+        status = command_submit(
+            wait=True, json_path=str(json_path), out=out, **MICRO_ARGS
+        )
+        assert status == 2
+        text = out.getvalue()
+        assert "job job-000001 succeeded" in text
+        assert f"error: cannot write {json_path}" in text
+
     def test_bad_spec_never_touches_the_network(self):
         out = io.StringIO()
         status = command_submit(port=1, seeds=0, out=out)
@@ -184,9 +208,9 @@ class TestJobsCommand:
 class TestServeCommand:
     """End-to-end: the real CLI process, shut down over the wire."""
 
-    def test_serve_process_round_trip(self, tmp_path):
-        ready_file = tmp_path / "ready"
-        journal = tmp_path / "jobs.jsonl"
+    @staticmethod
+    def _start_serve(journal, ready_file):
+        """A ``repro serve`` subprocess and the port it bound."""
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
@@ -199,16 +223,25 @@ class TestServeCommand:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
         )
+        deadline = time.monotonic() + 60.0
+        while not ready_file.exists():
+            if process.poll() is not None:
+                output = process.stdout.read().decode(errors="replace")
+                process.stdout.close()
+                raise AssertionError(f"server died early:\n{output}")
+            if time.monotonic() >= deadline:
+                process.kill()
+                process.wait(timeout=30.0)
+                process.stdout.close()
+                raise AssertionError("server never came up")
+            time.sleep(0.05)
+        return process, int(ready_file.read_text().strip().rsplit(":", 1)[1])
+
+    def test_serve_process_round_trip(self, tmp_path):
+        ready_file = tmp_path / "ready"
+        journal = tmp_path / "jobs.jsonl"
+        process, port = self._start_serve(journal, ready_file)
         try:
-            deadline = time.monotonic() + 60.0
-            while not ready_file.exists():
-                assert process.poll() is None, (
-                    f"server died early:\n"
-                    f"{process.stdout.read().decode(errors='replace')}"
-                )
-                assert time.monotonic() < deadline, "server never came up"
-                time.sleep(0.05)
-            port = int(ready_file.read_text().strip().rsplit(":", 1)[1])
             client = JobClient(port=port, timeout_s=60.0)
             submitted = client.submit(
                 {"kind": "ensemble", "seeds": 1, "duration_s": 0.01}
@@ -221,4 +254,39 @@ class TestServeCommand:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=30.0)
+            process.stdout.close()
         assert journal.exists()
+
+    def test_unwritable_journal_exits_2(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+        process, port = self._start_serve(
+            blocker / "jobs.jsonl", tmp_path / "ready"
+        )
+        try:
+            client = JobClient(port=port, timeout_s=60.0)
+            with pytest.raises(ServerError) as excinfo:
+                client.submit({"kind": "ensemble", "seeds": 1})
+            assert excinfo.value.error == "journal_failed"
+            assert process.wait(timeout=60.0) == 2
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30.0)
+            output = process.stdout.read().decode(errors="replace")
+            process.stdout.close()
+        assert "error: server stopped: cannot append to" in output
+
+    def test_port_in_use_exits_2(self, tmp_path):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            out = io.StringIO()
+            status = command_serve(
+                journal=str(tmp_path / "jobs.jsonl"),
+                port=taken.getsockname()[1],
+                out=out,
+            )
+        assert status == 2
+        assert out.getvalue().startswith("error: ")
+        assert "server stopped" not in out.getvalue()

@@ -1,5 +1,7 @@
 """Job model: spec validation, JSON round trip, content-key discipline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import FaultSpec
@@ -54,6 +56,11 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown job spec keys"):
             JobSpec.from_dict({"kind": "ensemble", "seedz": 3})
 
+    def test_retry_budget_is_not_a_job_field(self):
+        assert "ensemble_retries" not in JobSpec(kind="ensemble").to_dict()
+        with pytest.raises(ValueError, match="ensemble_retries"):
+            JobSpec.from_dict({"kind": "ensemble", "ensemble_retries": 2})
+
 
 class TestJobKey:
     def test_key_is_stable(self):
@@ -62,19 +69,18 @@ class TestJobKey:
 
     def test_content_fields_change_the_key(self):
         base = JobSpec(kind="ensemble", seeds=3)
-        assert job_key(base) != job_key(base.with_options(seeds=4))
-        assert job_key(base) != job_key(base.with_options(duration_s=0.05))
+        assert job_key(base) != job_key(replace(base, seeds=4))
+        assert job_key(base) != job_key(replace(base, duration_s=0.05))
         assert job_key(base) != job_key(
-            base.with_options(faults=(FaultSpec(kind="probe_loss", rate=0.1),))
+            replace(base, faults=(FaultSpec(kind="probe_loss", rate=0.1),))
         )
 
     def test_serving_metadata_does_not_change_the_key(self):
         # The executor's output is backend-independent, and priority is
         # a serving concern: none of them may split the coalescing key.
         base = JobSpec(kind="ensemble", seeds=3)
-        assert job_key(base) == job_key(base.with_options(workers=8))
-        assert job_key(base) == job_key(base.with_options(priority="bulk"))
-        assert job_key(base) == job_key(base.with_options(ensemble_retries=7))
+        assert job_key(base) == job_key(replace(base, workers=8))
+        assert job_key(base) == job_key(replace(base, priority="bulk"))
 
     def test_scenario_changes_the_key(self):
         base = JobSpec(
@@ -82,7 +88,7 @@ class TestJobKey:
             experiment="network_scale",
             scenario=get_scenario_spec("network-smoke"),
         )
-        other = base.with_options(scenario=get_scenario_spec("dual-cell"))
+        other = replace(base, scenario=get_scenario_spec("dual-cell"))
         assert job_key(base) != job_key(other)
 
 

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.serve import JobJournal, JobSpec, JobState, job_key, replay_journal
+from repro.serve import (
+    JobJournal,
+    JobSpec,
+    JobState,
+    JournalFailure,
+    job_key,
+    replay_journal,
+)
 
 
 def _submit(journal, job_id, t=0.0, **spec_kwargs):
@@ -40,6 +47,19 @@ class TestAppend:
         with JobJournal(str(path)) as journal:
             _submit(journal, "job-1")
         assert path.exists()
+
+    def test_no_append_after_a_failed_one(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        journal = JobJournal(str(blocker / "jobs.jsonl"))
+        with pytest.raises(JournalFailure, match="cannot append"):
+            _submit(journal, "job-1")
+        # Even once the path could be written, the journal takes no op
+        # after the lost one, so what it holds stays replayable.
+        blocker.unlink()
+        with pytest.raises(JournalFailure, match="after a failed one"):
+            journal.append("start", id="job-1", attempt=1, t=1.0)
+        assert not (blocker / "jobs.jsonl").exists()
 
 
 class TestReplay:

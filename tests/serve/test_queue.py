@@ -53,15 +53,6 @@ class TestSoftShedding:
         assert payload["queue_limit"] == 4
         assert payload["retry_after_s"] > 0
 
-    def test_protect_priority_widens_admission(self):
-        queue = AdmissionQueue(
-            maxsize=4, shed_threshold=0.25, protect_priority="batch"
-        )
-        queue.offer(_record("a"))
-        queue.offer(_record("b", "batch"))  # protected: admitted
-        with pytest.raises(ServiceOverload):
-            queue.offer(_record("c", "bulk"))
-
 
 class TestEviction:
     def test_urgent_arrival_evicts_newest_worst(self):
@@ -105,5 +96,3 @@ class TestValidation:
             AdmissionQueue(maxsize=0)
         with pytest.raises(ValueError, match="shed_threshold"):
             AdmissionQueue(shed_threshold=0.0)
-        with pytest.raises(ValueError, match="priority"):
-            AdmissionQueue(protect_priority="vip")

@@ -7,22 +7,24 @@ on a background thread's loop instead.
 """
 
 import asyncio
+import errno
 import json
+import os
 import threading
 import time
 
 import pytest
 
 import repro.serve.server
-from repro.serve import JobClient, JobServer, ServerError
+import repro.sim.executor
+from repro.serve import JobClient, JobServer, JournalFailure, ServerError
 from repro.telemetry import EventKind, TelemetryRecorder, use_recorder
 
 #: A micro job cheap enough to run hundreds of times in the suite.
 MICRO_JOB = {"kind": "ensemble", "seeds": 1, "duration_s": 0.01}
 
-#: A job that fails every attempt: worker_crash at rate 1.0 crashes the
-#: run on every seed and every executor retry (default budget: 2), so
-#: the ensemble always exceeds its failure budget and the job fails.
+#: A job that always fails: worker_crash at rate 1.0 crashes the run of
+#: every seed, so the ensemble exceeds its failure budget.
 DOOMED_JOB = {
     "kind": "ensemble",
     "seeds": 1,
@@ -322,7 +324,7 @@ class TestCoalescing:
 
 class TestFailures:
     def test_failing_job_fails_on_its_first_execution(self, tmp_path):
-        """The executor owns seed-run retries; the server re-runs nothing."""
+        """Nothing re-runs a job that raised."""
         journal = str(tmp_path / "jobs.jsonl")
 
         async def scenario():
@@ -341,12 +343,36 @@ class TestFailures:
                 await server.stop()
 
         record = asyncio.run(scenario())
-        # The error is the executor's verdict after its last attempt.
+        # The error is the executor's verdict on the seed's only run.
         assert record.error.startswith("EnsembleError: ")
-        assert "(seed 0, attempt 2)" in record.error
+        assert "(seed 0)" in record.error
         assert [op["op"] for op in _journal_ops(journal)] == [
             "submit", "start", "done",
         ]
+
+    def test_crashing_seed_runs_once(self, tmp_path, monkeypatch):
+        runs = []
+        run_one_seed = repro.sim.executor._run_one_seed
+
+        def counted(payload):
+            runs.append(payload[0])
+            return run_one_seed(payload)
+
+        monkeypatch.setattr(repro.sim.executor, "_run_one_seed", counted)
+
+        async def scenario():
+            server = JobServer(str(tmp_path / "jobs.jsonl"), job_workers=1)
+            await server.start()
+            try:
+                response = await server.submit(dict(DOOMED_JOB))
+                return await _wait_terminal(server, response["id"])
+            finally:
+                await server.stop()
+
+        record = asyncio.run(scenario())
+        assert record.state == "failed"
+        assert runs == [0]
+        assert "attempt" not in record.error
 
 
 class TestShedding:
@@ -558,6 +584,79 @@ class TestReplay:
         assert records[first].submissions == 1
 
 
+class TestJournalFailure:
+    """A journal append that fails stops the server; no worker dies."""
+
+    @staticmethod
+    def _assert_workers_ended_cleanly(server):
+        for task in server._workers:
+            assert task.done()
+            assert task.cancelled() or task.exception() is None
+
+    def test_unwritable_journal_stops_the_server(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+
+        async def scenario():
+            server = JobServer(str(blocker / "jobs.jsonl"), job_workers=1)
+            await server.start()
+            response = await TestWireProtocol._roundtrip(
+                server, {"op": "submit", "job": dict(MICRO_JOB)}
+            )
+            await asyncio.wait_for(server.wait_stopped(), timeout=30.0)
+            return server, response
+
+        server, response = asyncio.run(scenario())
+        assert response["ok"] is False
+        assert response["error"] == "journal_failed"
+        assert "cannot append" in response["reason"]
+        assert isinstance(server.journal_failure, JournalFailure)
+        assert server.stats.executions == 0
+        self._assert_workers_ended_cleanly(server)
+
+    def test_failed_start_append_is_resumed_by_replay(
+        self, tmp_path, monkeypatch
+    ):
+        journal = str(tmp_path / "jobs.jsonl")
+        fsync = os.fsync
+        calls = []
+
+        def second_fsync_fails(fd):
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, "injected I/O error")
+            fsync(fd)
+
+        async def first_life():
+            server = JobServer(journal, job_workers=1)
+            await server.start()
+            monkeypatch.setattr(os, "fsync", second_fsync_fails)
+            try:
+                response = await server.submit(dict(MICRO_JOB))
+                await asyncio.wait_for(server.wait_stopped(), timeout=30.0)
+            finally:
+                monkeypatch.setattr(os, "fsync", fsync)
+            return server, response
+
+        server, response = asyncio.run(first_life())
+        # The submit append was durable, so it was acknowledged.
+        assert response["ok"]
+        assert "injected I/O error" in str(server.journal_failure)
+        assert server.stats.executions == 1
+        self._assert_workers_ended_cleanly(server)
+
+        async def second_life():
+            server = JobServer(journal, job_workers=1)
+            await server.start()
+            try:
+                return await _wait_terminal(server, response["id"])
+            finally:
+                await server.stop()
+
+        record = asyncio.run(second_life())
+        assert record.state == "succeeded"
+
+
 class TestWireProtocol:
     @staticmethod
     async def _roundtrip(server, payload):
@@ -624,6 +723,26 @@ class TestWireProtocol:
                 await server.stop()
 
         asyncio.run(scenario())
+
+    def test_retry_budget_is_a_bad_request(self, tmp_path):
+        journal = tmp_path / "jobs.jsonl"
+
+        async def scenario():
+            server = JobServer(str(journal), job_workers=0)
+            await server.start()
+            try:
+                return await self._roundtrip(
+                    server,
+                    {"op": "submit",
+                     "job": dict(MICRO_JOB, ensemble_retries=2)},
+                )
+            finally:
+                await server.stop()
+
+        response = asyncio.run(scenario())
+        assert response["error"] == "bad_request"
+        assert "ensemble_retries" in response["reason"]
+        assert not journal.exists() or journal.read_text() == ""
 
     def test_unknown_experiment_is_rejected_before_the_journal(self, tmp_path):
         journal = tmp_path / "jobs.jsonl"

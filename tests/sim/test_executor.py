@@ -6,6 +6,7 @@ escalation, the ``EnsembleSummary`` stats fields, and the serial
 fallback for non-picklable factories.
 """
 
+from dataclasses import fields, replace
 from functools import partial
 
 import pytest
@@ -22,6 +23,7 @@ from repro.sim.executor import (
     execute_ensemble,
     parallel_map,
 )
+from repro.sim.link import build_link_simulator
 from repro.sim.scenarios import indoor_two_path_scenario
 from repro.telemetry import TelemetryRecorder, TelemetrySummary, use_recorder
 
@@ -52,13 +54,19 @@ def poisoned_scenario(seed, bad_seeds=(3,)):
     return make_scenario(seed)
 
 
-def fast_spec(**overrides):
+def fast_spec(
+    scenario_factory=make_scenario,
+    manager_factory=make_oracle,
+    duration_s=0.02,
+    **overrides,
+):
     defaults = dict(
         label="oracle",
-        scenario_factory=make_scenario,
-        manager_factory=make_oracle,
+        simulator_factory=partial(
+            build_link_simulator, scenario_factory, manager_factory,
+            duration_s,
+        ),
         seeds=range(4),
-        duration_s=0.02,
     )
     defaults.update(overrides)
     return EnsembleSpec(**defaults)
@@ -81,12 +89,13 @@ class TestSpec:
         with pytest.raises(ValueError, match="failure"):
             fast_spec(max_failure_fraction=1.5)
 
-    def test_with_options(self):
-        spec = fast_spec()
-        parallel = spec.with_options(workers=4)
-        assert parallel.workers == 4
-        assert parallel.label == spec.label
-        assert spec.workers == 1
+    def test_simulator_factory_is_the_only_run_input(self):
+        assert [field.name for field in fields(EnsembleSpec)] == [
+            "label", "simulator_factory", "seeds", "workers",
+            "max_failure_fraction", "faults",
+        ]
+        with pytest.raises(TypeError, match="simulator_factory"):
+            EnsembleSpec(label="oracle", seeds=(0,))
 
 
 class TestSerialParallelEquality:
@@ -95,7 +104,7 @@ class TestSerialParallelEquality:
         # the serial metrics exactly, per seed.
         spec = fast_spec(seeds=range(16))
         serial = execute_ensemble(spec)
-        parallel = execute_ensemble(spec.with_options(workers=4))
+        parallel = execute_ensemble(replace(spec, workers=4))
         assert len(serial.metrics) == len(parallel.metrics) == 16
         for left, right in zip(serial.metrics, parallel.metrics):
             assert left == right  # frozen dataclasses: bitwise field equality
@@ -134,7 +143,7 @@ class TestFaultTolerance:
         summary = execute_ensemble(spec)
         assert [f.seed for f in summary.failures] == [3]
         # Surviving runs match the serial run for the same seeds.
-        serial = execute_ensemble(spec.with_options(workers=1))
+        serial = execute_ensemble(replace(spec, workers=1))
         assert summary.metrics == serial.metrics
 
     def test_threshold_escalation(self):
@@ -190,8 +199,9 @@ class TestStats:
         )
         assert summary.stats.failed_runs == 1
         assert summary.stats.total_runs == 5
-        # Failed runs still contribute their wall time.
+        # Failed runs still contribute their wall time, once each.
         assert len(summary.stats.run_times_s) == 5
+        assert summary.stats.total_retries == 0
 
 
 class TestEnsembleTelemetry:
@@ -214,7 +224,7 @@ class TestEnsembleTelemetry:
         spec = fast_spec(seeds=range(4), workers=4)
         with use_recorder(TelemetryRecorder()):
             parallel = execute_ensemble(spec)
-            serial = execute_ensemble(spec.with_options(workers=1))
+            serial = execute_ensemble(replace(spec, workers=1))
         assert parallel.stats.backend == "process"
         assert parallel.telemetry is not None
         # Event content is deterministic per seed.

@@ -1,9 +1,10 @@
 """Failure-path tests for the hardened ensemble executor.
 
-Covers the robustness contract: retry accounting and exhaustion, the
-BrokenProcessPool serial fallback, no orphaned workers after
-KeyboardInterrupt, and the utilization fix (stats report the workers
-actually used, not the requested width).
+Covers the robustness contract: every seed runs exactly once and a
+seed-run that raises is a failure on that run, the BrokenProcessPool
+serial fallback, no orphaned workers after KeyboardInterrupt, and the
+utilization fix (stats report the workers actually used, not the
+requested width).
 """
 
 import multiprocessing
@@ -23,6 +24,7 @@ from repro.sim.executor import (
     EnsembleSpec,
     execute_ensemble,
 )
+from repro.sim.link import build_link_simulator
 from repro.sim.scenarios import indoor_two_path_scenario
 
 ARRAY = UniformLinearArray(num_elements=8)
@@ -46,7 +48,7 @@ def make_oracle(seed):
 
 
 def flaky_scenario(seed, marker_dir=None):
-    """Fails the first time each seed runs, succeeds on retry."""
+    """Fails the first time each seed runs, succeeds after that."""
     marker = os.path.join(marker_dir, f"seen-{seed}")
     if not os.path.exists(marker):
         with open(marker, "w"):
@@ -67,36 +69,31 @@ def pool_killer_scenario(seed):
     return make_scenario(seed)
 
 
+def poisoned_scenario(seed, bad_seeds=()):
+    if seed in bad_seeds:
+        raise RuntimeError(f"poisoned seed {seed}")
+    return make_scenario(seed)
+
+
 def interrupting_scenario(seed):
     if seed == 0:
         raise KeyboardInterrupt()
     return make_scenario(seed)
 
 
-def pool_killer_flaky_scenario(seed, marker_dir=None):
-    """Kills pool workers hard; fails once, then succeeds in the parent.
-
-    Round 0 breaks the pool and the serial fallback fails transiently,
-    so the *retry* round must also run on the serial path (the pool is
-    gone for the rest of the ensemble) and keep the fallback accounting.
-    """
-    if multiprocessing.parent_process() is not None:
-        os._exit(1)
-    marker = os.path.join(marker_dir, f"seen-{seed}")
-    if not os.path.exists(marker):
-        with open(marker, "w"):
-            pass
-        raise RuntimeError(f"transient failure for seed {seed}")
-    return make_scenario(seed)
-
-
-def fast_spec(**overrides):
+def fast_spec(
+    scenario_factory=make_scenario,
+    manager_factory=make_oracle,
+    duration_s=0.02,
+    **overrides,
+):
     defaults = dict(
         label="oracle",
-        scenario_factory=make_scenario,
-        manager_factory=make_oracle,
+        simulator_factory=partial(
+            build_link_simulator, scenario_factory, manager_factory,
+            duration_s,
+        ),
         seeds=range(4),
-        duration_s=0.02,
     )
     defaults.update(overrides)
     return EnsembleSpec(**defaults)
@@ -114,99 +111,57 @@ def drain_workers(wait_s=5.0):
 
 
 class TestSpecValidation:
-    def test_max_retries_must_be_non_negative(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            fast_spec(max_retries=-1)
-
     def test_faults_must_be_specs(self):
         with pytest.raises(TypeError, match="FaultSpec"):
             fast_spec(faults=("probe_loss:0.1",))
 
 
-class TestRetries:
-    def test_transient_failure_recovered_by_retry(self, tmp_path):
+class TestOneRunPerSeed:
+    def test_transient_failure_is_a_run_failure(self, tmp_path):
         spec = fast_spec(
             scenario_factory=partial(
                 flaky_scenario, marker_dir=str(tmp_path)
             ),
             seeds=range(3),
-            workers=1,
-            max_retries=1,
+            max_failure_fraction=1.0,
         )
-        summary = execute_ensemble(spec)
-        assert summary.failures == ()
-        assert len(summary.metrics) == 3
-        assert summary.stats.total_retries == 3
-        assert summary.stats.retried_runs == 3
-        assert "retries over 3 run(s)" in summary.stats.describe()
+        with pytest.raises(EnsembleError) as excinfo:
+            execute_ensemble(spec)
+        failures = excinfo.value.failures
+        # Every seed failed: a second run of any of them would succeed.
+        assert [f.seed for f in failures] == [0, 1, 2]
+        assert all("transient failure" in f.error for f in failures)
 
-    def test_retry_accounting_is_deterministic(self, tmp_path):
-        def run(subdir):
-            directory = tmp_path / subdir
-            directory.mkdir()
-            return execute_ensemble(
-                fast_spec(
-                    scenario_factory=partial(
-                        flaky_scenario, marker_dir=str(directory)
-                    ),
-                    seeds=range(2),
-                    workers=1,
-                    max_retries=2,
-                )
-            )
-
-        first, second = run("a"), run("b")
-        assert first.stats.total_retries == second.stats.total_retries
-        assert first.metrics == second.metrics
-
-    def test_injected_crash_exhausts_retries(self):
+    def test_injected_crash_fails_its_only_run(self):
         spec = fast_spec(
             seeds=range(2),
-            workers=1,
-            max_retries=2,
             max_failure_fraction=1.0,
             faults=(FaultSpec(kind="worker_crash", rate=1.0),),
         )
         with pytest.raises(EnsembleError) as excinfo:
             execute_ensemble(spec)
         failures = excinfo.value.failures
+        assert [f.seed for f in failures] == [0, 1]
         assert all(f.kind == "crash" for f in failures)
-        # The surviving failure is the final attempt.
-        assert all(f.attempt == 2 for f in failures)
+        assert all("attempt" not in f.error for f in failures)
 
-    def test_retry_recovers_injected_chaos(self):
-        # At rate 0.5 the per-attempt redraw means enough retries always
-        # find a crash-free attempt for these seeds (deterministic).
-        spec = fast_spec(
-            seeds=range(4),
-            workers=1,
-            max_retries=6,
-            max_failure_fraction=1.0,
-            faults=(FaultSpec(kind="worker_crash", rate=0.5),),
-        )
-        summary = execute_ensemble(spec)
-        assert summary.failures == ()
-        assert summary.stats.total_retries > 0
-
-    def test_run_retry_event_emitted(self, tmp_path):
+    def test_no_retry_event_on_failure(self):
         from repro.telemetry import TelemetryRecorder, use_recorder
 
         recorder = TelemetryRecorder()
         with use_recorder(recorder):
-            execute_ensemble(
+            summary = execute_ensemble(
                 fast_spec(
                     scenario_factory=partial(
-                        flaky_scenario, marker_dir=str(tmp_path)
+                        poisoned_scenario, bad_seeds=(1,)
                     ),
                     seeds=range(2),
-                    workers=1,
-                    max_retries=1,
                 )
             )
-        retries = [e for e in recorder.events if e.kind == "run_retry"]
-        assert len(retries) == 2
-        assert all(e.fields["attempt"] == 1 for e in retries)
-        assert all("transient failure" in e.fields["error"] for e in retries)
+        assert [f.seed for f in summary.failures] == [1]
+        assert "run_retry" not in {e.kind for e in recorder.events}
+        # Only the healthy seed's run reached the trace.
+        assert summary.telemetry.num_runs == 1
 
 
 class TestBrokenPoolFallback:
@@ -224,25 +179,6 @@ class TestBrokenPoolFallback:
         assert summary.failures == ()
         assert summary.stats.serial_fallback_runs > 0
         assert "serial-fallback" in summary.stats.describe()
-
-    def test_broken_pool_stays_serial_across_retry_rounds(self, tmp_path):
-        spec = fast_spec(
-            scenario_factory=partial(
-                pool_killer_flaky_scenario, marker_dir=str(tmp_path)
-            ),
-            seeds=range(3),
-            workers=2,
-            max_retries=1,
-            max_failure_fraction=1.0,
-        )
-        summary = execute_ensemble(spec)
-        # Round 0 broke the pool and its serial fallback failed
-        # transiently; the retry round ran serially too (markers exist
-        # now, so it succeeded) and kept the fallback accounting.
-        assert summary.failures == ()
-        assert len(summary.metrics) == 3
-        assert summary.stats.retried_runs == 3
-        assert summary.stats.serial_fallback_runs > 3
 
     def test_fallback_engaged_event(self):
         from repro.telemetry import TelemetryRecorder, use_recorder

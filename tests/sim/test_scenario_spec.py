@@ -73,7 +73,7 @@ class TestRegistry:
 
     def test_conflicting_registration_rejected(self):
         spec = get_scenario_spec("dual-cell")
-        changed = spec.with_options(users=spec.users + 1)
+        changed = dataclasses.replace(spec, users=spec.users + 1)
         with pytest.raises(ValueError, match="already registered"):
             register_scenario_spec(changed)
         # Explicit overwrite wins; restore the original after.

@@ -1,5 +1,7 @@
 """Tests for scenarios, the link simulator, and ensemble execution."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.channel.blockage import (
 from repro.channel.mobility import LinearTrajectory
 from repro.core.maintenance import MultiBeamManager
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
-from repro.sim.link import LinkSimulator
+from repro.sim.link import LinkSimulator, build_link_simulator
 from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
 from repro.sim.scenarios import (
     GeometricScenario,
@@ -180,10 +182,11 @@ class TestEnsembleRunner:
         summary = execute_ensemble(
             EnsembleSpec(
                 label="oracle",
-                scenario_factory=scenario_factory,
-                manager_factory=manager_factory,
+                simulator_factory=partial(
+                    build_link_simulator, scenario_factory,
+                    manager_factory, 0.1,
+                ),
                 seeds=[0, 1, 2],
-                duration_s=0.1,
             )
         )
         assert summary.label == "oracle"
@@ -197,11 +200,34 @@ class TestEnsembleRunner:
             execute_ensemble(
                 EnsembleSpec(
                     label="x",
-                    scenario_factory=lambda s: None,
-                    manager_factory=lambda s: None,
+                    simulator_factory=lambda s: None,
                     seeds=[],
                 )
             )
+
+    def test_build_link_simulator_builds_scenario_then_manager(self, array):
+        calls = []
+
+        def scenario_factory(seed):
+            calls.append(("scenario", seed))
+            return indoor_two_path_scenario(array)
+
+        def manager_factory(seed):
+            calls.append(("manager", seed))
+            return OracleBeam(
+                array=array,
+                sounder=ChannelSounder(
+                    config=OfdmConfig(bandwidth_hz=400e6, num_subcarriers=64),
+                    rng=seed,
+                ),
+            )
+
+        simulator = build_link_simulator(
+            scenario_factory, manager_factory, 0.1, 7
+        )
+        assert calls == [("scenario", 7), ("manager", 7)]
+        assert isinstance(simulator, LinkSimulator)
+        assert simulator.duration_s == 0.1
 
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError):

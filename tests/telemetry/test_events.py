@@ -22,7 +22,7 @@ class TestEventKind:
     def test_all_lists_every_kind(self):
         kinds = EventKind.all()
         assert set(kinds) == set(KNOWN_KINDS)
-        assert len(kinds) == 22
+        assert len(kinds) == 21
         assert len(set(kinds)) == len(kinds)
 
 
