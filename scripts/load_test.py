@@ -126,16 +126,22 @@ class ServerProcess:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        deadline = time.monotonic() + timeout_s
-        while not self.ready_file.exists():
-            if self.process.poll() is not None:
-                raise RuntimeError("server process died during startup")
-            if time.monotonic() > deadline:
-                raise RuntimeError("server never wrote its ready file")
-            time.sleep(0.05)
-        self.port = int(
-            self.ready_file.read_text().strip().rsplit(":", 1)[1]
-        )
+        try:
+            deadline = time.monotonic() + timeout_s
+            while not self.ready_file.exists():
+                if self.process.poll() is not None:
+                    raise RuntimeError("server process died during startup")
+                if time.monotonic() > deadline:
+                    raise RuntimeError("server never wrote its ready file")
+                time.sleep(0.05)
+            self.port = int(
+                self.ready_file.read_text().strip().rsplit(":", 1)[1]
+            )
+        except BaseException:
+            # A server that never came up must not outlive the harness.
+            self.process.kill()
+            self.process.wait(timeout=30.0)
+            raise
 
     def kill_hard(self) -> None:
         """SIGKILL: no cleanup, no journal flush beyond what's durable."""
@@ -349,36 +355,39 @@ def main(argv: Optional[List[str]] = None) -> int:
         + (", kill -9 mid-load" if not arguments.no_kill else "")
     )
     server.start()
-    print(f"server up on port {server.port} (journal {journal})")
+    try:
+        print(f"server up on port {server.port} (journal {journal})")
 
-    ids, coalesced, shed, errors = submit_all(
-        server.port, jobs[:half], arguments.clients
-    )
-    kill_line: Optional[int] = None
-    if arguments.no_kill:
-        rest_ids, more_coalesced, more_shed, more_errors = submit_all(
-            server.port, jobs[half:], arguments.clients
+        ids, coalesced, shed, errors = submit_all(
+            server.port, jobs[:half], arguments.clients
         )
-    else:
-        # Kill the server hard while the first wave is still in flight,
-        # restart it on the same journal, and push the second wave at
-        # the revived instance.
-        server.kill_hard()
-        kill_line = complete_lines(journal)
-        print("killed server with SIGKILL; restarting on the same journal")
-        server.start()
-        print(f"server back on port {server.port}; replay complete")
-        rest_ids, more_coalesced, more_shed, more_errors = submit_all(
-            server.port, jobs[half:], arguments.clients
-        )
-    ids += rest_ids
-    coalesced += more_coalesced
-    shed += more_shed
-    errors += more_errors
+        kill_line: Optional[int] = None
+        if arguments.no_kill:
+            rest_ids, more_coalesced, more_shed, more_errors = submit_all(
+                server.port, jobs[half:], arguments.clients
+            )
+        else:
+            # Kill the server hard while the first wave is still in flight,
+            # restart it on the same journal, and push the second wave at
+            # the revived instance.
+            server.kill_hard()
+            kill_line = complete_lines(journal)
+            print("killed server with SIGKILL; restarting on the same journal")
+            server.start()
+            print(f"server back on port {server.port}; replay complete")
+            rest_ids, more_coalesced, more_shed, more_errors = submit_all(
+                server.port, jobs[half:], arguments.clients
+            )
+        ids += rest_ids
+        coalesced += more_coalesced
+        shed += more_shed
+        errors += more_errors
 
-    stats = wait_for_drain(server.port)
-    elapsed_s = time.monotonic() - started
-    server.stop()
+        stats = wait_for_drain(server.port)
+        elapsed_s = time.monotonic() - started
+    finally:
+        # Stop the server on every exit path, failures included.
+        server.stop()
 
     audit, violations = audit_journal(journal, kill_line)
     # With REPRO_SANITIZE=1 the server folds its runtime-sanitizer

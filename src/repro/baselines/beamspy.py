@@ -70,15 +70,9 @@ class BeamSpySingleBeam:
             raise RuntimeError("call establish() first")
         return single_beam_weights(self.array, self.beam_angle_rad)
 
-    def link_snr_db(self, channel: GeometricChannel) -> float:
-        return self.sounder.link_snr_db(channel, self.current_weights())
-
-    def link_snr_db_batch(self, channels) -> np.ndarray:
-        return self.sounder.link_snr_db_batch(channels, self.current_weights())
-
     def step(self, channel: GeometricChannel, time_s: float) -> BaselineReport:
         """Serve; on outage, hop through the stored profile, then retrain."""
-        snr_db = self.link_snr_db(channel)
+        snr_db = self.sounder.link_snr_db(channel, self.current_weights())
         if snr_db >= OUTAGE_SNR_DB:
             self._outage_since = None
             return BaselineReport(

@@ -46,18 +46,12 @@ class OracleBeam:
             raise RuntimeError("call establish() first")
         return self._weights
 
-    def link_snr_db(self, channel: GeometricChannel) -> float:
-        return self.sounder.link_snr_db(channel, self.current_weights())
-
-    def link_snr_db_batch(self, channels) -> np.ndarray:
-        return self.sounder.link_snr_db_batch(channels, self.current_weights())
-
     def step(self, channel: GeometricChannel, time_s: float) -> BaselineReport:
         """Refresh the genie weights against the instantaneous channel."""
         self._weights = optimal_mrt_weights(channel)
         return BaselineReport(
             time_s=time_s,
-            snr_db=self.link_snr_db(channel),
+            snr_db=self.sounder.link_snr_db(channel, self.current_weights()),
             action="genie_refresh",
             probes_used=0,
         )

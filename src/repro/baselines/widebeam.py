@@ -75,15 +75,9 @@ class WideBeam:
         )
         return weights / np.sqrt(self.active_elements)
 
-    def link_snr_db(self, channel: GeometricChannel) -> float:
-        return self.sounder.link_snr_db(channel, self.current_weights())
-
-    def link_snr_db_batch(self, channels) -> np.ndarray:
-        return self.sounder.link_snr_db_batch(channels, self.current_weights())
-
     def step(self, channel: GeometricChannel, time_s: float) -> BaselineReport:
         """Mostly static; retrains only after a sustained outage."""
-        snr_db = self.link_snr_db(channel)
+        snr_db = self.sounder.link_snr_db(channel, self.current_weights())
         if snr_db < OUTAGE_SNR_DB:
             self._bad_streak += 1
         else:

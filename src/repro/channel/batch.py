@@ -6,14 +6,17 @@ state and the (piecewise-constant) beam weights.  Evaluating each sample
 through a fresh :class:`~repro.channel.geometric.GeometricChannel` costs
 one steering-matrix build, one ``(F, L)`` rotation, and one small matmul
 per sample.  :class:`ChannelBatch` carries the per-sample path parameters
-``(aods, gains, delays)`` as ``(T, L)`` tensors instead, so the whole
-segment collapses into three broadcasted array ops.
+``(aods, gains, delays)`` as ``(T, L)`` tensors instead, so a whole span
+of constant weights collapses into three broadcasted array ops.  When no
+delay moves over the batch, the delay rotation is one ``(F, L)`` row
+broadcast over ``T`` (stride 0), not ``T`` copies.
 
 The arithmetic mirrors :meth:`GeometricChannel.frequency_response`
 elementwise (bitwise-identical phase/rotation entries); only the final
 contractions run as batched matmuls, which may differ from the
-per-sample BLAS calls in the last floating-point ulp.  Differential
-tests pin the agreement at ``rtol=1e-9``.
+per-sample BLAS calls in the last floating-point ulp, and do not depend
+on how many samples share one call.  Differential tests pin the
+agreement at ``rtol=1e-9``.
 
 Receive-side beams are *not* modelled here: every consumer of the batch
 path (link SNR through the manager's transmit weights) sounds a
@@ -107,25 +110,29 @@ class ChannelBatch:
 
         The steering tensor ``a(phi_{t,l})`` and delay rotation
         ``e^{-j 2 pi f tau_{t,l}}`` do not depend on the beam weights, so
-        a simulator that re-evaluates the same samples under
-        piecewise-constant weights (one weight vector per maintenance
-        segment) builds them once per chunk and shares them across every
-        :meth:`sliced` segment.  Returns ``self`` for chaining.
+        a simulator that evaluates the same samples under
+        piecewise-constant weights (one weight vector per span) builds
+        them once per chunk and shares them across every :meth:`sliced`
+        piece.  Returns ``self`` for chaining.
         """
         freqs = np.atleast_1d(np.asarray(baseband_frequencies_hz, dtype=float))
         object.__setattr__(  # repro-lint: disable=RL302 (precompute/slice cache)
             self, "_steering", steering_vector(self.tx_array, self.aods_rad)
         )
-        object.__setattr__(  # repro-lint: disable=RL302 (precompute/slice cache)
-            self,
-            "_rotation",
-            np.exp(
-                -2j * np.pi * freqs[None, :, None]
-                * self.delays_s[:, None, :]
-            ),
-        )
+        object.__setattr__(self, "_rotation", self._delay_rotation(freqs))  # repro-lint: disable=RL302 (precompute/slice cache)
         object.__setattr__(self, "_freqs", freqs)  # repro-lint: disable=RL302 (precompute/slice cache)
         return self
+
+    def _delay_rotation(self, freqs: np.ndarray) -> np.ndarray:
+        """``e^{-j 2 pi f tau_{t,l}}``, shape ``(T, F, L)``; one broadcast
+        ``(F, L)`` row when no delay moves over the batch."""
+        delays = self.delays_s
+        if len(self) > 1 and np.all(delays == delays[:1]):
+            row = np.exp(-2j * np.pi * freqs[:, None] * delays[0][None, :])
+            return np.broadcast_to(row, (len(self),) + row.shape)
+        return np.exp(
+            -2j * np.pi * freqs[None, :, None] * delays[:, None, :]
+        )
 
     def frequency_response(
         self, tx_weights: np.ndarray, baseband_frequencies_hz
@@ -145,10 +152,7 @@ class ChannelBatch:
             rotation = self._rotation
         else:
             a = steering_vector(self.tx_array, self.aods_rad)  # (T, L, N)
-            rotation = np.exp(
-                -2j * np.pi * freqs[None, :, None]
-                * self.delays_s[:, None, :]
-            )  # (T, F, L)
+            rotation = self._delay_rotation(freqs)  # (T, F, L)
         tx_gains = a @ np.asarray(tx_weights, dtype=complex)  # (T, L)
         alphas = np.asarray(self.gains, dtype=complex) * tx_gains
         return (rotation @ alphas[:, :, None])[:, :, 0]
@@ -174,9 +178,10 @@ class ChannelBatch:
 
 def batch_from_channels(
     channels: Sequence[GeometricChannel],
-    times_s: Optional[Sequence[float]] = None,
 ) -> Optional[ChannelBatch]:
     """Stack per-sample channels into a :class:`ChannelBatch`, if possible.
+
+    The batch's sample times are zeros: only the response math reads it.
 
     Returns ``None`` when the list cannot be represented as one tensor —
     empty input, differing path counts over time, or any directional-UE
@@ -195,13 +200,9 @@ def batch_from_channels(
             or channel.tx_array != tx_array
         ):
             return None
-    if times_s is None:
-        times = np.zeros(len(channels))
-    else:
-        times = np.asarray(times_s, dtype=float)
     return ChannelBatch(
         tx_array=tx_array,
-        times_s=times,
+        times_s=np.zeros(len(channels)),
         aods_rad=np.stack([c.aods() for c in channels]),
         gains=np.stack([c.gains() for c in channels]),
         delays_s=np.stack([c.delays() for c in channels]),

@@ -15,7 +15,7 @@ expressed by deriving new channels via :meth:`with_path_scaling` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,7 +81,10 @@ class GeometricChannel:
     # Derived channels (time evolution)
     # ------------------------------------------------------------------
     def with_paths(self, paths: Sequence[Path]) -> "GeometricChannel":
-        return replace(self, paths=tuple(paths))
+        # Direct construction, like Path's copy helpers (per-tick path).
+        return GeometricChannel(
+            tx_array=self.tx_array, paths=tuple(paths), rx_array=self.rx_array
+        )
 
     def with_path_scaling(self, amplitude_factors) -> "GeometricChannel":
         """Scale each path's gain — the blockage hook.

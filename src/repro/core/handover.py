@@ -117,7 +117,8 @@ class MultiGnbManager:
         snrs = []
         for manager, channel in zip(self.managers, channels):
             manager.establish(channel, time_s=time_s)
-            snrs.append(manager.link_snr_db(channel))
+            weights = manager.current_weights()
+            snrs.append(manager.sounder.link_snr_db(channel, weights))
         self.serving_index = int(np.argmax(snrs))
 
     def current_weights(self) -> np.ndarray:
@@ -125,7 +126,9 @@ class MultiGnbManager:
 
     def link_snr_db(self, channels: Sequence[GeometricChannel]) -> float:
         """SNR of the serving link against its own channel."""
-        return self.serving.link_snr_db(channels[self.serving_index])
+        return self.sounder.link_snr_db(
+            channels[self.serving_index], self.current_weights()
+        )
 
     def step(
         self, channels: Sequence[GeometricChannel], time_s: float
@@ -138,7 +141,7 @@ class MultiGnbManager:
         serving_channel = channels[self.serving_index]
         report = self.serving.step(serving_channel, time_s)
         probes = report.probes_used
-        snr_db = self.serving.link_snr_db(serving_channel)
+        snr_db = self.link_snr_db(channels)
 
         check_due = (
             time_s - self._last_candidate_check_s
@@ -161,7 +164,9 @@ class MultiGnbManager:
         ):
             if index == self.serving_index:
                 continue
-            candidate_snr = manager.link_snr_db(channel)
+            candidate_snr = manager.sounder.link_snr_db(
+                channel, manager.current_weights()
+            )
             probes += 1
             manager.budget.charge(ProbeKind.CSI_RS, time_s=time_s, count=1)
             if candidate_snr > best_snr:

@@ -245,14 +245,6 @@ class MultiBeamManager:
             raise RuntimeError("call establish() first")
         return self.multibeam.weights(self.quantizer).vector
 
-    def link_snr_db(self, channel: GeometricChannel) -> float:
-        """True link SNR through the live multi-beam (for metrics)."""
-        return self.sounder.link_snr_db(channel, self.current_weights())
-
-    def link_snr_db_batch(self, channels) -> np.ndarray:
-        """True link SNR through the live multi-beam for many samples."""
-        return self.sounder.link_snr_db_batch(channels, self.current_weights())
-
     def step(self, channel: GeometricChannel, time_s: float) -> MaintenanceReport:
         """One maintenance round at a CSI-RS opportunity."""
         if (

@@ -10,11 +10,13 @@ maintenance period) it recomputes, for each victim user ``u``,
 
 where ``g`` is the Friis + implementation-loss power gain over the
 cell-to-victim distance, ``A_c`` the users attached to ``c``,
-``share_v`` user ``v``'s slot share (the fraction of time cell ``c``
-transmits with ``v``'s serving weights ``w_v``), and ``theta_cu`` the
-victim's bearing in cell ``c``'s boresight frame — straight from
-:class:`~repro.network.state.UserBatch`'s geometry columns and
-:func:`repro.arrays.patterns.array_factor`.
+``share_v`` user ``v``'s slot share, ``theta_cu`` the victim's bearing
+in cell ``c``'s boresight frame (from :class:`~repro.network.state.
+UserBatch`'s geometry columns), and ``w_v`` the weights ``v``'s link
+transmitted: from its trace's weight record, the span holding the
+epoch's first sample.  A link not established there radiates nothing.
+The record holds commanded weights, so stuck-element faults (which each
+sounder applies to its own link's SNR) do not shape interference.
 
 The victim's SNR trace then becomes SINR via
 
@@ -33,15 +35,14 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from repro.arrays.patterns import array_factor
-from repro.arrays.steering import single_beam_weights
+from repro.arrays.steering import steering_vector
 from repro.channel.pathloss import friis_path_loss_db
-from repro.core.multibeam import multibeam_from_channel
 from repro.network.scheduler import CellSlotPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.scenario import CellConfig
     from repro.phy.ofdm import OfdmConfig
+    from repro.sim.link import SimulationTrace
 from repro.utils.units import power_db_to_linear, power_linear_to_db
 from repro.network.state import UserBatch
 from repro.sim.scenarios import DEFAULT_IMPLEMENTATION_LOSS_DB
@@ -52,32 +53,24 @@ __all__ = [
     "apply_penalty_db",
 ]
 
-#: Beam kinds that serve users with constructive multi-beam weights; all
-#: other kinds are modelled as a single beam toward the strongest path.
-_MULTIBEAM_KINDS = frozenset(
-    {"mmreliable", "mmreliable-static", "mmreliable-nocc",
-     "mmreliable-notrack-nocc"}
-)
-
 
 @dataclass(frozen=True)
 class InterferenceModel:
     """Piecewise-constant inter-cell interference for one network run.
 
-    Built once per run from the placed :class:`UserBatch`, the per-user
-    serving-link scenarios (whose channels say where each cell points its
-    beams over time), and the per-cell slot plans (whose shares say how
-    often it points there).
+    Built once per run from the placed :class:`UserBatch`, every user's
+    link trace (whose weight record says where its cell pointed), and
+    the per-cell slot plans (whose shares say how often).
     """
 
     scenario: object  # NetworkScenario (duck-typed to avoid an import cycle)
     batch: UserBatch
-    link_scenarios: Tuple[object, ...]
+    traces: Tuple["SimulationTrace", ...]
     plans: Tuple[CellSlotPlan, ...]
 
     def __post_init__(self) -> None:
-        if len(self.link_scenarios) != self.batch.num_users:
-            raise ValueError("one link scenario per user required")
+        if len(self.traces) != self.batch.num_users:
+            raise ValueError("one link trace per user required")
         if len(self.plans) != self.batch.num_cells:
             raise ValueError("one slot plan per cell required")
 
@@ -89,24 +82,22 @@ class InterferenceModel:
             self.scenario.interference_update_period_s,
         )
 
-    def _serving_weights(self, user_index: int, time_s: float) -> np.ndarray:
-        """The weights user ``user_index``'s serving cell uses for it.
-
-        Genie weights from the true channel at ``time_s``: constructive
-        multi-beam for multi-beam manager kinds, a single beam toward
-        the strongest path otherwise.  Interference is a sidelobe-level
-        aggregate, so the genie approximation (vs. the manager's
-        estimated weights) changes it well below the dB level the MCS
-        mapping resolves.
-        """
-        cell = self.scenario.cells[int(self.batch.serving_cell[user_index])]
-        channel = self.link_scenarios[user_index].channel_at(float(time_s))
-        kind = getattr(self.scenario, "manager_kind", "mmreliable")
-        if kind in _MULTIBEAM_KINDS:
-            beams = min(int(self.scenario.num_beams), channel.num_paths)
-            return multibeam_from_channel(channel, beams).weights().vector
-        strongest = channel.strongest_paths(1)[0]
-        return single_beam_weights(cell.array(), float(strongest.aod_rad))
+    def _transmitted_weights(
+        self, users: np.ndarray, epochs: np.ndarray, num_elements: int
+    ) -> np.ndarray:
+        """Recorded weights per user and epoch, ``(K, E, N)``; zero where
+        a link was not established at the epoch's first sample."""
+        weights = np.zeros(
+            (users.size, epochs.shape[0], num_elements), dtype=complex
+        )
+        for k, user in enumerate(users):
+            trace = self.traces[int(user)]
+            firsts = np.searchsorted(trace.times_s, epochs, side="left")
+            for e, index in enumerate(firsts):
+                recorded = trace.weights_at(int(index))
+                if recorded is not None:
+                    weights[k, e] = recorded
+        return weights
 
     def penalties_db(self) -> np.ndarray:
         """Per-user, per-epoch SINR penalty [dB], shape ``(U, E)``.
@@ -121,29 +112,18 @@ class InterferenceModel:
         if cells < 2:
             return penalties
         recorder = get_recorder()
-        # Per-cell transmit mix: (attached users, shares, per-epoch weights).
-        active = []
         for c in range(cells):
             attached = self.batch.attached(c)
-            if attached.size == 0:
-                active.append(None)
+            victims = np.flatnonzero(self.batch.serving_cell != c)
+            if attached.size == 0 or victims.size == 0:
                 continue
-            shares = self.plans[c].shares(attached)
-            weights = [
-                [self._serving_weights(int(v), float(t)) for t in epochs]
-                for v in attached
-            ]
-            active.append((attached, shares, weights))
-        for c, mix in enumerate(active):
-            if mix is None:
-                continue
-            attached, shares, weights = mix
             cell = self.scenario.cells[c]
             array = cell.array()
             config = self._victim_noise_config(cell)
-            victims = np.flatnonzero(self.batch.serving_cell != c)
-            if victims.size == 0:
-                continue
+            shares = self.plans[c].shares(attached)  # (K,)
+            weights = self._transmitted_weights(
+                attached, epochs, array.num_elements
+            )  # (K, E, N)
             angles = self.batch.angles_rad[victims, c]  # boresight frame
             distances = self.batch.distances_m[victims, c]
             loss_db = (
@@ -154,18 +134,19 @@ class InterferenceModel:
                 + DEFAULT_IMPLEMENTATION_LOSS_DB
             )
             path_gain = power_db_to_linear(-loss_db)  # (V,)
-            for e in range(epochs.shape[0]):
-                # Share-weighted sidelobe power toward every victim.
-                beam_power = np.zeros(victims.shape[0])
-                for k in range(attached.size):
-                    factors = array_factor(array, weights[k][e], angles)
-                    beam_power += shares[k] * np.abs(factors) ** 2
-                interference_watt = (
-                    config.transmit_power_watt * path_gain * beam_power
-                )
-                penalties[victims, e] += interference_watt / (
-                    config.noise_power_watt
-                )
+            # Array factor of every (user, epoch) beam toward every victim.
+            factors = steering_vector(array, angles) @ weights.reshape(
+                -1, array.num_elements
+            ).T  # (V, K * E)
+            power = np.abs(
+                factors.reshape(victims.size, *weights.shape[:2])
+            ) ** 2  # (V, K, E)
+            # Share-weighted sidelobe power toward every victim, (V, E).
+            beam_power = np.einsum("k,vke->ve", shares, power)
+            interference_watt = (
+                config.transmit_power_watt * path_gain[:, None] * beam_power
+            )
+            penalties[victims] += interference_watt / config.noise_power_watt
         # Accumulated I/N ratios -> dB penalty in one pass.
         penalties = power_linear_to_db(1.0 + penalties)
         if recorder.enabled:

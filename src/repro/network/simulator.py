@@ -8,10 +8,11 @@ one deterministic run:
 2. plan every cell's slots (:class:`~repro.network.scheduler.
    SlotScheduler`), charging probe slots to per-cell shared budgets;
 3. drive one :class:`~repro.sim.link.LinkSimulator` per user over its
-   serving-link scenario — the exact single-link engine, segmented
+   serving-link scenario — the exact single-link engine, weight-span
    sample clock, degraded-mode handling and all;
 4. fold inter-cell interference into every SNR trace
-   (:class:`~repro.network.interference.InterferenceModel`), turning
+   (:class:`~repro.network.interference.InterferenceModel`, which reads
+   what every link transmitted from its trace's weight record), turning
    SNR into SINR before the MCS mapping sees it;
 5. summarize per-user link metrics, scaled by slot share, into
    :class:`NetworkRunMetrics` — attribute-compatible with
@@ -194,7 +195,7 @@ class NetworkTrace:
     probe_budgets: Tuple[ProbeBudget, ...]
     epoch_times_s: np.ndarray
     #: Per-user, per-epoch SINR penalty [dB]; all-zero for single-cell
-    #: networks (interference is skipped entirely there).
+    #: networks.
     penalties_db: np.ndarray
 
     def metrics(self) -> NetworkRunMetrics:
@@ -247,11 +248,9 @@ class NetworkSimulator:
         """
         self._injector = injector
 
-    def _build_link(
-        self, batch: UserBatch, user_index: int, link_scenario: object
-    ) -> LinkSimulator:
+    def _build_link(self, batch: UserBatch, user_index: int) -> LinkSimulator:
         simulator = LinkSimulator(
-            scenario=link_scenario,
+            scenario=self.scenario.link_scenario(self.seed, batch, user_index),
             manager=self.scenario.build_manager(
                 self.seed, batch, user_index
             ),
@@ -292,40 +291,26 @@ class NetworkSimulator:
             for c in range(scenario.num_cells)
         )
 
-        link_scenarios = tuple(
-            scenario.link_scenario(self.seed, batch, u)
-            for u in range(batch.num_users)
-        )
         traces: List[SimulationTrace] = [
-            self._build_link(batch, u, link_scenario).run()
-            for u, link_scenario in enumerate(link_scenarios)
+            self._build_link(batch, u).run() for u in range(batch.num_users)
         ]
 
-        epoch_times = np.arange(
-            0.0, scenario.duration_s, scenario.interference_update_period_s
+        # Single-cell networks get an all-zero penalty, which leaves
+        # every SNR sample bitwise untouched.
+        model = InterferenceModel(
+            scenario=scenario, batch=batch, traces=tuple(traces), plans=plans
         )
-        if scenario.num_cells >= 2:
-            model = InterferenceModel(
-                scenario=scenario,
-                batch=batch,
-                link_scenarios=link_scenarios,
-                plans=plans,
+        epoch_times = model.epoch_times_s()
+        penalties = model.penalties_db()
+        traces = [
+            replace(
+                trace,
+                snr_db=apply_penalty_db(
+                    trace.snr_db, trace.times_s, epoch_times, penalties[u]
+                ),
             )
-            penalties = model.penalties_db()
-            traces = [
-                replace(
-                    trace,
-                    snr_db=apply_penalty_db(
-                        trace.snr_db,
-                        trace.times_s,
-                        epoch_times,
-                        penalties[u],
-                    ),
-                )
-                for u, trace in enumerate(traces)
-            ]
-        else:
-            penalties = np.zeros((batch.num_users, epoch_times.shape[0]))
+            for u, trace in enumerate(traces)
+        ]
 
         if recorder.enabled:
             for u in range(batch.num_users):

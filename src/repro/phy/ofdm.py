@@ -53,6 +53,10 @@ class OfdmConfig:
             raise ValueError("num_subcarriers must be >= 1")
         if self.transmit_power_watt <= 0:
             raise ValueError("transmit_power_watt must be positive")
+        # Read by every sound/SNR call; not a field (equality, hashing).
+        object.__setattr__(self, "_noise_power_watt", awgn_noise_power_watt(
+            self.bandwidth_hz, self.noise_figure_db
+        ))
 
     def frequency_grid(self) -> np.ndarray:
         """Baseband subcarrier frequencies, centered on 0 Hz.
@@ -71,8 +75,8 @@ class OfdmConfig:
 
     @property
     def noise_power_watt(self) -> float:
-        """Full-band receiver noise power."""
-        return awgn_noise_power_watt(self.bandwidth_hz, self.noise_figure_db)
+        """Full-band receiver noise power (computed once, at construction)."""
+        return self._noise_power_watt
 
     def snr_db(self, mean_channel_power: float) -> float:
         """Link SNR [dB] for a given mean beamformed channel power."""

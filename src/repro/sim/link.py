@@ -12,20 +12,28 @@ Training windows reported by the manager are charged as link-unavailable
 time, so reactive baselines pay for their re-scans exactly as in the
 paper.
 
-Segmented sample clock
-----------------------
-Manager weights only change at establish/step, so between maintenance
-ticks the sample clock evaluates a pure function of the channel state.
-The simulator walks the run one inter-maintenance segment at a time.
-When the manager exposes ``link_snr_db_batch``, each segment is one
-vectorized call — through the scenario's ``channel_batch`` when
-available, else by stacking per-sample channels; other managers are
-evaluated one sample at a time inside the segment.  Against a plain
-per-sample loop (the test oracle ``tests/sim/link_oracle.py``) the
-batched math agrees to floating-point tolerance (see
-``repro.channel.batch``), and maintenance timing, RNG draw order,
-telemetry event order, and establish/step error handling agree exactly.
-A batched evaluation that raises fails the run.
+Weight spans
+------------
+Weights only change at establish/step.  The simulator keeps one
+**weight record** per link (:attr:`SimulationTrace.weight_record`): the
+sample index at which each new ``manager.current_weights()`` vector
+takes effect (kept by reference, so a manager must not modify a vector
+it handed out), or ``None`` while the link is not established.  Each span
+of constant weights is evaluated when it closes, with one
+``sounder.link_snr_db_batch`` call per ``MAX_BATCH_SAMPLES``-aligned
+chunk piece; ``None`` spans read ``-inf``.  With a telemetry recorder
+installed (so ``mcs_switch`` events keep their place) or a scenario
+without ``channel_batch`` (whose stacked per-sample channels may be
+ragged), evaluation also stops at every segment end, which moves
+neither the values nor the record.  Managers that define their own
+``link_snr_db`` (a receive beam, several gNBs) are sampled one sample
+at a time and keep no record.
+
+Against a plain per-sample loop (the test oracle
+``tests/sim/link_oracle.py``) the batched math agrees to floating-point
+tolerance (see ``repro.channel.batch``), and maintenance timing, RNG
+draw order, telemetry event order, and establish/step error handling
+agree exactly.  A batched evaluation that raises fails the run.
 
 Maintenance ticks are derived from an integer tick counter (the
 threshold is always ``tick * maintenance_period_s``), not by repeatedly
@@ -35,6 +43,7 @@ float accumulation.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -64,6 +73,15 @@ class SimulationTrace:
     #: broken (establish/step raised) and the simulator carried on with
     #: whatever weights it had.  Empty on a healthy run.
     degraded_windows: Tuple[Tuple[float, float], ...] = ()
+    #: ``(start sample index, transmit weights or None)`` per span of
+    #: constant weights, in order; ``None`` while not established.
+    weight_record: Tuple[Tuple[int, Optional[np.ndarray]], ...] = ()
+
+    def weights_at(self, index: int) -> Optional[np.ndarray]:
+        """Transmit weights in effect at sample ``index`` (or ``None``)."""
+        starts = [start for start, _ in self.weight_record]
+        span = bisect.bisect_right(starts, int(index)) - 1
+        return self.weight_record[span][1] if span >= 0 else None
 
     @property
     def degraded_time_s(self) -> float:
@@ -112,7 +130,7 @@ class LinkSimulator:
     """Runs one manager over one scenario."""
 
     scenario: object  # anything exposing channel_at(time_s)
-    manager: object  # anything exposing establish/step/link_snr_db
+    manager: object  # establish/step, and current_weights or link_snr_db
     duration_s: float = 1.0
     sample_period_s: float = 1e-3
     maintenance_period_s: float = 5e-3
@@ -232,21 +250,51 @@ class LinkSimulator:
             tail = int(indices[-1])
             last_mcs = None if tail < 0 else tail
 
+        per_sample = hasattr(self.manager, "link_snr_db")
+        flush_each_segment = tracing or not hasattr(
+            self.scenario, "channel_batch"
+        )
+        record: List[Tuple[int, Optional[np.ndarray]]] = []
+        evaluated = 0  # snr[:evaluated] is filled
+        chunk_cache: dict = {}
+
+        def flush(end: int) -> None:
+            nonlocal evaluated
+            if evaluated < end:
+                self._span_snr(
+                    times, snr, evaluated, end, record[-1][1], chunk_cache
+                )
+                evaluated = end
+
+        def open_span(index: int) -> None:
+            weights = self.manager.current_weights() if established else None
+            current = record[-1][1] if record else None
+            if record and (weights is current or (
+                weights is not None and current is not None
+                and np.array_equal(weights, current)
+            )):
+                return
+            flush(index)
+            record.append((index, weights))
+
         boundaries = self._maintenance_boundaries(times)
         starts = [0] + boundaries
         ends = boundaries + [times.shape[0]]
-        chunk_cache: dict = {}
         for segment, (start, end) in enumerate(zip(starts, ends)):
             if segment > 0:
                 maintain(start)
-            if start == end:
-                continue
-            if established:
-                self._segment_snr(times, snr, start, end, chunk_cache)
-            else:
+            if per_sample and established:
+                self._sample_snr(times, snr, start, end)
+            elif per_sample:
                 snr[start:end] = -np.inf
+            else:
+                open_span(start)
+                if flush_each_segment:
+                    flush(end)
             if tracing:
                 trace_mcs(start, end)
+        if not per_sample:
+            flush(times.shape[0])
 
         exit_degraded(float(self.duration_s))
         budget = getattr(self.manager, "budget", None)
@@ -270,6 +318,7 @@ class LinkSimulator:
             probe_airtime_s=probe_airtime,
             bandwidth_hz=self.manager.sounder.config.bandwidth_hz,
             degraded_windows=tuple(degraded),
+            weight_record=tuple(record),
         )
 
     def _maintenance_boundaries(self, times: np.ndarray) -> List[int]:
@@ -291,25 +340,25 @@ class LinkSimulator:
             boundaries.append(index)
             tick += 1
 
-    def _segment_snr(
+    def _span_snr(
         self,
         times: np.ndarray,
         snr: np.ndarray,
         start: int,
         end: int,
+        weights: Optional[np.ndarray],
         chunk_cache: dict,
     ) -> None:
-        """Fill ``snr[start:end]`` through the manager's batched evaluator.
+        """Fill ``snr[start:end]`` through constant transmit ``weights``.
 
         Channel parameters (and the weight-independent response tensors)
-        are built once per ``MAX_BATCH_SAMPLES``-aligned chunk and shared
-        across the segments inside it; segments see cheap slice views.
-        Managers without ``link_snr_db_batch`` go one sample at a time
-        instead (:meth:`_sample_snr`).
+        are built once per chunk and shared across the spans inside it
+        as slice views.
         """
-        if not hasattr(self.manager, "link_snr_db_batch"):
-            self._sample_snr(times, snr, start, end)
+        if weights is None:
+            snr[start:end] = -np.inf
             return
+        sounder = self.manager.sounder
         batched_scenario = hasattr(self.scenario, "channel_batch")
         position = start
         while position < end:
@@ -319,15 +368,13 @@ class LinkSimulator:
             sub_end = min(end, chunk_hi)
             if batched_scenario:
                 if chunk not in chunk_cache:
-                    # Segments consume chunks in time order; older
-                    # chunks are never revisited, so keep only one.
+                    # Spans consume chunks in time order; older chunks
+                    # are never revisited, so keep only one.
                     chunk_cache.clear()
                     batch = self.scenario.channel_batch(
                         times[chunk_lo:chunk_hi]
                     )
-                    batch.precompute(
-                        self.manager.sounder.config.frequency_grid()
-                    )
+                    batch.precompute(sounder.config.frequency_grid())
                     chunk_cache[chunk] = batch
                 channels = chunk_cache[chunk].sliced(
                     position - chunk_lo, sub_end - chunk_lo
@@ -337,7 +384,9 @@ class LinkSimulator:
                     self.scenario.channel_at(float(t))
                     for t in times[position:sub_end]
                 ]
-            snr[position:sub_end] = self.manager.link_snr_db_batch(channels)
+            snr[position:sub_end] = sounder.link_snr_db_batch(
+                channels, weights
+            )
             position = sub_end
 
     def _sample_snr(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.arrays import UniformLinearArray
-from repro.arrays.steering import single_beam_weights
+from repro.arrays.steering import single_beam_weights, steering_vector
 from repro.channel.batch import ChannelBatch, batch_from_channels
 from repro.channel.blockage import BlockageEvent, BlockageSchedule
 from repro.channel.geometric import GeometricChannel
@@ -147,6 +147,53 @@ class TestSlicingAndPrecompute:
         np.testing.assert_array_equal(
             view.frequency_response(weights, FREQS),
             primed.frequency_response(weights, FREQS)[3:9],
+        )
+
+    @staticmethod
+    def full_tensor_response(batch, weights):
+        """The response through a per-sample ``(T, F, L)`` rotation."""
+        rotation = np.exp(
+            -2j * np.pi * FREQS[None, :, None] * batch.delays_s[:, None, :]
+        )
+        a = steering_vector(ARRAY, batch.aods_rad)
+        alphas = batch.gains * (a @ weights)
+        return (rotation @ alphas[:, :, None])[:, :, 0]
+
+    def test_constant_delays_broadcast_one_rotation_row(self, scenario):
+        times = np.arange(0.0, 0.05, 1e-3)
+        weights = single_beam_weights(ARRAY, 0.2)
+        batch = scenario.channel_batch(times)
+        assert np.all(batch.delays_s == batch.delays_s[:1])
+        primed = batch.precompute(FREQS)
+        assert primed._rotation.shape == (len(times), FREQS.size, 2)
+        assert primed._rotation.strides[0] == 0
+        expected = self.full_tensor_response(batch, weights)
+        np.testing.assert_array_equal(
+            primed.frequency_response(weights, FREQS), expected
+        )
+        view = primed.sliced(7, 31)
+        assert view._rotation.strides[0] == 0
+        np.testing.assert_array_equal(
+            view.frequency_response(weights, FREQS), expected[7:31]
+        )
+
+    def test_time_varying_delays_build_the_full_tensor(self):
+        channels = [
+            GeometricChannel(
+                tx_array=ARRAY,
+                paths=(
+                    Path(aod_rad=0.1, gain=1.0 + 0j, delay_s=20e-9 + i * 1e-10),
+                    Path(aod_rad=0.5, gain=0.3j, delay_s=22e-9),
+                ),
+            )
+            for i in range(6)
+        ]
+        weights = single_beam_weights(ARRAY, 0.2)
+        primed = batch_from_channels(channels).precompute(FREQS)
+        assert primed._rotation.strides[0] != 0
+        np.testing.assert_array_equal(
+            primed.frequency_response(weights, FREQS),
+            self.full_tensor_response(primed, weights),
         )
 
     def test_other_grid_bypasses_precompute(self, scenario):

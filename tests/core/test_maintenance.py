@@ -13,6 +13,11 @@ from repro.phy.reference_signals import ProbeKind
 from repro.sim.scenarios import SyntheticScenario, two_path_channel
 
 
+def link_snr(manager, channel):
+    """True link SNR through the manager's live transmit weights."""
+    return manager.sounder.link_snr_db(channel, manager.current_weights())
+
+
 def make_manager(array, seed=0, num_beams=2, bandwidth=100e6):
     config = OfdmConfig(bandwidth_hz=bandwidth, num_subcarriers=64)
     sounder = ChannelSounder(config=config, rng=seed)
@@ -61,7 +66,7 @@ class TestEstablish:
         channel = two_path_channel(array, delta_db=-3.0)
         manager = make_manager(array)
         manager.establish(channel)
-        multi_snr = manager.link_snr_db(channel)
+        multi_snr = link_snr(manager, channel)
         single_snr = manager.sounder.link_snr_db(
             channel, single_beam_weights(array, 0.0)
         )
@@ -80,10 +85,10 @@ class TestStaticMaintenance:
         channel = two_path_channel(array, delta_db=-5.0)
         manager = make_manager(array)
         manager.establish(channel)
-        initial_snr = manager.link_snr_db(channel)
+        initial_snr = link_snr(manager, channel)
         for t in np.arange(0.005, 0.2, 0.005):
             manager.step(channel, float(t))
-        assert manager.link_snr_db(channel) >= initial_snr - 1.0
+        assert link_snr(manager, channel) >= initial_snr - 1.0
         assert manager.training_rounds == 1  # never retrained
 
     def test_reports_have_fields(self, array):
@@ -114,7 +119,7 @@ class TestBlockageResponse:
             channel = scenario.channel_at(float(t))
             report = manager.step(channel, float(t))
             actions.append(report.action)
-            snrs.append(manager.link_snr_db(channel))
+            snrs.append(link_snr(manager, channel))
         return actions, np.asarray(snrs), manager
 
     def test_detects_and_drops_blocked_beam(self, array):
@@ -183,10 +188,10 @@ class TestMobilityTracking:
         )
         manager = make_manager(array)
         manager.establish(scenario.channel_at(0.0))
-        start_snr = manager.link_snr_db(scenario.channel_at(0.0))
+        start_snr = link_snr(manager, scenario.channel_at(0.0))
         for t in np.arange(0.005, 1.0, 0.005):
             manager.step(scenario.channel_at(float(t)), float(t))
-        end_snr = manager.link_snr_db(scenario.channel_at(1.0))
+        end_snr = link_snr(manager, scenario.channel_at(1.0))
         assert end_snr > start_snr - 3.0
 
 

@@ -16,6 +16,11 @@ from repro.sim.scenarios import SyntheticScenario, two_path_channel
 ARRAY = UniformLinearArray(num_elements=8)
 
 
+def link_snr(manager, channel):
+    """True link SNR through the manager's live transmit weights."""
+    return manager.sounder.link_snr_db(channel, manager.current_weights())
+
+
 def make_manager(seed=0, **overrides):
     sounder = ChannelSounder(
         config=OfdmConfig(bandwidth_hz=400e6, num_subcarriers=64), rng=seed
@@ -47,9 +52,7 @@ class TestQuantizerIntegration:
         )
         ideal.establish(channel)
         coarse.establish(channel)
-        assert ideal.link_snr_db(channel) - coarse.link_snr_db(
-            channel
-        ) < 1.5
+        assert link_snr(ideal, channel) - link_snr(coarse, channel) < 1.5
 
 
 class TestAblationFlags:
@@ -171,8 +174,8 @@ class TestRecoveryTiming:
         manager = make_manager(reprobe_interval_s=0.1)
         initial_channel = scenario.channel_at(0.0)
         manager.establish(initial_channel)
-        initial_snr = manager.link_snr_db(initial_channel)
+        initial_snr = link_snr(manager, initial_channel)
         for t in np.arange(0.005, 0.4, 0.005):
             manager.step(scenario.channel_at(float(t)), float(t))
-        final = manager.link_snr_db(scenario.channel_at(0.4))
+        final = link_snr(manager, scenario.channel_at(0.4))
         assert final == pytest.approx(initial_snr, abs=1.0)

@@ -1,8 +1,12 @@
-"""Interference-model invariants: sign, monotonicity, bitwise identity."""
+"""Interference-model invariants over the links' recorded weights: sign,
+monotonicity, bitwise identity, and which epochs a weight change moves."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.arrays.steering import single_beam_weights
 from repro.network import (
     InterferenceModel,
     NetworkScenario,
@@ -10,22 +14,45 @@ from repro.network import (
     apply_penalty_db,
     row_of_cells,
 )
+from repro.network.scheduler import SlotScheduler
+from repro.phy.reference_signals import ProbeBudget
+from repro.sim.link import LinkSimulator
 
 
-def model_for(num_cells: int, num_users: int, seed: int = 0):
+def link_traces(scenario, seed, broken=()):
+    """Every user's link run, as the network simulator builds it.
+
+    Users in ``broken`` get a manager whose establish always raises, so
+    their links never come up.
+    """
+    batch = scenario.user_batch(seed)
+    traces = []
+    for u in range(scenario.num_users):
+        manager = scenario.build_manager(seed, batch, u)
+        if u in broken:
+            def refuse(channel, time_s=0.0):
+                raise RuntimeError("beam training failed")
+
+            manager.establish = refuse
+        traces.append(
+            LinkSimulator(
+                scenario=scenario.link_scenario(seed, batch, u),
+                manager=manager,
+                duration_s=scenario.duration_s,
+                sample_period_s=scenario.sample_period_s,
+                maintenance_period_s=scenario.maintenance_period_s,
+            ).run()
+        )
+    return batch, tuple(traces)
+
+
+def model_for(num_cells: int, num_users: int, seed: int = 0, broken=()):
     scenario = NetworkScenario(
         cells=row_of_cells(num_cells),
         num_users=num_users,
         duration_s=0.05,
     )
-    simulator = NetworkSimulator(scenario=scenario, seed=seed)
-    batch = scenario.user_batch(seed)
-    link_scenarios = tuple(
-        scenario.link_scenario(seed, batch, u) for u in range(num_users)
-    )
-    from repro.network.scheduler import SlotScheduler
-    from repro.phy.reference_signals import ProbeBudget
-
+    batch, traces = link_traces(scenario, seed, broken)
     scheduler = SlotScheduler(
         duration_s=scenario.duration_s,
         sample_period_s=scenario.sample_period_s,
@@ -38,12 +65,9 @@ def model_for(num_cells: int, num_users: int, seed: int = 0):
     )
     return (
         InterferenceModel(
-            scenario=scenario,
-            batch=batch,
-            link_scenarios=link_scenarios,
-            plans=plans,
+            scenario=scenario, batch=batch, traces=traces, plans=plans
         ),
-        simulator,
+        NetworkSimulator(scenario=scenario, seed=seed),
     )
 
 
@@ -81,6 +105,41 @@ class TestPenalties:
             if previous is not None:
                 assert np.all(penalty_user0 >= previous - 1e-12)
             previous = penalty_user0
+
+    def test_link_that_never_establishes_contributes_nothing(self):
+        # Two cells, one user each: user 1 (cell 1) never comes up, so
+        # cell 1 radiates nothing toward user 0.
+        model, _ = model_for(num_cells=2, num_users=2, broken=(1,))
+        assert model.traces[1].weight_record == ((0, None),)
+        penalties = model.penalties_db()
+        np.testing.assert_array_equal(penalties[0], 0.0)
+        assert np.all(penalties[1] > 0.0)
+
+    def test_weight_change_moves_penalties_from_its_epoch_on(self):
+        model, _ = model_for(num_cells=2, num_users=2)
+        epochs = model.epoch_times_s()
+        trace = model.traces[1]  # user 1 is cell 1's only user
+        change = int(np.searchsorted(trace.times_s, epochs[4], side="left"))
+        before = trace.weights_at(0)
+        # Cell 1 turns its beam straight at user 0 from epoch 4 on.
+        toward_victim = single_beam_weights(
+            model.scenario.cells[1].array(),
+            float(model.batch.angles_rad[0, 1]),
+        )
+
+        def with_record(record):
+            traces = (
+                model.traces[0],
+                dataclasses.replace(trace, weight_record=record),
+            )
+            return dataclasses.replace(model, traces=traces).penalties_db()
+
+        steady = with_record(((0, before),))
+        turned = with_record(((0, before), (change, toward_victim)))
+        np.testing.assert_array_equal(turned[0, :4], steady[0, :4])
+        assert np.all(turned[0, 4:] > steady[0, 4:])
+        # User 1's own penalty comes from cell 0 and does not move.
+        np.testing.assert_array_equal(turned[1], steady[1])
 
     def test_epoch_grid_matches_update_period(self):
         model, _ = model_for(num_cells=2, num_users=2)

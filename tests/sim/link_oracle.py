@@ -1,12 +1,15 @@
 """Per-sample reference run of the link simulator (test-only oracle).
 
-The library ships one sample clock: :meth:`LinkSimulator.run` walks the
-run one inter-maintenance segment at a time and evaluates a segment in
-one batched call when the manager has ``link_snr_db_batch``.  This is
-the loop it replaced — one ``channel_at`` and one ``link_snr_db`` per
-sample, maintenance fired inline on that same channel whenever the
-sample time reaches the next tick — kept here so differential tests can
-pin the shipped clock against it.
+The library ships one sample clock: :meth:`LinkSimulator.run` keeps a
+weight record per link and evaluates each span of constant transmit
+weights in one batched call per chunk piece.  This is the loop it
+replaced — one ``channel_at`` and one scalar SNR evaluation per sample
+(``sounder.link_snr_db`` through ``current_weights()``, or the manager's
+own ``link_snr_db`` when it has one), maintenance fired inline on that
+same channel whenever the sample time reaches the next tick — kept here
+so differential tests can pin the shipped clock against it.  It builds
+its weight record sample by sample, reading ``current_weights()`` at
+every established sample.
 """
 
 from typing import List, Optional, Tuple
@@ -33,6 +36,19 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
     if tracing:
         recorder.begin_run(type(manager).__name__, time_s=0.0)
     last_mcs: Optional[int] = None
+    own_link = hasattr(manager, "link_snr_db")
+    record: List[Tuple[int, Optional[np.ndarray]]] = []
+
+    def note_weights(index: int, weights: Optional[np.ndarray]) -> None:
+        if record:
+            current = record[-1][1]
+            if weights is current or (
+                weights is not None
+                and current is not None
+                and np.array_equal(weights, current)
+            ):
+                return
+        record.append((index, weights))
 
     def enter_degraded(time_s: float, stage: str, error: Exception) -> None:
         nonlocal degraded_since
@@ -100,13 +116,19 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
         if t >= tick * simulator.maintenance_period_s:
             maintain(float(t), channel)
             tick += 1
-        if established:
+        if not established:
+            if not own_link:
+                note_weights(i, None)
+            snr[i] = -np.inf
+        elif own_link:
             try:
                 snr[i] = manager.link_snr_db(channel)
             except Exception:
                 snr[i] = -np.inf
         else:
-            snr[i] = -np.inf
+            weights = manager.current_weights()
+            note_weights(i, weights)
+            snr[i] = manager.sounder.link_snr_db(channel, weights)
         if tracing:
             trace_mcs(i)
 
@@ -130,4 +152,5 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
         probe_airtime_s=probe_airtime,
         bandwidth_hz=manager.sounder.config.bandwidth_hz,
         degraded_windows=tuple(degraded),
+        weight_record=tuple(record),
     )

@@ -1,10 +1,11 @@
-"""Differential tests: the segmented sample clock vs the per-sample oracle.
+"""Differential tests: the weight-span sample clock vs the per-sample oracle.
 
 The contract (DESIGN.md, "Performance architecture"): the simulator must
 reproduce the per-sample reference run (``link_oracle``) exactly up to
 the documented BLAS-contraction tolerance — same maintenance instants,
-same actions, same telemetry event stream, same SNR trace to 1e-9.
-Managers without a batched evaluator must match it bitwise.
+same actions, same telemetry event stream, same weight record, same SNR
+trace to 1e-9.  Managers that evaluate their own link (``link_snr_db``)
+must match it bitwise.
 """
 
 import sys
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 import link_oracle as oracle
+from repro.arrays.steering import single_beam_weights
 from repro.channel.blockage import random_blockage_schedule
 from repro.experiments.common import TESTBED_ULA, make_manager
-from repro.sim.link import LinkSimulator
+from repro.phy.ofdm import ChannelSounder, OfdmConfig
+from repro.sim.link import MAX_BATCH_SAMPLES, LinkSimulator
 from repro.sim.scenarios import SyntheticScenario, indoor_two_path_scenario
 from repro.telemetry import TelemetryRecorder, use_recorder
 
@@ -189,31 +192,126 @@ class TestMaintenanceClock:
 
 
 class TestBatchedManagerSnr:
+    """The sounder's batched evaluator through each system's weights."""
+
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_link_snr_db_batch_matches_loop(self, system):
         scenario = make_scenario(1)
         manager = make_manager(system, seed=1)
         manager.establish(scenario.channel_at(0.0), time_s=0.0)
+        weights = manager.current_weights()
         times = np.arange(0.0, 0.05, 1e-3)
         channels = [scenario.channel_at(float(t)) for t in times]
-        batched = manager.link_snr_db_batch(channels)
-        looped = np.array([manager.link_snr_db(c) for c in channels])
+        batched = manager.sounder.link_snr_db_batch(channels, weights)
+        looped = np.array(
+            [manager.sounder.link_snr_db(c, weights) for c in channels]
+        )
         np.testing.assert_allclose(batched, looped, rtol=1e-9)
 
     def test_link_snr_db_batch_accepts_channel_batch(self):
         scenario = make_scenario(1)
         manager = make_manager("mmreliable", seed=1)
         manager.establish(scenario.channel_at(0.0), time_s=0.0)
+        weights = manager.current_weights()
         times = np.arange(0.0, 0.05, 1e-3)
         batch = scenario.channel_batch(times)
-        batched = manager.link_snr_db_batch(batch)
+        batched = manager.sounder.link_snr_db_batch(batch, weights)
         looped = np.array(
             [
-                manager.link_snr_db(scenario.channel_at(float(t)))
+                manager.sounder.link_snr_db(
+                    scenario.channel_at(float(t)), weights
+                )
                 for t in times
             ]
         )
         np.testing.assert_allclose(batched, looped, rtol=1e-9)
+
+
+def count_batch_calls(manager):
+    """Log the sample count of every ``link_snr_db_batch`` call."""
+    sounder = manager.sounder
+    original = sounder.link_snr_db_batch
+    calls = []
+
+    def counting(channels, tx_weights):
+        calls.append(len(channels))
+        return original(channels, tx_weights)
+
+    sounder.link_snr_db_batch = counting
+    return calls
+
+
+class FixedBeam:
+    """A manager whose transmit weights never change after establish."""
+
+    def __init__(self, seed):
+        self.sounder = ChannelSounder(
+            config=OfdmConfig(bandwidth_hz=400e6, num_subcarriers=64),
+            rng=seed,
+        )
+        self.weights = single_beam_weights(TESTBED_ULA, 0.1)
+
+    def establish(self, channel, time_s=0.0):
+        return None
+
+    def step(self, channel, time_s):
+        return None
+
+    def current_weights(self):
+        return self.weights
+
+
+def segment_count(simulator, trace):
+    return len(simulator._maintenance_boundaries(trace.times_s)) + 1
+
+
+class TestWeightSpans:
+    """One batched call per span of constant weights per chunk piece."""
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_one_batched_call_per_span(self, system):
+        simulator = make_simulator(system, seed=3, duration_s=1.0)
+        calls = count_batch_calls(simulator.manager)
+        trace = simulator.run()
+        starts = [start for start, _ in trace.weight_record]
+        assert starts[0] == 0
+        assert calls == list(np.diff(starts + [len(trace.times_s)]))
+        if system == "oracle":
+            # Genie weights are refreshed at every maintenance tick.
+            assert len(calls) == segment_count(simulator, trace)
+        else:
+            assert len(calls) < segment_count(simulator, trace)
+
+    def test_record_matches_per_sample_oracle(self):
+        fast, naive = run_both("mmreliable", seed=3)
+        assert [s for s, _ in fast.weight_record] == [
+            s for s, _ in naive.weight_record
+        ]
+        for (_, ours), (_, theirs) in zip(
+            fast.weight_record, naive.weight_record
+        ):
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_long_span_splits_at_the_chunk_boundary(self):
+        def run(recorder=None):
+            simulator = LinkSimulator(
+                scenario=make_scenario(0), manager=FixedBeam(0), duration_s=5.0
+            )
+            calls = count_batch_calls(simulator.manager)
+            if recorder is None:
+                return simulator.run(), calls, simulator
+            with use_recorder(recorder):
+                return simulator.run(), calls, simulator
+
+        whole, calls, _ = run()
+        samples = len(whole.times_s)
+        assert samples > MAX_BATCH_SAMPLES
+        assert len(whole.weight_record) == 1
+        assert calls == [MAX_BATCH_SAMPLES, samples - MAX_BATCH_SAMPLES]
+        # A recorder forces per-segment evaluation: same bits.
+        per_segment, segment_calls, simulator = run(TelemetryRecorder())
+        assert len(segment_calls) >= segment_count(simulator, whole)
+        np.testing.assert_array_equal(whole.snr_db, per_segment.snr_db)
 
 
 class TestEnsembleWorkers:
@@ -250,8 +348,9 @@ class BatchCountingScenario:
 
 
 class TestUnbatchedManagerMatchesOracle:
-    """A manager without ``link_snr_db_batch`` is evaluated per sample
-    inside each segment: bitwise the per-sample oracle's run."""
+    """A manager that evaluates its own link (``link_snr_db``) is sampled
+    one sample at a time inside each segment and keeps no weight record:
+    bitwise the per-sample oracle's run."""
 
     def run_directional(self, run):
         rate = np.deg2rad(5.0)
@@ -278,9 +377,8 @@ class TestUnbatchedManagerMatchesOracle:
         expected, expected_events, _ = self.run_directional(
             oracle.run_per_sample
         )
-        assert not hasattr(
-            directional_ue.DirectionalUeLinkManager, "link_snr_db_batch"
-        )
+        assert hasattr(directional_ue.DirectionalUeLinkManager, "link_snr_db")
+        assert trace.weight_record == ()
         assert batches == 0
         np.testing.assert_array_equal(trace.times_s, expected.times_s)
         np.testing.assert_array_equal(trace.snr_db, expected.snr_db)

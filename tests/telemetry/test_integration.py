@@ -32,6 +32,18 @@ from repro.telemetry import (
 ARRAY = UniformLinearArray(num_elements=8)
 
 
+def assert_same_record(ours, theirs):
+    """Two traces hold the same weight record, bitwise."""
+    assert [start for start, _ in ours.weight_record] == [
+        start for start, _ in theirs.weight_record
+    ]
+    assert ours.weight_record
+    for (_, a), (_, b) in zip(ours.weight_record, theirs.weight_record):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_array_equal(a, b)
+
+
 def make_sim(seed=0, duration=0.1, manager_cls=MultiBeamManager):
     from repro.sim.scenarios import indoor_two_path_scenario
 
@@ -85,6 +97,45 @@ class TestInstrumentedRun:
         assert plain.actions == traced.actions
         assert plain.training_rounds == traced.training_rounds
         assert plain.probe_airtime_s == traced.probe_airtime_s
+        assert_same_record(plain, traced)
+
+        # A recorder makes the simulator evaluate every segment as it
+        # ends instead of every weight span as it closes: the numbers
+        # and the weight record must not notice.
+        from functools import partial
+
+        from repro.experiments.common import make_manager
+        from repro.experiments.fig18_end2end import _mobile_scenario
+        from repro.network import NetworkScenario, NetworkSimulator, row_of_cells
+        from repro.sim.link import build_link_simulator
+
+        scenario = partial(
+            _mobile_scenario, speed_mps=1.5, blockage_depth_db=30.0,
+            distance_m=25.0,
+        )
+        for system in ("mmreliable", "reactive", "beamspy", "widebeam", "oracle"):
+            build = partial(
+                build_link_simulator, scenario, partial(make_manager, system),
+                1.0, 3,
+            )
+            plain = build().run()
+            with use_recorder(TelemetryRecorder()):
+                traced = build().run()
+            np.testing.assert_array_equal(plain.snr_db, traced.snr_db)
+            assert plain.actions == traced.actions
+            assert_same_record(plain, traced)
+
+        network = NetworkScenario(
+            cells=row_of_cells(2), num_users=4, duration_s=0.05
+        )
+        plain = NetworkSimulator(scenario=network, seed=1).run()
+        with use_recorder(TelemetryRecorder()):
+            traced = NetworkSimulator(scenario=network, seed=1).run()
+        np.testing.assert_array_equal(plain.penalties_db, traced.penalties_db)
+        for ours, theirs in zip(plain.user_traces, traced.user_traces):
+            np.testing.assert_array_equal(ours.snr_db, theirs.snr_db)
+            assert ours.actions == theirs.actions
+            assert_same_record(ours, theirs)
 
     def test_untraced_run_records_nothing(self):
         recorder = TelemetryRecorder()
