@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -341,6 +342,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         arguments.workers = min(arguments.workers, 2)
 
     tmp = Path(tempfile.mkdtemp(prefix="repro-load-"))
+    try:
+        return _run(arguments, tmp)
+    finally:
+        # The journal and ready file go with the run, failures included.
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _run(arguments: argparse.Namespace, tmp: Path) -> int:
+    """Run the load test with its journal and ready file under ``tmp``."""
     journal = tmp / "jobs.jsonl"
     server = ServerProcess(journal, tmp / "ready", arguments.workers)
 
@@ -392,7 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     audit, violations = audit_journal(journal, kill_line)
     # With REPRO_SANITIZE=1 the server folds its runtime-sanitizer
     # report tally into the stats payload; any nonzero count (a blocked
-    # event loop, an incoherent cache) is an invariant violation.
+    # event loop) is an invariant violation.
     for kind, count in sorted((stats.get("sanitize") or {}).items()):
         if count:
             violations.append(

@@ -12,7 +12,7 @@ Usage::
     python -m repro run fault_tolerance --faults faults.json
     python -m repro run --scenario quad-cell --seeds 8 --workers 4
     python -m repro run network_scale --scenario my_network.json
-    python -m repro lint src --check-baseline
+    python -m repro lint src tools
     python -m repro serve --port 7753 --journal jobs.jsonl
     python -m repro submit --port 7753 fig14 --wait
     python -m repro jobs --port 7753
@@ -28,7 +28,8 @@ trace`` renders a recorded JSONL file as a human-readable timeline.
 deterministic faults (see :mod:`repro.faults`) into ensemble-backed
 experiments.  ``repro lint`` runs the project's domain-aware static
 analyzer (RNG discipline, dB/linear unit hygiene, telemetry contracts,
-purity — see :mod:`tools/repro_lint`) from any source checkout.
+purity, module hygiene, async hygiene, race detection — see
+:mod:`tools/repro_lint`) from any source checkout.
 ``repro serve`` starts the fault-tolerant async job server
 (:mod:`repro.serve`): a persistent journal replayed after a crash,
 request coalescing, and priority-aware load shedding.  ``repro submit``
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint_args",
         nargs=argparse.REMAINDER,
         metavar="...",
-        help="arguments forwarded to repro-lint (e.g. src --check-baseline)",
+        help="arguments forwarded to repro-lint (e.g. src/repro/core)",
     )
     serve = commands.add_parser(
         "serve", help="start the fault-tolerant async job server"

@@ -1,24 +1,18 @@
-"""Runtime concurrency sanitizer — the dynamic counterpart of RL5xx/RL6xx.
+"""Runtime concurrency sanitizer — the dynamic counterpart of RL501/RL505.
 
 The static analyzer (``tools/repro_lint``) proves what it can about
 event-loop hygiene and shared-state races; this module catches what it
-can't: blocking that only happens under real load, and cache-coherence
-drift that only a live process exhibits.  It is **off by default** and
-costs nothing when off — every probe is gated on :func:`enabled`, which
-reads ``REPRO_SANITIZE=1`` from the environment.
+can't: blocking that only happens under real load, or that static
+analysis cannot resolve.  It is **off by default** and costs nothing
+when off — every probe is gated on :func:`enabled`, which reads
+``REPRO_SANITIZE=1`` from the environment.
 
-Two detectors:
-
-* :class:`LoopLagMonitor` — a daemon heartbeat thread that posts a
-  timestamp onto the event loop with ``call_soon_threadsafe`` and
-  measures how long the loop took to service it.  A lag above
-  ``REPRO_SANITIZE_THRESHOLD`` seconds (default 0.25) means *something
-  blocked the loop* — exactly the defect class RL501/RL505 flags
-  statically — and files a ``loop_blocked`` report.
-* :func:`verify_caches` — asserts the :mod:`repro.perf.cache` registry
-  invariants that only break under racy mutation: every cache's size
-  stays within its bound, and ``hits + misses == lookups`` (a torn
-  read-modify-write on the tallies shows up as a mismatch).
+:class:`LoopLagMonitor` is a daemon heartbeat thread that posts a
+timestamp onto the event loop with ``call_soon_threadsafe`` and measures
+how long the loop took to service it.  A lag above
+:data:`DEFAULT_THRESHOLD_S` seconds means *something blocked the loop* —
+exactly the defect class RL501/RL505 flags statically — and files a
+``loop_blocked`` report.
 
 Reports accumulate in a process-wide, lock-guarded list.  The serve
 layer starts a monitor in :meth:`JobServer.start`, folds
@@ -42,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEFAULT_THRESHOLD_S",
     "ENV_VAR",
-    "THRESHOLD_ENV_VAR",
     "LoopLagMonitor",
     "SanitizeReport",
     "clear_reports",
@@ -50,15 +43,12 @@ __all__ = [
     "record",
     "report_counts",
     "reports",
-    "threshold_s",
-    "verify_caches",
 ]
 
 #: Environment switch; any of ``1/true/on/yes`` (case-insensitive) enables.
 ENV_VAR = "REPRO_SANITIZE"
 
 #: Seconds of event-loop unresponsiveness that counts as blocking.
-THRESHOLD_ENV_VAR = "REPRO_SANITIZE_THRESHOLD"
 DEFAULT_THRESHOLD_S = 0.25
 
 _TRUTHY = frozenset({"1", "true", "on", "yes"})
@@ -67,16 +57,6 @@ _TRUTHY = frozenset({"1", "true", "on", "yes"})
 def enabled() -> bool:
     """Whether the sanitizer is switched on for this process."""
     return os.environ.get(ENV_VAR, "").strip().lower() in _TRUTHY
-
-
-def threshold_s() -> float:
-    """The configured loop-lag threshold [s] (env override or default)."""
-    raw = os.environ.get(THRESHOLD_ENV_VAR, "")
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_THRESHOLD_S
-    return value if value > 0 else DEFAULT_THRESHOLD_S
 
 
 @dataclass(frozen=True)
@@ -145,14 +125,14 @@ class LoopLagMonitor:
     def __init__(
         self,
         loop: "asyncio.AbstractEventLoop",
-        threshold: Optional[float] = None,
+        threshold: float = DEFAULT_THRESHOLD_S,
         interval_s: float = 0.05,
         source: str = "",
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {interval_s!r}")
         self.loop = loop
-        self.threshold = threshold_s() if threshold is None else float(threshold)
+        self.threshold = float(threshold)
         self.interval_s = float(interval_s)
         self.source = source
         self.beats = 0
@@ -203,35 +183,3 @@ class LoopLagMonitor:
                 f"(threshold {self.threshold:.3f}s): a coroutine is doing "
                 f"blocking work on-loop",
             )
-
-
-def verify_caches() -> List[SanitizeReport]:
-    """Check every registered perf cache's coherence invariants.
-
-    Returns the reports filed by this sweep (empty when all caches are
-    coherent).  Violations indicate unlocked mutation of a cache's LRU
-    or tallies — the runtime shadow of rule RL602.
-    """
-    from repro.perf.cache import registered_caches
-
-    filed: List[SanitizeReport] = []
-    for name, cache in sorted(registered_caches().items()):
-        stats = cache.stats()
-        if stats["size"] > stats["maxsize"]:
-            filed.append(
-                record(
-                    "cache_overflow",
-                    f"cache {name!r} holds {stats['size']} entries, "
-                    f"bound is {stats['maxsize']}",
-                )
-            )
-        if stats["hits"] + stats["misses"] != stats["lookups"]:
-            filed.append(
-                record(
-                    "cache_incoherent",
-                    f"cache {name!r} tallies disagree: hits {stats['hits']} "
-                    f"+ misses {stats['misses']} != lookups "
-                    f"{stats['lookups']} (torn read-modify-write)",
-                )
-            )
-    return filed

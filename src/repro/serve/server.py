@@ -258,8 +258,6 @@ class JobServer:
         if self._sanitizer is not None:
             await asyncio.to_thread(self._sanitizer.stop)
             self._sanitizer = None
-        if sanitize.enabled():
-            sanitize.verify_caches()
         self._stopped.set()
 
     async def wait_stopped(self) -> None:
@@ -466,7 +464,7 @@ class JobServer:
             # Unbounded on purpose: a pool thread cannot be interrupted,
             # so a timeout here would free neither the thread nor its
             # slot, only discard the run's eventual result.
-            result = await loop.run_in_executor(  # repro-lint: disable=RL504
+            result = await loop.run_in_executor(
                 self._executor, execute_job, record.spec
             )
         except Exception as error:
@@ -651,6 +649,5 @@ class JobServer:
         }
         payload.update(self.stats.to_dict())
         if sanitize.enabled():
-            sanitize.verify_caches()
             payload["sanitize"] = sanitize.report_counts()
         return payload

@@ -12,10 +12,8 @@ Fixture file conventions
 
 ``# lint-fixture: relpath=<path>`` (line 1) lints the file *as if* it
 lived at ``<path>``, so path-scoped rules (deterministic core, units
-exemptions, probe-budget layers) apply the way they would in ``src``.
-
-``# lint-fixture: require-all=<prefix>[,<prefix>]`` opts the fixture
-into RL402's ``__all__`` requirement for those path prefixes.
+exemptions, probe-budget layers, ``__all__`` packages) apply the way
+they would in ``src``.
 
 ``# expect: RL001[,RL002]`` on a line declares that exactly those rules
 must fire with that line as their anchor.  The golden test fails on any

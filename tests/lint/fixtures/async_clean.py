@@ -31,16 +31,3 @@ async def async_lock_discipline(queue):
     lock = asyncio.Lock()
     async with lock:
         await queue.get()
-
-
-async def bounded_external(loop, pool, job):
-    result = await asyncio.wait_for(
-        loop.run_in_executor(pool, job), timeout=5.0
-    )
-    return result
-
-
-async def bounded_connection(host, port):
-    async with asyncio.timeout(2.0):
-        reader, writer = await asyncio.open_connection(host, port)
-    return reader, writer

@@ -45,13 +45,5 @@ async def lock_held_await(queue):
         return await queue.get()  # expect: RL503
 
 
-async def unbounded_executor_hop(loop, pool, job):
-    return await loop.run_in_executor(pool, job)  # expect: RL504
-
-
-async def unbounded_connection(host, port):
-    return await asyncio.open_connection(host, port)  # expect: RL504
-
-
 async def transitively_blocking(path):
     _persist(path)  # expect: RL505

@@ -1,5 +1,4 @@
 # lint-fixture: relpath=src/repro/channel/_fixture_modules_clean.py
-# lint-fixture: require-all=src/repro/channel
 """Module-hygiene-respecting fixture that must produce zero findings."""
 
 import math

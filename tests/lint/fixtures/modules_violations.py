@@ -1,5 +1,4 @@
 # lint-fixture: relpath=src/repro/channel/_fixture_modules.py  # expect: RL402
-# lint-fixture: require-all=src/repro/channel
 """Module-hygiene fixtures: RL401 dead import, RL402 missing export list."""
 
 import math  # expect: RL401

@@ -1,4 +1,4 @@
-"""Configuration loading: the ``[tool.repro-lint]`` pyproject block."""
+"""The lint policy: project-root discovery and the built-in rule scopes."""
 
 from __future__ import annotations
 
@@ -6,16 +6,13 @@ import textwrap
 
 import pytest
 
-from repro_lint.config import ConfigError, LintConfig, find_project_root, load_config
-
-
-def write_pyproject(root, body):
-    (root / "pyproject.toml").write_text(textwrap.dedent(body), encoding="utf-8")
+from repro_lint.config import LintConfig, find_project_root
+from repro_lint.engine import lint_paths
 
 
 class TestFindProjectRoot:
     def test_walks_up_to_the_pyproject(self, tmp_path):
-        write_pyproject(tmp_path, "[tool.repro-lint]\n")
+        (tmp_path / "pyproject.toml").write_text("[project]\n", encoding="utf-8")
         nested = tmp_path / "src" / "deep"
         nested.mkdir(parents=True)
         assert find_project_root(nested) == tmp_path
@@ -27,64 +24,48 @@ class TestFindProjectRoot:
         assert find_project_root(nested) is None
 
 
-class TestLoadConfig:
-    def test_missing_file_yields_defaults(self, tmp_path):
-        config = load_config(tmp_path)
-        assert config.root == tmp_path
-        assert config.paths == ("src",)
-        assert config.baseline is None
-
-    def test_missing_block_yields_defaults(self, tmp_path):
-        write_pyproject(tmp_path, "[project]\nname = 'x'\n")
-        assert load_config(tmp_path).paths == ("src",)
-
-    def test_block_overrides_are_applied(self, tmp_path):
-        write_pyproject(
-            tmp_path,
-            """
-            [tool.repro-lint]
-            paths = ["src", "benchmarks"]
-            disable = ["RL403"]
-            baseline = "lint-baseline.json"
-            units-exempt = ["src/units"]
-            require-all = ["src/api"]
-
-            [tool.repro-lint.per-file-ignores]
-            "src/legacy" = ["RL301", "RL302"]
-            """,
-        )
-        config = load_config(tmp_path)
-        assert config.paths == ("src", "benchmarks")
-        assert config.disable == ("RL403",)
-        assert config.baseline == "lint-baseline.json"
-        assert config.units_exempt == ("src/units",)
-        assert config.require_all == ("src/api",)
-        assert config.per_file_ignores == {"src/legacy": ("RL301", "RL302")}
-
-    def test_unknown_key_is_rejected(self, tmp_path):
-        write_pyproject(tmp_path, "[tool.repro-lint]\nbogus = true\n")
-        with pytest.raises(ConfigError, match="unknown .* key"):
-            load_config(tmp_path)
-
-    def test_unknown_rule_code_is_rejected(self, tmp_path):
-        write_pyproject(tmp_path, '[tool.repro-lint]\ndisable = ["RL999"]\n')
-        with pytest.raises(ConfigError, match="RL999"):
-            load_config(tmp_path)
-
-    def test_wrongly_typed_list_is_rejected(self, tmp_path):
-        write_pyproject(tmp_path, '[tool.repro-lint]\npaths = "src"\n')
-        with pytest.raises(ConfigError, match="list of strings"):
-            load_config(tmp_path)
+WALL_CLOCK = """
+import time
 
 
-class TestRuleEnabled:
-    def test_select_matches_by_prefix(self):
-        config = LintConfig(select=("RL1", "RL203"))
-        assert config.rule_enabled("RL102")
-        assert config.rule_enabled("RL203")
-        assert not config.rule_enabled("RL001")
+def stamp():
+    return time.time()
+"""
 
-    def test_disable_beats_select(self):
-        config = LintConfig(select=("RL1",), disable=("RL102",))
-        assert not config.rule_enabled("RL102")
-        assert config.rule_enabled("RL101")
+NO_EXPORTS = """
+def attenuation(distance_m):
+    return 2.0 * distance_m
+"""
+
+CHARGE = """
+def spend(budget, symbols):
+    budget.charge(symbols)
+"""
+
+
+class TestDefaultPolicy:
+    """Each scoped rule reads its scope from the defaults alone."""
+
+    @pytest.mark.parametrize(
+        "relpath, source, expected",
+        [
+            ("src/repro/network/scheduler.py", WALL_CLOCK, ["RL002"]),
+            ("src/repro/serve/queue.py", WALL_CLOCK, []),
+            ("src/repro/channel/pathloss.py", NO_EXPORTS, ["RL402"]),
+            ("src/repro/network/scheduler.py", CHARGE, []),
+            ("src/repro/sim/export.py", CHARGE, ["RL203"]),
+        ],
+        ids=[
+            "wall-clock-in-network",
+            "wall-clock-in-serve",
+            "channel-without-all",
+            "charge-in-scheduler",
+            "charge-in-export",
+        ],
+    )
+    def test_scoped_plant(self, tmp_path, relpath, source, expected):
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True)
+        path.write_text(textwrap.dedent(source), encoding="utf-8")
+        result = lint_paths([relpath], LintConfig(root=tmp_path))
+        assert [finding.rule for finding in result.findings] == expected

@@ -1,4 +1,4 @@
-"""Engine-level tests: multi-file rules, filtering, scan semantics."""
+"""Engine-level tests: multi-file rules, pragma filtering, scan semantics."""
 
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ class TestImportCycles:
                 return helper_a()
             """,
         )
-        result = lint_paths([], config, use_baseline=False)
-        cycles = [f for f in result.new_findings if f.rule == "RL403"]
+        result = lint_paths([], config)
+        cycles = [f for f in result.findings if f.rule == "RL403"]
         assert len(cycles) == 1
         assert "repro.a" in cycles[0].message
         assert "repro.b" in cycles[0].message
@@ -87,8 +87,8 @@ class TestImportCycles:
                 return helper_a()
             """,
         )
-        result = lint_paths([], config, use_baseline=False)
-        assert not [f for f in result.new_findings if f.rule == "RL403"]
+        result = lint_paths([], config)
+        assert not [f for f in result.findings if f.rule == "RL403"]
 
     def test_type_checking_imports_break_the_cycle(self, project):
         # TYPE_CHECKING imports are erased at runtime: mutually
@@ -123,8 +123,8 @@ class TestImportCycles:
                     return make_a
             """,
         )
-        result = lint_paths([], config, use_baseline=False)
-        assert not [f for f in result.new_findings if f.rule == "RL403"]
+        result = lint_paths([], config)
+        assert not [f for f in result.findings if f.rule == "RL403"]
 
 
 class TestScanScope:
@@ -141,37 +141,36 @@ class TestScanScope:
     def test_full_scan_reports_unemitted_kinds(self, project):
         root, config = project
         write(root, "src/repro/events.py", self.REGISTRY)
-        result = lint_paths([], config, use_baseline=False)
-        dead = [f for f in result.new_findings if f.rule == "RL201"]
+        result = lint_paths([], config)
+        dead = [f for f in result.findings if f.rule == "RL201"]
         assert len(dead) == 1
         assert "GHOST" in dead[0].message
 
     def test_subset_scan_cannot_call_a_kind_dead(self, project):
         root, config = project
         write(root, "src/repro/events.py", self.REGISTRY)
-        result = lint_paths(["src/repro/events.py"], config, use_baseline=False)
-        assert not [f for f in result.new_findings if f.rule == "RL201"]
+        result = lint_paths(["src/repro/events.py"], config)
+        assert not [f for f in result.findings if f.rule == "RL201"]
 
     def test_excluded_paths_are_not_scanned(self, project):
         root, config = project
-        config.exclude = config.exclude + ("src/repro/vendor",)
         write(root, "src/repro/ok.py", "VALUE = 1\n")
-        write(root, "src/repro/vendor/bad.py", "def f(x=[]):\n    return x\n")
-        result = lint_paths([], config, use_baseline=False)
+        write(root, "tests/lint/fixtures/bad.py", "def f(x=[]):\n    return x\n")
+        result = lint_paths(["src", "tests"], config)
         assert result.files_scanned == 1
-        assert not result.new_findings
+        assert not result.findings
 
     def test_unparseable_file_is_an_error_not_a_crash(self, project):
         root, config = project
         write(root, "src/repro/broken.py", "def broken(:\n")
-        result = lint_paths([], config, use_baseline=False)
+        result = lint_paths([], config)
         assert result.errors and result.errors[0][0] == "src/repro/broken.py"
         assert result.exit_code == 2
 
     def test_missing_target_raises(self, project):
         _, config = project
         with pytest.raises(FileNotFoundError):
-            lint_paths(["src/no/such/dir"], config, use_baseline=False)
+            lint_paths(["src/no/such/dir"], config)
 
 
 class TestFiltering:
@@ -180,26 +179,18 @@ class TestFiltering:
         return 10.0 ** (y_db / 10.0)
     """
 
-    def rules_for(self, config, root):
-        write(root, "src/repro/sample.py", self.SOURCE)
-        result = lint_paths([], config, use_baseline=False)
-        return sorted(f.rule for f in result.new_findings)
+    def rules_for(self, config, root, source):
+        write(root, "src/repro/sample.py", source)
+        result = lint_paths([], config)
+        return sorted(f.rule for f in result.findings)
 
     def test_unfiltered_reports_both_rules(self, project):
         root, config = project
-        assert self.rules_for(config, root) == ["RL102", "RL301"]
+        assert self.rules_for(config, root, self.SOURCE) == ["RL102", "RL301"]
 
-    def test_select_restricts_to_a_family(self, project):
+    def test_pragma_excuses_only_the_rule_it_names(self, project):
         root, config = project
-        config.select = ("RL1",)
-        assert self.rules_for(config, root) == ["RL102"]
-
-    def test_disable_removes_a_rule(self, project):
-        root, config = project
-        config.disable = ("RL102",)
-        assert self.rules_for(config, root) == ["RL301"]
-
-    def test_per_file_ignores_scope_by_prefix(self, project):
-        root, config = project
-        config.per_file_ignores = {"src/repro": ("RL301",)}
-        assert self.rules_for(config, root) == ["RL102"]
+        source = self.SOURCE.replace(
+            "y_db=0.0):", "y_db=0.0):  # repro-lint: disable=RL301"
+        )
+        assert self.rules_for(config, root, source) == ["RL102"]

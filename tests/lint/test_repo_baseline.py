@@ -1,9 +1,8 @@
-"""The repo's own lint surface must stay green and in sync.
+"""The repo's own lint surface must stay clean.
 
-These are the tests CI leans on: ``repro lint src tools --check-baseline``
-over the real tree must exit 0, every committed baseline entry must
-carry a real justification, and the ``repro lint`` subcommand must
-dispatch to the analyzer.
+These are the tests CI leans on: ``repro lint src tools`` over the real
+tree must exit 0, and the ``repro lint`` subcommand must dispatch to the
+analyzer.
 """
 
 from __future__ import annotations
@@ -11,38 +10,15 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
-from repro_lint.baseline import load_baseline
 from repro_lint.cli import main as lint_main
-from repro_lint.registry import ALL_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE_PATH = REPO_ROOT / "tools" / "repro_lint" / "baseline.json"
 
 
-def test_repo_tree_lints_clean_with_baseline_in_sync():
+def test_repo_tree_lints_clean():
     out = io.StringIO()
-    code = lint_main(
-        ["--root", str(REPO_ROOT), "src", "tools", "--check-baseline"], out=out
-    )
-    assert code == 0, (
-        f"repro lint src tools --check-baseline failed:\n{out.getvalue()}"
-    )
-
-
-def test_committed_baseline_entries_are_justified_and_known():
-    # The RL102 grandfather list was burned down to zero; the baseline
-    # file must stay present (CI passes --check-baseline) but any entry
-    # that reappears must be justified and name a real rule.
-    entries = load_baseline(BASELINE_PATH)
-    for entry in entries:
-        assert entry.justification.strip(), (
-            f"baseline entry without justification: {entry.rule} {entry.path} "
-            f"{entry.code!r}"
-        )
-        assert entry.rule in ALL_RULES, f"baseline names unknown rule {entry.rule}"
-        assert entry.path.startswith(("src/", "tools/")), (
-            f"baseline entry outside the lint surface: {entry.path}"
-        )
+    code = lint_main(["--root", str(REPO_ROOT), "src", "tools"], out=out)
+    assert code == 0, f"repro lint src tools failed:\n{out.getvalue()}"
 
 
 def test_repro_cli_dispatches_lint_subcommand(capsys):

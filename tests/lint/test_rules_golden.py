@@ -44,10 +44,7 @@ def load_fixture(path: Path):
     source = path.read_text(encoding="utf-8")
     directives = dict(_DIRECTIVE_RE.findall(source))
     relpath = directives.get("relpath", f"tests/lint/fixtures/{path.name}")
-    config = LintConfig(root=Path("."))
-    if "require-all" in directives:
-        config.require_all = tuple(directives["require-all"].split(","))
-    return relpath, source, config
+    return relpath, source, LintConfig(root=Path("."))
 
 
 def expected_markers(source: str):

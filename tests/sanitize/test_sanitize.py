@@ -1,5 +1,5 @@
 """Runtime concurrency sanitizer: gating, the report store, the
-loop-lag monitor, cache coherence sweeps, and the serve integration.
+loop-lag monitor, and the serve integration.
 
 pytest-asyncio is not a dependency, so the async tests drive their own
 loops through ``asyncio.run`` (same convention as tests/serve).
@@ -12,7 +12,6 @@ import time
 import pytest
 
 from repro import sanitize
-from repro.perf.cache import BoundedCache
 
 
 @pytest.fixture(autouse=True)
@@ -37,31 +36,18 @@ class TestGating:
         monkeypatch.setenv(sanitize.ENV_VAR, value)
         assert not sanitize.enabled()
 
-    def test_threshold_default(self, monkeypatch):
-        monkeypatch.delenv(sanitize.THRESHOLD_ENV_VAR, raising=False)
-        assert sanitize.threshold_s() == sanitize.DEFAULT_THRESHOLD_S
-
-    def test_threshold_override(self, monkeypatch):
-        monkeypatch.setenv(sanitize.THRESHOLD_ENV_VAR, "0.5")
-        assert sanitize.threshold_s() == 0.5
-
-    @pytest.mark.parametrize("junk", ["fast", "", "-1", "0"])
-    def test_threshold_junk_falls_back(self, monkeypatch, junk):
-        monkeypatch.setenv(sanitize.THRESHOLD_ENV_VAR, junk)
-        assert sanitize.threshold_s() == sanitize.DEFAULT_THRESHOLD_S
-
 
 class TestReportStore:
     def test_record_and_counts(self):
         sanitize.record("loop_blocked", "a")
         sanitize.record("loop_blocked", "b")
-        sanitize.record("cache_overflow", "c")
+        sanitize.record("other", "c")
         assert sanitize.report_counts() == {
             "loop_blocked": 2,
-            "cache_overflow": 1,
+            "other": 1,
         }
         kinds = [report.kind for report in sanitize.reports()]
-        assert kinds == ["loop_blocked", "loop_blocked", "cache_overflow"]
+        assert kinds == ["loop_blocked", "loop_blocked", "other"]
 
     def test_clear(self):
         sanitize.record("loop_blocked", "x")
@@ -156,43 +142,6 @@ class TestLoopLagMonitor:
                 monitor.stop()
 
         asyncio.run(scenario())
-
-
-class TestVerifyCaches:
-    def test_coherent_cache_is_quiet(self):
-        cache = BoundedCache("sanitize-test-coherent", maxsize=4)
-        for i in range(8):
-            cache.get_or_build(i % 3, lambda: i)
-        assert sanitize.verify_caches() == []
-        assert sanitize.report_counts() == {}
-
-    def test_torn_tally_detected_and_restored(self):
-        cache = BoundedCache("sanitize-test-torn", maxsize=4)
-        cache.get_or_build("k", lambda: 1)
-        cache.hits += 1  # simulate an unlocked read-modify-write
-        try:
-            filed = sanitize.verify_caches()
-            assert any(
-                report.kind == "cache_incoherent"
-                and "sanitize-test-torn" in report.detail
-                for report in filed
-            )
-        finally:
-            cache.hits -= 1  # leave the process-wide registry coherent
-
-    def test_overflow_detected_and_restored(self):
-        cache = BoundedCache("sanitize-test-overflow", maxsize=2)
-        for extra in range(4):
-            cache._entries[f"stuffed-{extra}"] = extra  # bypass the bound
-        try:
-            filed = sanitize.verify_caches()
-            assert any(
-                report.kind == "cache_overflow"
-                and "sanitize-test-overflow" in report.detail
-                for report in filed
-            )
-        finally:
-            cache.clear()
 
 
 class TestServeIntegration:

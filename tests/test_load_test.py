@@ -1,5 +1,6 @@
 """The chaos load test (scripts/load_test.py) never leaves its
-``repro serve`` subprocess running, whatever ends the harness."""
+``repro serve`` subprocess running or its temp directory behind,
+whatever ends the harness."""
 
 import importlib.util
 import subprocess
@@ -48,3 +49,45 @@ def test_server_that_never_gets_ready_is_killed(monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match="never wrote its ready file"):
         server.start(timeout_s=0.3)
     assert server.process.poll() is not None
+
+
+class _IdleServer:
+    """Stands in for the server: writes an empty journal, runs nothing."""
+
+    def __init__(self, journal, ready_file, workers):
+        self.journal = journal
+        self.port = 0
+
+    def start(self):
+        self.journal.write_text("", encoding="utf-8")
+
+    def stop(self):
+        pass
+
+
+@pytest.mark.parametrize("submit_fails", [False, True], ids=["returns", "raises"])
+def test_temp_directory_is_removed_on_every_exit_path(
+    monkeypatch, tmp_path, submit_fails
+):
+    run_dir = tmp_path / "repro-load-run"
+
+    def make_run_dir(prefix):
+        run_dir.mkdir()
+        return str(run_dir)
+
+    def submit_all(port, jobs, clients):
+        if submit_fails:
+            raise RuntimeError("submit phase failed")
+        return [], 0, 0, 0
+
+    monkeypatch.setattr(load_test.tempfile, "mkdtemp", make_run_dir)
+    monkeypatch.setattr(load_test, "ServerProcess", _IdleServer)
+    monkeypatch.setattr(load_test, "submit_all", submit_all)
+    monkeypatch.setattr(load_test, "wait_for_drain", lambda port: {})
+    if submit_fails:
+        with pytest.raises(RuntimeError, match="submit phase failed"):
+            load_test.main(["--smoke", "--no-kill"])
+    else:
+        # An empty journal audits as "no jobs": main() returns 1.
+        assert load_test.main(["--smoke", "--no-kill"]) == 1
+    assert not run_dir.exists()

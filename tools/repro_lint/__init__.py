@@ -23,16 +23,22 @@ agreement rests on and that plain linters cannot see:
   ``__post_init__``.
 * **RL4xx — module hygiene.**  Dead imports, missing ``__all__`` in the
   public-surface packages, and import cycles.
+* **RL5xx — async hygiene.**  Blocking calls inside ``async def``
+  (directly, or through the cross-module call graph for RL505), dropped
+  task handles, and awaits under a threading lock.
+* **RL6xx — race detection.**  Unlocked writes to module-level state from
+  thread-pool context, lock-owning classes touching a guarded field
+  outside the lock, and unguarded lazy init.
 
 Usage: ``repro lint [paths ...]`` (see ``repro lint --help``), or
-``python -m repro_lint`` with ``tools/`` on ``PYTHONPATH``.  Configure
-via ``[tool.repro-lint]`` in ``pyproject.toml``; silence single findings
-with ``# repro-lint: disable=RLxxx`` or grandfather them in the
-committed baseline file.
+``python -m repro_lint`` with ``tools/`` on ``PYTHONPATH``.  The policy
+(default surface and rule scopes) is :class:`LintConfig`'s defaults; the
+one way to excuse a finding is ``# repro-lint: disable=RLxxx`` on the
+line it is reported at.
 """
 
 from repro_lint.core import Finding
-from repro_lint.config import LintConfig, load_config
+from repro_lint.config import LintConfig
 from repro_lint.engine import LintResult, lint_paths
 from repro_lint.registry import ALL_RULES
 
@@ -44,6 +50,5 @@ __all__ = [
     "LintConfig",
     "LintResult",
     "lint_paths",
-    "load_config",
     "__version__",
 ]

@@ -3,22 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional, TextIO
 
-from repro_lint import baseline as baseline_mod
-from repro_lint.config import ConfigError, LintConfig, find_project_root, load_config
+from repro_lint.config import LintConfig, find_project_root
 from repro_lint.engine import LintResult, lint_paths
-from repro_lint.registry import ALL_RULES, describe_rules
-
-#: Justification stamped on entries created by ``--update-baseline``
-#: until a human replaces it; ``--check-baseline`` fails on empties, not
-#: on this placeholder, so CI stays green while review happens in the PR.
-_DEFAULT_JUSTIFICATION = (
-    "grandfathered at repro-lint introduction; audited, migration tracked"
-)
+from repro_lint.registry import describe_rules
 
 
 def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
@@ -26,61 +17,20 @@ def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "domain-aware static analysis: RNG discipline, dB/linear unit "
-            "hygiene, telemetry contracts, purity, module hygiene"
+            "hygiene, telemetry contracts, purity, module hygiene, async "
+            "hygiene, race detection"
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: [tool.repro-lint] paths)",
+        help="files or directories to lint (default: src tools)",
     )
     parser.add_argument(
         "--root",
         default=None,
         metavar="DIR",
         help="project root holding pyproject.toml (default: auto-detect)",
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes/prefixes to run (e.g. RL0,RL203)",
-    )
-    parser.add_argument(
-        "--disable",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to disable on top of the config",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file (default: [tool.repro-lint] baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings and exit 0",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help=(
-            "fail if the baseline is out of sync (stale or unjustified "
-            "entries, or findings missing from it)"
-        ),
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
     )
     parser.add_argument(
         "--list-rules",
@@ -90,76 +40,16 @@ def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: LintConfig, arguments: argparse.Namespace) -> None:
-    if arguments.select:
-        config.select = tuple(
-            code.strip().upper()
-            for code in arguments.select.split(",")
-            if code.strip()
-        )
-    if arguments.disable:
-        config.disable = config.disable + tuple(
-            code.strip().upper()
-            for code in arguments.disable.split(",")
-            if code.strip()
-        )
-    unknown = [
-        code
-        for code in config.disable + tuple(c for c in config.select if len(c) == 5)
-        if len(code) == 5 and code not in ALL_RULES
-    ]
-    if unknown:
-        raise ConfigError("unknown rule code(s): " + ", ".join(sorted(set(unknown))))
-
-
-def _report_text(result: LintResult, check_baseline: bool, out: TextIO) -> None:
+def _report_text(result: LintResult, out: TextIO) -> None:
     for relpath, error in result.errors:
         out.write(f"{relpath}: parse error: {error}\n")
-    for finding in result.new_findings:
+    for finding in result.findings:
         out.write(finding.format() + "\n")
-    check = result.baseline_check
-    if check is not None and check.matched:
-        out.write(f"(baseline absorbed {check.matched} grandfathered finding(s))\n")
-    if check_baseline and check is not None:
-        for entry in check.stale_entries:
-            out.write(
-                f"stale baseline entry: {entry.rule} {entry.path} "
-                f"{entry.code!r} no longer matches any finding\n"
-            )
-        for entry in check.unjustified_entries:
-            out.write(
-                f"unjustified baseline entry: {entry.rule} {entry.path} "
-                f"{entry.code!r} has an empty justification\n"
-            )
-    total = len(result.new_findings)
+    total = len(result.findings)
     noun = "finding" if total == 1 else "findings"
     out.write(
         f"repro-lint: {result.files_scanned} file(s) scanned, {total} {noun}\n"
     )
-
-
-def _report_json(result: LintResult, out: TextIO) -> None:
-    check = result.baseline_check
-    payload = {
-        "files_scanned": result.files_scanned,
-        "findings": [
-            {
-                "path": f.path,
-                "line": f.line,
-                "col": f.col,
-                "rule": f.rule,
-                "message": f.message,
-            }
-            for f in result.new_findings
-        ],
-        "baselined": check.matched if check is not None else 0,
-        "stale_baseline_entries": (
-            len(check.stale_entries) if check is not None else 0
-        ),
-        "errors": [{"path": p, "message": m} for p, m in result.errors],
-    }
-    json.dump(payload, out, indent=2)
-    out.write("\n")
 
 
 def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
@@ -180,55 +70,15 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
                 root = find_project_root(Path(target).resolve())
                 if root is not None:
                     break
+    config = LintConfig(root=root or Path.cwd())
     try:
-        config = load_config(root)
-        _apply_overrides(config, arguments)
-    except ConfigError as error:
-        out.write(f"error: {error}\n")
-        return 2
-
-    baseline_path = baseline_mod.resolve_baseline_path(
-        arguments.baseline, config.baseline, config.root
-    )
-    try:
-        result = lint_paths(
-            arguments.paths,
-            config,
-            use_baseline=not arguments.no_baseline,
-            baseline_path=baseline_path,
-        )
+        result = lint_paths(arguments.paths, config)
     except FileNotFoundError as error:
         out.write(f"error: {error}\n")
         return 2
 
-    if arguments.update_baseline:
-        if baseline_path is None:
-            out.write("error: no baseline path configured (use --baseline)\n")
-            return 2
-        previous = baseline_mod.load_baseline(baseline_path)
-        entries = baseline_mod.write_baseline(
-            baseline_path,
-            result.findings,
-            result.source_lines,
-            previous=previous,
-            default_justification=_DEFAULT_JUSTIFICATION,
-        )
-        out.write(
-            f"wrote {len(entries)} baseline entr"
-            f"{'y' if len(entries) == 1 else 'ies'} to {baseline_path}\n"
-        )
-        return 0
-
-    if arguments.format == "json":
-        _report_json(result, out)
-    else:
-        _report_text(result, arguments.check_baseline, out)
-
-    exit_code = result.exit_code
-    if arguments.check_baseline and result.baseline_check is not None:
-        if not result.baseline_check.in_sync:
-            exit_code = max(exit_code, 1)
-    return exit_code
+    _report_text(result, out)
+    return result.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,75 +1,59 @@
-"""Configuration: the ``[tool.repro-lint]`` block of ``pyproject.toml``."""
+"""The lint policy: the default surface and the path scopes the rules read."""
 
 from __future__ import annotations
 
-import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Optional, Tuple
+
+#: Path prefixes never linted: fixtures carry deliberate violations.
+EXCLUDE: Tuple[str, ...] = (
+    "tests/lint/fixtures",
+    ".git",
+    "__pycache__",
+    "build",
+    "dist",
+)
 
 
-class ConfigError(ValueError):
-    """Raised for a malformed ``[tool.repro-lint]`` block."""
-
-
-@dataclass
+@dataclass(frozen=True)
 class LintConfig:
-    """Resolved analyzer configuration.
+    """The analyzer's policy.
 
     All path scopes are POSIX-style and relative to ``root`` (the
     directory holding ``pyproject.toml``).
     """
 
     root: Path = field(default_factory=Path.cwd)
-    #: Default lint targets when the CLI gives none.
-    paths: Tuple[str, ...] = ("src",)
-    #: Rule codes disabled everywhere (e.g. ``["RL403"]``).
-    disable: Tuple[str, ...] = ()
-    #: Rule codes to run exclusively (empty means "all enabled rules").
-    select: Tuple[str, ...] = ()
-    #: path-prefix -> disabled rule codes.
-    per_file_ignores: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: Baseline file for grandfathered findings, relative to ``root``.
-    baseline: Optional[str] = None
-    #: Packages where RL002 (no bare random/time.time) applies.
+    #: Default lint targets when the CLI gives none: the analyzer lints
+    #: itself.
+    paths: Tuple[str, ...] = ("src", "tools")
+    #: RL002 scope: the packages whose behaviour must be a pure function
+    #: of the run seed (wall-clock and shared-state randomness are
+    #: banned here).
     deterministic_core: Tuple[str, ...] = (
         "src/repro/sim",
         "src/repro/core",
         "src/repro/channel",
         "src/repro/faults",
+        "src/repro/network",
     )
-    #: Paths exempt from RL102 (the unit-conversion home).
+    #: RL102 scope: dB/linear conversions live in ``repro.utils.units``
+    #: only.
     units_exempt: Tuple[str, ...] = ("src/repro/utils",)
-    #: Paths allowed to call ``ProbeBudget.charge`` (RL203).
+    #: RL203 scope: the beam-management layer that owns probe budgets.
+    #: The executor, experiments, and analysis layers must never charge
+    #: a budget.
     probe_charge_allowed: Tuple[str, ...] = (
-        "src/repro/core/probing.py",
-        "src/repro/core/maintenance.py",
+        "src/repro/core",
+        "src/repro/beamtraining",
+        "src/repro/baselines",
+        "src/repro/phy/reference_signals.py",
+        "src/repro/network/scheduler.py",
     )
-    #: Packages whose modules must declare ``__all__`` (RL402).
-    require_all: Tuple[str, ...] = ()
-    #: Glob-free path prefixes excluded from linting entirely.
-    exclude: Tuple[str, ...] = (
-        "tests/lint/fixtures",
-        ".git",
-        "__pycache__",
-        "build",
-        "dist",
-    )
-
-    def rule_enabled(self, code: str) -> bool:
-        if code in self.disable:
-            return False
-        if self.select:
-            return any(code.startswith(prefix) for prefix in self.select)
-        return True
-
-    def ignored_for(self, relpath: str, code: str) -> bool:
-        from repro_lint.core import path_in_scope
-
-        for prefix, codes in self.per_file_ignores.items():
-            if path_in_scope(relpath, [prefix]) and code in codes:
-                return True
-        return False
+    #: RL402 scope: packages whose modules must declare an export
+    #: surface.
+    require_all: Tuple[str, ...] = ("src/repro/channel", "src/repro/arrays")
 
 
 def find_project_root(start: Optional[Path] = None) -> Optional[Path]:
@@ -79,78 +63,3 @@ def find_project_root(start: Optional[Path] = None) -> Optional[Path]:
         if (candidate / "pyproject.toml").is_file():
             return candidate
     return None
-
-
-def _str_tuple(value: object, key: str) -> Tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"[tool.repro-lint] {key} must be a list of strings")
-    return tuple(value)
-
-
-def load_config(root: Optional[Path] = None) -> LintConfig:
-    """Load ``[tool.repro-lint]`` from ``root/pyproject.toml``.
-
-    Missing file or missing block yields the built-in defaults.
-    """
-    if root is None:
-        root = find_project_root() or Path.cwd()
-    root = Path(root)
-    config = LintConfig(root=root)
-    pyproject = root / "pyproject.toml"
-    if not pyproject.is_file():
-        return config
-    with open(pyproject, "rb") as stream:
-        document = tomllib.load(stream)
-    block = document.get("tool", {}).get("repro-lint")
-    if block is None:
-        return config
-    if not isinstance(block, Mapping):
-        raise ConfigError("[tool.repro-lint] must be a table")
-
-    simple_lists = {
-        "paths": "paths",
-        "disable": "disable",
-        "select": "select",
-        "deterministic-core": "deterministic_core",
-        "units-exempt": "units_exempt",
-        "probe-charge-allowed": "probe_charge_allowed",
-        "require-all": "require_all",
-        "exclude": "exclude",
-    }
-    for key, value in block.items():
-        if key in simple_lists:
-            setattr(config, simple_lists[key], _str_tuple(value, key))
-        elif key == "baseline":
-            if not isinstance(value, str):
-                raise ConfigError("[tool.repro-lint] baseline must be a string")
-            config.baseline = value
-        elif key == "per-file-ignores":
-            if not isinstance(value, Mapping):
-                raise ConfigError(
-                    "[tool.repro-lint] per-file-ignores must be a table"
-                )
-            ignores: Dict[str, Tuple[str, ...]] = {}
-            for prefix, codes in value.items():
-                ignores[str(prefix)] = _str_tuple(codes, f"per-file-ignores.{prefix}")
-            config.per_file_ignores = ignores
-        else:
-            raise ConfigError(f"unknown [tool.repro-lint] key: {key!r}")
-
-    unknown = _unknown_codes(config)
-    if unknown:
-        raise ConfigError(
-            "unknown rule code(s) in [tool.repro-lint]: " + ", ".join(unknown)
-        )
-    return config
-
-
-def _unknown_codes(config: LintConfig) -> List[str]:
-    from repro_lint.registry import ALL_RULES
-
-    known = set(ALL_RULES)
-    mentioned = set(config.disable)
-    for codes in config.per_file_ignores.values():
-        mentioned.update(codes)
-    # ``select`` entries may be prefixes like "RL1"; validate full codes only.
-    mentioned.update(code for code in config.select if len(code) == 5)
-    return sorted(code for code in mentioned if code not in known)

@@ -7,12 +7,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-#: ``# repro-lint: disable=RL001,RL102`` silences those rules on that line;
-#: ``# repro-lint: disable-file=RL403`` silences them for the whole file.
-#: ``disable=all`` / ``disable-file=all`` silence every rule.
-_PRAGMA_RE = re.compile(
-    r"#\s*repro-lint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+)"
-)
+#: ``# repro-lint: disable=RL001,RL102`` silences those rules on that line
+#: only; it is the one way to excuse a finding.
+_PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*disable\s*=\s*([A-Za-z0-9_,\s]+)")
 
 
 @dataclass(frozen=True)
@@ -36,35 +33,24 @@ class Finding:
 class FilePragmas:
     """Inline suppressions parsed from one source file."""
 
-    #: line number -> rule codes disabled on that line ("ALL" disables all).
+    #: line number -> rule codes disabled on that line.
     by_line: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    #: rule codes disabled for the entire file.
-    whole_file: FrozenSet[str] = frozenset()
 
     def suppresses(self, finding: Finding) -> bool:
-        for codes in (self.whole_file, self.by_line.get(finding.line, frozenset())):
-            if "ALL" in codes or finding.rule in codes:
-                return True
-        return False
+        return finding.rule in self.by_line.get(finding.line, frozenset())
 
 
 def parse_pragmas(lines: Iterable[str]) -> FilePragmas:
     pragmas = FilePragmas()
-    whole: Set[str] = set(pragmas.whole_file)
     for number, text in enumerate(lines, start=1):
         match = _PRAGMA_RE.search(text)
         if match is None:
             continue
-        codes = frozenset(
-            code.strip().upper() if code.strip().lower() != "all" else "ALL"
-            for code in match.group(2).split(",")
+        pragmas.by_line[number] = frozenset(
+            code.strip().upper()
+            for code in match.group(1).split(",")
             if code.strip()
         )
-        if match.group(1) == "disable-file":
-            whole |= codes
-        else:
-            pragmas.by_line[number] = codes
-    pragmas.whole_file = frozenset(whole)
     return pragmas
 
 
@@ -72,7 +58,7 @@ class FileContext:
     """One parsed source file plus everything the checkers need.
 
     ``relpath`` is POSIX-style and relative to the project root so
-    findings, baselines, and config path scopes agree across machines.
+    findings and the policy's path scopes agree across machines.
     """
 
     def __init__(self, relpath: str, source: str) -> None:

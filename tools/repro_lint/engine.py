@@ -1,27 +1,26 @@
-"""The lint engine: collect files, run rule families, filter, reconcile.
+"""The lint engine: collect files, run rule families, filter pragmas.
 
 Pipeline::
 
     files -> parse -> per-file rules ─┐
                   └-> project state ──┴-> raw findings
-    raw -> pragma filter -> config filter -> baseline reconcile -> result
+    raw -> pragma filter -> result
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro_lint import (
-    baseline as baseline_mod,
     rules_async,
     rules_modules,
     rules_purity,
     rules_rng,
     rules_units,
 )
-from repro_lint.config import LintConfig
+from repro_lint.config import EXCLUDE, LintConfig
 from repro_lint.core import FileContext, Finding, path_in_scope
 from repro_lint.rules_contracts import ContractChecker
 from repro_lint.rules_race import ConcurrencyChecker
@@ -39,26 +38,20 @@ _PER_FILE_CHECKS = (
 class LintResult:
     """Everything one lint run produced."""
 
-    #: findings after pragma/config filtering, before the baseline.
+    #: findings no same-line pragma excused, sorted by location.
     findings: List[Finding] = field(default_factory=list)
-    #: findings not absorbed by the baseline (what the run reports).
-    new_findings: List[Finding] = field(default_factory=list)
-    #: baseline reconciliation outcome (None when no baseline is used).
-    baseline_check: Optional[baseline_mod.BaselineCheck] = None
     #: files that failed to parse: (path, error message).
     errors: List[Tuple[str, str]] = field(default_factory=list)
     files_scanned: int = 0
-    #: stripped source lines per relpath (for baseline matching/update).
-    source_lines: Dict[str, List[str]] = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
         if self.errors:
             return 2
-        return 1 if self.new_findings else 0
+        return 1 if self.findings else 0
 
 
-def _iter_python_files(root: Path, targets: Sequence[str], config: LintConfig):
+def _iter_python_files(root: Path, targets: Sequence[str]):
     seen = set()
     for target in targets:
         path = Path(target)
@@ -75,7 +68,7 @@ def _iter_python_files(root: Path, targets: Sequence[str], config: LintConfig):
                 relpath = candidate.resolve().relative_to(root.resolve()).as_posix()
             except ValueError:
                 relpath = candidate.as_posix()
-            if relpath in seen or path_in_scope(relpath, config.exclude):
+            if relpath in seen or path_in_scope(relpath, EXCLUDE):
                 continue
             if any(part == "__pycache__" for part in Path(relpath).parts):
                 continue
@@ -83,13 +76,8 @@ def _iter_python_files(root: Path, targets: Sequence[str], config: LintConfig):
             yield candidate, relpath
 
 
-def lint_paths(
-    paths: Sequence[str],
-    config: LintConfig,
-    use_baseline: bool = True,
-    baseline_path: Optional[Path] = None,
-) -> LintResult:
-    """Run every enabled rule over ``paths`` (project-relative or absolute)."""
+def lint_paths(paths: Sequence[str], config: LintConfig) -> LintResult:
+    """Run every rule over ``paths`` (project-relative or absolute)."""
     result = LintResult()
     targets = tuple(paths) or config.paths
     contracts = ContractChecker()
@@ -98,7 +86,7 @@ def lint_paths(
     contexts: List[FileContext] = []
     raw: List[Finding] = []
 
-    for file_path, relpath in _iter_python_files(config.root, targets, config):
+    for file_path, relpath in _iter_python_files(config.root, targets):
         try:
             source = file_path.read_text(encoding="utf-8")
             ctx = FileContext(relpath, source)
@@ -107,7 +95,6 @@ def lint_paths(
             continue
         contexts.append(ctx)
         result.files_scanned += 1
-        result.source_lines[relpath] = ctx.lines
         for check in _PER_FILE_CHECKS:
             raw.extend(check(ctx, config))
         raw.extend(contracts.check_file(ctx, config))
@@ -121,39 +108,12 @@ def lint_paths(
     raw.extend(concurrency.finalize(config))
     raw.extend(import_graph.finalize())
 
-    # Pragmas, then config-level filters.
     pragmas = {ctx.relpath: ctx.pragmas for ctx in contexts}
-    filtered: List[Finding] = []
     for finding in raw:
-        if not config.rule_enabled(finding.rule):
-            continue
-        if config.ignored_for(finding.path, finding.rule):
-            continue
         file_pragmas = pragmas.get(finding.path)
-        if file_pragmas is not None and file_pragmas.suppresses(finding):
-            continue
-        filtered.append(finding)
-    filtered.sort(key=Finding.sort_key)
-    result.findings = filtered
-
-    # Baseline reconciliation.
-    entries: List[baseline_mod.BaselineEntry] = []
-    if use_baseline and baseline_path is not None:
-        entries = baseline_mod.load_baseline(baseline_path)
-    if entries:
-        check = baseline_mod.reconcile(filtered, entries, result.source_lines)
-        result.baseline_check = check
-        result.new_findings = check.new_findings
-    else:
-        result.new_findings = list(filtered)
-        if use_baseline and baseline_path is not None:
-            # An empty/missing baseline still reports sync status.
-            result.baseline_check = baseline_mod.BaselineCheck(
-                new_findings=result.new_findings,
-                matched=0,
-                stale_entries=[],
-                unjustified_entries=[],
-            )
+        if file_pragmas is None or not file_pragmas.suppresses(finding):
+            result.findings.append(finding)
+    result.findings.sort(key=Finding.sort_key)
     return result
 
 

@@ -8,7 +8,7 @@ deadlocks the loop against the worker pool.  These rules are the static
 half of the concurrency-safety story; :mod:`repro.sanitize` is the
 runtime half.
 
-RL501–RL504 are per-file and intraprocedural (this module); RL505 is
+RL501–RL503 are per-file and intraprocedural (this module); RL505 is
 the call-graph upgrade — an ``async def`` reaching a *transitively*
 blocking function — and is emitted by
 :class:`repro_lint.rules_race.ConcurrencyChecker`, which owns the
@@ -36,10 +36,6 @@ RULES = {
     "RL503": (
         "await while holding a threading lock — the loop blocks every "
         "other coroutine against the worker pool"
-    ),
-    "RL504": (
-        "unbounded await on an external operation — wrap in "
-        "asyncio.wait_for or an asyncio.timeout block"
     ),
     "RL505": (
         "async def calls a function that blocks (transitively, via the "
@@ -81,11 +77,6 @@ BLOCKING_METHODS = frozenset(
     {"read_text", "write_text", "read_bytes", "write_bytes"}
 )
 
-#: Awaited operations that need a timeout/deadline bound (RL504):
-#: thread-pool hops and outbound connections can hang indefinitely.
-EXTERNAL_AWAIT_METHODS = frozenset({"run_in_executor"})
-EXTERNAL_AWAIT_CALLS = frozenset({"asyncio.open_connection"})
-
 #: Task-spawning entry points whose return value must be retained.
 _TASK_SPAWNERS = frozenset({"asyncio.create_task", "asyncio.ensure_future"})
 
@@ -110,7 +101,6 @@ def check(ctx: FileContext, config: LintConfig) -> List[Finding]:
             findings.extend(
                 _check_lock_held_await(ctx, node, lock_names, lock_attrs)
             )
-            findings.extend(_check_unbounded_await(ctx, node))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             findings.extend(_check_dropped_tasks(ctx, node))
     return findings
@@ -343,60 +333,3 @@ def _check_lock_held_await(
                 )
     return findings
 
-
-# ----------------------------------------------------------------------
-# RL504 — unbounded awaits on external operations
-# ----------------------------------------------------------------------
-
-
-def _is_external_op(ctx: FileContext, node: ast.expr) -> Optional[str]:
-    if not isinstance(node, ast.Call):
-        return None
-    name = expanded_name(ctx, node.func)
-    if name is not None and name in EXTERNAL_AWAIT_CALLS:
-        return name
-    if isinstance(node.func, ast.Attribute) and (
-        node.func.attr in EXTERNAL_AWAIT_METHODS
-    ):
-        return node.func.attr
-    return None
-
-
-def _inside_timeout(ctx: FileContext, node: ast.AST) -> bool:
-    for ancestor in ctx.ancestors(node):
-        if isinstance(ancestor, ast.Call):
-            name = expanded_name(ctx, ancestor.func) or ""
-            if name.rsplit(".", 1)[-1] in ("wait_for", "timeout", "timeout_at"):
-                return True
-        if isinstance(ancestor, ast.AsyncWith):
-            for item in ancestor.items:
-                context = item.context_expr
-                if isinstance(context, ast.Call):
-                    name = expanded_name(ctx, context.func) or ""
-                    if name.rsplit(".", 1)[-1] in ("timeout", "timeout_at"):
-                        return True
-    return False
-
-
-def _check_unbounded_await(
-    ctx: FileContext, function: ast.AsyncFunctionDef
-) -> List[Finding]:
-    findings: List[Finding] = []
-    for node in _own_statements(function):
-        if not isinstance(node, ast.Await):
-            continue
-        op = _is_external_op(ctx, node.value)
-        if op is None:
-            continue
-        if _inside_timeout(ctx, node):
-            continue
-        findings.append(
-            ctx.finding(
-                node,
-                "RL504",
-                f"await {op}(...) has no timeout; a hung worker or peer "
-                "wedges this coroutine forever — bound it with "
-                "asyncio.wait_for and a deadline",
-            )
-        )
-    return findings

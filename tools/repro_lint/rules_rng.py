@@ -33,7 +33,7 @@ RULES = {
     ),
     "RL002": (
         "no bare random.* / time.time() in the deterministic core "
-        "(sim, core, channel, faults)"
+        "(sim, core, channel, faults, network)"
     ),
     "RL003": (
         "default_rng() argument must derive from a seed parameter "
