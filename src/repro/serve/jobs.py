@@ -252,6 +252,30 @@ class JobRecord:
         if state in TERMINAL_STATES:
             self.finished_at_s = float(time_s)
 
+    def apply(self, op: Dict[str, Any]) -> None:
+        """Fold one journal op (any but ``submit``, which builds the
+        record) into the record.  The server commits every transition
+        and journal replay folds every op through this one method, so a
+        live record equals the replay of its journal.  Only older
+        servers wrote ``retry``."""
+        kind = op["op"]
+        time_s = float(op.get("t", 0.0))
+        if kind == "coalesce":
+            self.submissions += 1
+        elif kind == "start":
+            self.attempts = int(op.get("attempt", self.attempts + 1))
+            self.transition(JobState.RUNNING, time_s)
+        elif kind == "retry":
+            self.error = op.get("error")
+            self.transition(JobState.PENDING, time_s)
+        elif kind == "done":
+            self.error = op.get("error")
+            self.result = op.get("result")
+            self.transition(str(op.get("state", JobState.SUCCEEDED)), time_s)
+        elif kind == "shed":
+            self.error = str(op.get("reason", "shed"))
+            self.transition(JobState.SHED, time_s)
+
     def to_dict(self) -> Dict[str, object]:
         """Status payload served to clients (JSON-safe)."""
         payload: Dict[str, object] = {

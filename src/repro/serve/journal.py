@@ -5,7 +5,9 @@ and every lifecycle transition appends exactly one JSON line, flushed
 (and optionally fsynced) before the server acts on it, so a ``kill -9``
 at any instant loses at most a transition that had not yet been
 acknowledged.  On restart, :meth:`JobJournal.replay` folds the log back
-into :class:`~repro.serve.jobs.JobRecord`s:
+into :class:`~repro.serve.jobs.JobRecord`s through
+:meth:`~repro.serve.jobs.JobRecord.apply`, the fold the live server
+commits every transition through:
 
 * jobs whose last op is terminal (``done`` / ``shed``) are kept for
   result serving and idempotent resubmission;
@@ -178,12 +180,9 @@ class JobJournal:
         original submission order.
         """
         records: Dict[str, JobRecord] = {}
-        order: List[str] = []
         for payload in self.read_ops():
-            op = payload["op"]
             job_id = str(payload.get("id", ""))
-            time_s = float(payload.get("t", 0.0))
-            if op == "submit":
+            if payload["op"] == "submit":
                 job = dict(payload["job"])
                 # Older journals may carry keys the job spec has lost:
                 # "backend" (a compute backend to serve it),
@@ -195,40 +194,21 @@ class JobJournal:
                 job.pop("backend", None)
                 job.pop("deadline_s", None)
                 job.pop("ensemble_retries", None)
-                spec = JobSpec.from_dict(job)
                 records[job_id] = JobRecord(
                     job_id=job_id,
                     key=str(payload["key"]),
-                    spec=spec,
-                    submitted_at_s=time_s,
+                    spec=JobSpec.from_dict(job),
+                    submitted_at_s=float(payload.get("t", 0.0)),
                 )
-                order.append(job_id)
-                continue
-            record = records.get(job_id)
-            if record is None:
+            elif job_id in records:
+                records[job_id].apply(payload)
+            else:
                 raise ValueError(
-                    f"{self.path}: op {op!r} for unknown job {job_id!r}"
+                    f"{self.path}: op {payload['op']!r} for unknown job "
+                    f"{job_id!r}"
                 )
-            if op == "coalesce":
-                record.submissions += 1
-            elif op == "start":
-                record.attempts = int(payload.get("attempt", record.attempts + 1))
-                record.transition(JobState.RUNNING, time_s)
-            elif op == "retry":  # written by older servers only
-                record.error = payload.get("error")
-                record.transition(JobState.PENDING, time_s)
-            elif op == "done":
-                state = str(payload.get("state", JobState.SUCCEEDED))
-                record.error = payload.get("error")
-                record.result = payload.get("result")
-                record.transition(state, time_s)
-            elif op == "shed":
-                record.error = str(payload.get("reason", "shed"))
-                record.transition(JobState.SHED, time_s)
         resumable = [
-            job_id
-            for job_id in order
-            if not records[job_id].terminal
+            job_id for job_id, record in records.items() if not record.terminal
         ]
         # A job that died mid-run resumes as pending.
         for job_id in resumable:

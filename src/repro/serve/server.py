@@ -3,13 +3,14 @@
 One event loop owns all bookkeeping (queue, records, journal order);
 job execution happens on a thread pool via ``run_in_executor`` (and
 from there on the ensemble executor's process pool), so a slow or
-crashing job never blocks admission.  Journal appends — each one a
-flush + fsync — run on a dedicated single-thread executor so the disk
-never stalls the event loop either: in-memory state transitions are
-applied *before* the append is awaited (late arrivals always observe
-consistent records), appends retire in submission order (one journal
-thread, FIFO), and acknowledgements are only sent once the fsync has
-returned.  The reliability ledger:
+crashing job never blocks admission.  Every transition takes one path,
+:meth:`JobServer._commit`: the journal op is applied in memory through
+:meth:`~repro.serve.jobs.JobRecord.apply` (the fold journal replay
+uses, so live records equal their replay), then appended — a flush +
+fsync — on a dedicated single-thread executor, so the disk never stalls
+the event loop and appends retire in commit order.  Acknowledgements,
+telemetry events and wait-stream events all follow the fsync.  The
+reliability ledger:
 
 * **Durability** — every transition is journaled (flushed + fsynced)
   *before* the server acknowledges it; a ``kill -9`` at any instant is
@@ -53,6 +54,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import sanitize
 from repro.serve.jobs import (
+    TERMINAL_STATES,
     JobRecord,
     JobSpec,
     JobState,
@@ -89,6 +91,22 @@ class ServerStats:
         self.overloads = 0
         self.retries = 0
         self.executions = 0
+
+    def count(self, op: str, state: str) -> None:
+        """Count one committed op: ``submit``, ``coalesce`` and ``start``
+        by kind, ``done`` and ``shed`` by the state they reached."""
+        if op == "submit":
+            self.submitted += 1
+        elif op == "coalesce":
+            self.coalesced += 1
+        elif op == "start":
+            self.executions += 1
+        elif state == JobState.SUCCEEDED:
+            self.completed += 1
+        elif state == JobState.FAILED:
+            self.failed += 1
+        else:
+            self.shed += 1
 
     def to_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -170,20 +188,16 @@ class JobServer:
         if recorder.enabled:
             recorder.emit(kind, self.now(), **fields)
 
-    def _notify(self, record: JobRecord, event: str, **extra: object) -> None:
-        payload: Dict[str, object] = {
-            "event": event,
-            "id": record.job_id,
-            "state": record.state,
-            "attempts": record.attempts,
-            "t": self.now(),
-        }
-        payload.update(extra)
-        for queue in self._subscribers.get(record.job_id, ()):
-            queue.put_nowait(payload)
-        if record.terminal:
-            for queue in self._subscribers.pop(record.job_id, ()):
-                queue.put_nowait(None)  # sentinel: stream closed
+    def _index(self, record: JobRecord) -> None:
+        """Index a record by id and coalescing key: a live job in
+        ``_active``, the first success per key in ``_succeeded``."""
+        self.records[record.job_id] = record
+        if not record.terminal:
+            self._active[record.key] = record.job_id
+        elif self._active.get(record.key) == record.job_id:
+            del self._active[record.key]
+        if record.state == JobState.SUCCEEDED:
+            self._succeeded.setdefault(record.key, record.job_id)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -208,17 +222,13 @@ class JobServer:
                 asyncio.get_running_loop(), source="serve"
             ).start()
         records, resumable = await asyncio.to_thread(self.journal.replay)
-        self.records = records
         for job_id, record in records.items():
             number = job_id.rsplit("-", 1)[-1]
             if number.isdigit():
                 self._sequence = max(self._sequence, int(number))
-            if record.state == JobState.SUCCEEDED:
-                self._succeeded.setdefault(record.key, job_id)
+            self._index(record)
         for job_id in resumable:
-            record = records[job_id]
-            self._active[record.key] = job_id
-            self.queue.requeue(record)
+            self.queue.requeue(records[job_id])
         try:
             self._server = await asyncio.start_server(
                 self._handle_client, host=self.host, port=self.port
@@ -264,66 +274,109 @@ class JobServer:
         await self._stopped.wait()
 
     # ------------------------------------------------------------------
-    # journal path
+    # commit path: the one way a job moves
 
-    async def _journal_append(self, op: str, **fields: object) -> None:
-        """Append one journal entry off-loop (ordered, fsynced).
+    async def _commit(
+        self,
+        record: JobRecord,
+        op: str,
+        priority: Optional[str] = None,
+        **fields: object,
+    ) -> None:
+        """Apply, index, count, journal and publish one transition.
 
-        The append runs on the single journal thread, so entries hit the
-        file in the order the event loop issued them.  Callers apply
-        their in-memory transition *before* awaiting this and only send
-        acknowledgements afterwards: late-arriving requests observe
-        consistent state, and nothing is acked before the fsync.
-
-        The append is shielded: cancelling the caller (``stop()``
-        cancelling a worker) must not cancel an append still queued
-        behind another fsync, or the transition it records would be
-        lost.  ``stop()`` drains the journal thread before closing.
-
-        A failed append stops the server and re-raises the
-        :class:`JournalFailure` to the caller, which sends no
-        acknowledgement.  The journal takes no later append, so what it
-        holds stays replayable.
+        The op (a ``submit`` stamped with the record's submission time,
+        any other op with the current one) goes through
+        :meth:`JobRecord.apply`, the fold journal replay uses, and is
+        indexed and counted before the append, so late requests observe
+        consistent state.  The append runs on the one journal thread,
+        shielded and unbounded: ``stop()`` cancelling the caller must not
+        drop an append queued behind another fsync, and a thread
+        mid-fsync cannot be interrupted.  Callers acknowledge once this
+        returns; a failed append re-raises its :class:`JournalFailure`.
+        ``priority`` is a coalescing submission's own (not journaled).
         """
         assert self._journal_executor is not None
-        loop = asyncio.get_running_loop()
-        try:
-            # Unbounded on purpose: the journal thread cannot be
-            # interrupted mid-fsync, so a timeout would free nothing; it
-            # would only kill the awaiting worker while the append
-            # still lands.
-            await asyncio.shield(
-                loop.run_in_executor(
-                    self._journal_executor,
-                    functools.partial(self.journal.append, op, **fields),
-                )
+        fields["id"] = record.job_id
+        fields["t"] = record.submitted_at_s if op == "submit" else self.now()
+        if op != "submit":
+            record.apply(dict(fields, op=op))
+        self._index(record)
+        self.stats.count(op, record.state)
+        append = asyncio.get_running_loop().run_in_executor(
+            self._journal_executor,
+            functools.partial(self.journal.append, op, **fields),
+        )
+        append.add_done_callback(
+            functools.partial(
+                self._publish, op, record.job_id, record.state,
+                record.attempts, record.error, priority or record.spec.priority,
             )
-        except JournalFailure as failure:
-            if self.journal_failure is None:
+        )
+        await asyncio.shield(append)
+
+    def _publish(
+        self,
+        op: str,
+        job_id: str,
+        state: str,
+        attempts: int,
+        error: Optional[str],
+        priority: str,
+        append: "asyncio.Future[None]",
+    ) -> None:
+        """Publish a committed op: its telemetry event and wait-stream
+        event, from the append's own completion, so they follow the
+        fsync even when ``stop()`` cancelled the committing caller.
+
+        The values are those the op set, bound at commit time.  Nothing
+        is published after a failed append; a :class:`JournalFailure`
+        stops the server, and the journal takes no later append.
+        """
+        failure = append.exception()
+        if failure is not None:
+            if isinstance(failure, JournalFailure) and self.journal_failure is None:
                 self.journal_failure = failure
                 self._failure_stop = asyncio.ensure_future(self.stop())
-            raise
+            return
+        if op in ("submit", "coalesce"):
+            self.emit(
+                EventKind.JOB_SUBMITTED,
+                job_id=job_id,
+                coalesced=op == "coalesce",
+                priority=priority,
+            )
+            return
+        extra: Dict[str, object] = {}
+        if op == "start":
+            self.emit(EventKind.JOB_STARTED, job_id=job_id, attempt=attempts)
+            event = "started"
+        elif state == JobState.SHED:
+            self.emit(
+                EventKind.JOB_SHED, job_id=job_id, priority=priority, reason=error
+            )
+            event, extra = "shed", {"reason": error}
+        else:
+            self.emit(
+                EventKind.JOB_COMPLETED, job_id=job_id, state=state,
+                attempts=attempts,
+            )
+            if state == JobState.SUCCEEDED:
+                event = "completed"
+            else:
+                event, extra = "failed", {"error": error}
+        payload = dict(
+            event=event, id=job_id, state=state, attempts=attempts,
+            t=self.now(), **extra,
+        )
+        for queue in self._subscribers.get(job_id, ()):
+            queue.put_nowait(payload)
+        if state in TERMINAL_STATES:
+            for queue in self._subscribers.pop(job_id, ()):
+                queue.put_nowait(None)  # sentinel: stream closed
 
     # ------------------------------------------------------------------
     # submission path
-
-    async def _shed(self, record: JobRecord, reason: str) -> None:
-        """Move an admitted job to its terminal ``shed`` state."""
-        time_s = self.now()
-        record.error = reason
-        record.transition(JobState.SHED, time_s)
-        self._active.pop(record.key, None)
-        self.stats.shed += 1
-        await self._journal_append(
-            "shed", id=record.job_id, reason=reason, t=time_s
-        )
-        self.emit(
-            EventKind.JOB_SHED,
-            job_id=record.job_id,
-            priority=record.spec.priority,
-            reason=reason,
-        )
-        self._notify(record, "shed", reason=reason)
 
     async def submit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Admit one submission; returns the wire response payload."""
@@ -356,15 +409,7 @@ class JobServer:
         active_id = self._active.get(key)
         if active_id is not None:
             record = self.records[active_id]
-            record.submissions += 1
-            self.stats.coalesced += 1
-            await self._journal_append("coalesce", id=active_id, t=self.now())
-            self.emit(
-                EventKind.JOB_SUBMITTED,
-                job_id=active_id,
-                coalesced=True,
-                priority=spec.priority,
-            )
+            await self._commit(record, "coalesce", priority=spec.priority)
             return {
                 "ok": True, "id": active_id, "state": record.state,
                 "coalesced": True,
@@ -397,24 +442,11 @@ class JobServer:
             response = {"ok": False}
             response.update(overload.to_dict())
             return response
-        self.records[record.job_id] = record
-        self._active[key] = record.job_id
-        self.stats.submitted += 1
-        await self._journal_append(
-            "submit",
-            id=record.job_id,
-            key=key,
-            t=record.submitted_at_s,
-            job=spec.to_dict(),
-        )
-        self.emit(
-            EventKind.JOB_SUBMITTED,
-            job_id=record.job_id,
-            coalesced=False,
-            priority=spec.priority,
-        )
+        await self._commit(record, "submit", key=key, job=spec.to_dict())
         if evicted is not None:
-            await self._shed(evicted, reason="evicted by higher-priority arrival")
+            await self._commit(
+                evicted, "shed", reason="evicted by higher-priority arrival"
+            )
         assert self._wakeup is not None
         async with self._wakeup:
             self._wakeup.notify()
@@ -447,19 +479,7 @@ class JobServer:
 
     async def _execute(self, record: JobRecord) -> None:
         loop = asyncio.get_running_loop()
-        record.attempts += 1
-        time_s = self.now()
-        record.transition(JobState.RUNNING, time_s)
-        self.stats.executions += 1
-        await self._journal_append(
-            "start", id=record.job_id, attempt=record.attempts, t=time_s
-        )
-        self.emit(
-            EventKind.JOB_STARTED,
-            job_id=record.job_id,
-            attempt=record.attempts,
-        )
-        self._notify(record, "started")
+        await self._commit(record, "start", attempt=record.attempts + 1)
         try:
             # Unbounded on purpose: a pool thread cannot be interrupted,
             # so a timeout here would free neither the thread nor its
@@ -468,55 +488,19 @@ class JobServer:
                 self._executor, execute_job, record.spec
             )
         except Exception as error:
-            await self._handle_failure(record, error)
-        else:
-            time_s = self.now()
-            record.result = result
-            record.transition(JobState.SUCCEEDED, time_s)
-            self._active.pop(record.key, None)
-            self._succeeded.setdefault(record.key, record.job_id)
-            self.stats.completed += 1
-            await self._journal_append(
+            # Terminal on the first failure, with no job-level retry: a
+            # client that suspects a transient host fault resubmits, and
+            # failed keys are never cached, so the resubmission executes.
+            await self._commit(
+                record,
                 "done",
-                id=record.job_id,
-                state=JobState.SUCCEEDED,
-                result=result,
-                t=time_s,
+                state=JobState.FAILED,
+                error=f"{type(error).__name__}: {error}",
             )
-            self.emit(
-                EventKind.JOB_COMPLETED,
-                job_id=record.job_id,
-                state=JobState.SUCCEEDED,
-                attempts=record.attempts,
+        else:
+            await self._commit(
+                record, "done", state=JobState.SUCCEEDED, result=result
             )
-            self._notify(record, "completed")
-
-    async def _handle_failure(self, record: JobRecord, error: Exception) -> None:
-        """Fail the job terminally with ``error`` (no job-level retry).
-
-        A client that suspects a transient host fault resubmits; failed
-        keys are never cached, so the resubmission executes.
-        """
-        time_s = self.now()
-        message = f"{type(error).__name__}: {error}"
-        record.error = message
-        record.transition(JobState.FAILED, time_s)
-        self._active.pop(record.key, None)
-        self.stats.failed += 1
-        await self._journal_append(
-            "done",
-            id=record.job_id,
-            state=JobState.FAILED,
-            error=message,
-            t=time_s,
-        )
-        self.emit(
-            EventKind.JOB_COMPLETED,
-            job_id=record.job_id,
-            state=JobState.FAILED,
-            attempts=record.attempts,
-        )
-        self._notify(record, "failed", error=message)
 
     # ------------------------------------------------------------------
     # wire protocol

@@ -13,7 +13,13 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.phy.mcs import OUTAGE_SNR_DB, spectral_efficiency
+from repro.phy.mcs import NR_MCS_TABLE, OUTAGE_SNR_DB, select_mcs_indices
+
+#: Spectral efficiency per ``NR_MCS_TABLE`` entry, then 0.0 for outage
+#: (index ``-1`` from :func:`select_mcs_indices`).
+_EFFICIENCIES = np.array(
+    [entry.spectral_efficiency for entry in NR_MCS_TABLE] + [0.0]
+)
 
 
 def _unavailable_mask(
@@ -54,7 +60,7 @@ def throughput_series_bps(
     """Instantaneous throughput [bit/s] at each sample (0 when unavailable)."""
     times = np.asarray(times_s, dtype=float)
     snr = np.asarray(snr_db, dtype=float)
-    efficiency = np.asarray([spectral_efficiency(s) for s in snr])
+    efficiency = _EFFICIENCIES[select_mcs_indices(snr)]
     efficiency[_unavailable_mask(times, unavailable_windows)] = 0.0
     return efficiency * bandwidth_hz
 

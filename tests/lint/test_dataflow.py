@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import ast
 
+import repro_lint.dataflow
+import repro_lint.rules_units
+from repro_lint.config import LintConfig
 from repro_lint.core import FileContext
 from repro_lint.dataflow import (
     DB,
@@ -267,8 +270,8 @@ def test_taint_joins_at_branch_merge():
         "        v = linear_to_db(x_db)\n"
         "    return v\n"
     )
-    envs = infer_unit_domains(ctx, fn)
     graph = ControlFlowGraph.from_function(fn)
+    envs = infer_unit_domains(ctx, graph, function_summaries(ctx))
     join = next(
         block
         for block in graph.blocks.values()
@@ -287,8 +290,8 @@ def test_taint_survives_loop_fixpoint():
         "        acc = acc * 2.0\n"
         "    return acc\n"
     )
-    envs = infer_unit_domains(ctx, fn)
     graph = ControlFlowGraph.from_function(fn)
+    envs = infer_unit_domains(ctx, graph, function_summaries(ctx))
     exit_preds = graph.predecessors(graph.exit)
     assert any(
         envs[block_id].get("acc") == LINEAR for block_id in exit_preds
@@ -311,3 +314,30 @@ def test_expression_domain_respects_suffix_over_env():
     node = ast.parse("snr_db", mode="eval").body
     # An explicit _db rename is a declaration; suffix evidence wins.
     assert expression_domain(ctx, node, env, {}) == DB
+
+
+def test_unit_rules_summarize_each_file_once(monkeypatch):
+    """RL104/RL105 compute a file's call summaries once, not once or
+    twice per function: each summary pass walks the whole file."""
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx.relpath)
+        return function_summaries(ctx)
+
+    monkeypatch.setattr(repro_lint.dataflow, "function_summaries", counted)
+    monkeypatch.setattr(repro_lint.rules_units, "function_summaries", counted)
+    ctx = FileContext(
+        "src/repro/phy/_scratch.py",
+        "from repro.utils.units import db_to_linear\n"
+        "def gain_lin(x_db):\n"
+        "    return db_to_linear(x_db)\n"
+        "def margin(a_db, b_db):\n"
+        "    return a_db - b_db\n"
+        "def total(x_db):\n"
+        "    level = gain_lin(x_db)\n"
+        "    return level + x_db\n",
+    )
+    findings = repro_lint.rules_units.check(ctx, LintConfig())
+    assert calls == [ctx.relpath]
+    assert [finding.rule for finding in findings] == ["RL104"]

@@ -17,7 +17,13 @@ import pytest
 
 import repro.serve.server
 import repro.sim.executor
-from repro.serve import JobClient, JobServer, JournalFailure, ServerError
+from repro.serve import (
+    JobClient,
+    JobServer,
+    JournalFailure,
+    ServerError,
+    replay_journal,
+)
 from repro.telemetry import EventKind, TelemetryRecorder, use_recorder
 
 #: A micro job cheap enough to run hundreds of times in the suite.
@@ -835,6 +841,211 @@ class TestWireProtocol:
                 await server.stop()
 
         asyncio.run(scenario())
+
+
+class TestCommitPath:
+    """Every transition takes one path: applied through the fold replay
+    uses, journaled, then published from the append's completion."""
+
+    #: Fields a live record and its replay must agree on.
+    FIELDS = (
+        "key", "state", "attempts", "submissions", "error", "result",
+        "history", "finished_at_s", "submitted_at_s",
+    )
+
+    def test_stop_during_a_slow_terminal_append_still_publishes(
+        self, tmp_path, monkeypatch
+    ):
+        """stop() cancels the worker awaiting its ``done`` append; the
+        append lands, so its event and wait-stream notice must too."""
+        journal = str(tmp_path / "jobs.jsonl")
+        running = threading.Event()
+        finish = threading.Event()
+        execute_job = repro.serve.server.execute_job
+
+        def gated_execute_job(spec):
+            running.set()
+            assert finish.wait(timeout=30.0)
+            return execute_job(spec)
+
+        monkeypatch.setattr(repro.serve.server, "execute_job", gated_execute_job)
+
+        async def scenario():
+            server = JobServer(journal, job_workers=1)
+            append = server.journal.append
+
+            def slow_done(op, **fields):
+                if op == "done":
+                    time.sleep(0.2)
+                append(op, **fields)
+
+            server.journal.append = slow_done
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                response = await server.submit(dict(MICRO_JOB))
+                assert await asyncio.to_thread(running.wait, 30.0)
+                writer.write(
+                    (json.dumps({"op": "wait", "id": response["id"]}) + "\n")
+                    .encode()
+                )
+                await writer.drain()
+                for _ in range(3000):
+                    if response["id"] in server._subscribers:
+                        break
+                    await asyncio.sleep(0.01)
+                assert response["id"] in server._subscribers
+                finish.set()
+                record = await _wait_terminal(server, response["id"])
+                await server.stop()
+                lines = [
+                    json.loads(
+                        await asyncio.wait_for(reader.readline(), timeout=5.0)
+                    )
+                    for _ in range(2)
+                ]
+            finally:
+                finish.set()
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+            return record, lines
+
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            record, lines = asyncio.run(scenario())
+        assert [op["op"] for op in _journal_ops(journal)] == [
+            "submit", "start", "done",
+        ]
+        completed = [
+            event.fields
+            for event in recorder.events
+            if event.kind == EventKind.JOB_COMPLETED
+        ]
+        assert completed == [
+            {"job_id": record.job_id, "state": "succeeded", "attempts": 1}
+        ]
+        assert lines[0]["event"] == "completed"
+        assert lines[0]["state"] == "succeeded"
+        assert lines[1]["ok"] and lines[1]["job"]["state"] == "succeeded"
+
+    @staticmethod
+    async def _scripted_session(server, monkeypatch):
+        """A success, a coalesce, an eviction shed, a failure and a cached
+        duplicate, in a fixed order; returns the job ids by role."""
+        running = threading.Event()
+        finish = threading.Event()
+        execute_job = repro.serve.server.execute_job
+
+        def gated_execute_job(spec):
+            running.set()
+            assert finish.wait(timeout=30.0)
+            return execute_job(spec)
+
+        monkeypatch.setattr(repro.serve.server, "execute_job", gated_execute_job)
+        try:
+            ok = await server.submit(dict(MICRO_JOB))
+            assert await asyncio.to_thread(running.wait, 30.0)
+            # A duplicate of the running job, in another priority class.
+            again = await server.submit(dict(MICRO_JOB, priority="interactive"))
+            assert again["coalesced"] and again["id"] == ok["id"]
+            bulk = dict(MICRO_JOB, priority="bulk")
+            kept = await server.submit(dict(bulk, seeds=2))
+            evicted = await server.submit(dict(bulk, seeds=3))
+            doomed = await server.submit(dict(DOOMED_JOB, priority="interactive"))
+            assert server.records[evicted["id"]].state == "shed"
+        finally:
+            finish.set()
+        for response in (ok, doomed, kept):
+            await _wait_terminal(server, response["id"])
+        cached = await server.submit(dict(MICRO_JOB))
+        assert cached.get("cached") and cached["id"] == ok["id"]
+        return {
+            "ok": ok["id"], "kept": kept["id"], "evicted": evicted["id"],
+            "doomed": doomed["id"],
+        }
+
+    def _run_session(self, tmp_path, monkeypatch):
+        journal = str(tmp_path / "jobs.jsonl")
+
+        async def scenario():
+            server = JobServer(
+                journal, job_workers=1, queue_limit=2, shed_threshold=1.0
+            )
+            await server.start()
+            try:
+                ids = await self._scripted_session(server, monkeypatch)
+            finally:
+                await server.stop()
+            return server, ids
+
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            server, ids = asyncio.run(scenario())
+        return journal, server, ids, recorder
+
+    def test_live_records_equal_their_replay(self, tmp_path, monkeypatch):
+        journal, server, ids, _ = self._run_session(tmp_path, monkeypatch)
+        states = {role: server.records[job_id].state for role, job_id in ids.items()}
+        assert states == {
+            "ok": "succeeded", "kept": "succeeded", "evicted": "shed",
+            "doomed": "failed",
+        }
+        assert server.records[ids["ok"]].submissions == 2
+        replayed, resumable = replay_journal(journal)
+        assert resumable == []
+        assert sorted(replayed) == sorted(server.records)
+        for job_id, live in server.records.items():
+            for name in self.FIELDS:
+                assert getattr(replayed[job_id], name) == getattr(live, name), (
+                    job_id, name,
+                )
+
+    def test_every_serve_event_carries_the_values_its_op_set(
+        self, tmp_path, monkeypatch
+    ):
+        _, server, ids, recorder = self._run_session(tmp_path, monkeypatch)
+        serve_kinds = {
+            EventKind.JOB_SUBMITTED, EventKind.JOB_STARTED,
+            EventKind.JOB_SHED, EventKind.JOB_COMPLETED,
+        }
+        events = [
+            (event.kind, dict(event.fields))
+            for event in recorder.events
+            if event.kind in serve_kinds
+        ]
+        ok, kept, evicted, doomed = (
+            ids["ok"], ids["kept"], ids["evicted"], ids["doomed"],
+        )
+        error = server.records[doomed].error
+        assert error.startswith("EnsembleError: ")
+        assert events == [
+            (EventKind.JOB_SUBMITTED,
+             {"job_id": ok, "coalesced": False, "priority": "batch"}),
+            (EventKind.JOB_STARTED, {"job_id": ok, "attempt": 1}),
+            # The coalescing submission's own priority, not the job's.
+            (EventKind.JOB_SUBMITTED,
+             {"job_id": ok, "coalesced": True, "priority": "interactive"}),
+            (EventKind.JOB_SUBMITTED,
+             {"job_id": kept, "coalesced": False, "priority": "bulk"}),
+            (EventKind.JOB_SUBMITTED,
+             {"job_id": evicted, "coalesced": False, "priority": "bulk"}),
+            (EventKind.JOB_SUBMITTED,
+             {"job_id": doomed, "coalesced": False, "priority": "interactive"}),
+            (EventKind.JOB_SHED,
+             {"job_id": evicted, "priority": "bulk",
+              "reason": "evicted by higher-priority arrival"}),
+            (EventKind.JOB_COMPLETED,
+             {"job_id": ok, "state": "succeeded", "attempts": 1}),
+            (EventKind.JOB_STARTED, {"job_id": doomed, "attempt": 1}),
+            (EventKind.JOB_COMPLETED,
+             {"job_id": doomed, "state": "failed", "attempts": 1}),
+            (EventKind.JOB_STARTED, {"job_id": kept, "attempt": 1}),
+            (EventKind.JOB_COMPLETED,
+             {"job_id": kept, "state": "succeeded", "attempts": 1}),
+        ]
 
 
 class TestTelemetry:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.phy.mcs import OUTAGE_SNR_DB
+from repro.phy.mcs import NR_MCS_TABLE, OUTAGE_SNR_DB, spectral_efficiency
 from repro.sim.metrics import (
     LinkMetrics,
     analytic_multibeam_reliability,
@@ -63,6 +63,26 @@ class TestThroughput:
         )
         assert series[0] > 0.0
         assert series[1] == 0.0
+
+    def test_series_equals_the_scalar_ladder_bitwise(self):
+        """The vectorized lookup returns exactly the scalar ladder's
+        efficiency at every sample, NaN, infinities and exact switching
+        points included."""
+        rng = np.random.default_rng(7)
+        thresholds = [entry.min_snr_db for entry in NR_MCS_TABLE]
+        specials = thresholds + [np.nan, np.inf, -np.inf, -0.0, 1e300]
+        bandwidth_hz = 400e6
+        for _ in range(200):
+            snr = rng.uniform(-10.0, 40.0, 1000)
+            snr[rng.choice(1000, 40, replace=False)] = rng.choice(specials, 40)
+            times = np.arange(1000) * 1e-3
+            expected = (
+                np.asarray([spectral_efficiency(value) for value in snr])
+                * bandwidth_hz
+            )
+            got = throughput_series_bps(times, snr, bandwidth_hz)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
     def test_mean(self):
         times = np.array([0.0, 1.0])

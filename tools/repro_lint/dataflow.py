@@ -567,16 +567,15 @@ def expression_domain(
 
 
 def infer_unit_domains(
-    ctx: FileContext, function: ast.AST
+    ctx: FileContext, graph: ControlFlowGraph, summaries: Dict[str, str]
 ) -> Dict[int, UnitEnv]:
-    """Unit-taint fixpoint over one function.
+    """Unit-taint fixpoint over one function's ``graph``.
 
-    Returns the *entry* :class:`UnitEnv` per CFG block; rule code
-    re-runs the transfer over a block's statements to get the state at
-    each statement.
+    ``summaries`` is the file's :func:`function_summaries`, computed
+    once per file by the caller.  Returns the *entry* :class:`UnitEnv`
+    per CFG block; rule code re-runs the transfer over a block's
+    statements to get the state at each statement.
     """
-    summaries = function_summaries(ctx)
-    graph = ControlFlowGraph.from_function(function)
 
     def transfer(statement: ast.stmt, env: UnitEnv) -> UnitEnv:
         return transfer_units(ctx, statement, env, summaries)

@@ -169,7 +169,7 @@ def is_sync_lock_expr(
     return False
 
 
-def _own_statements(function: ast.AST) -> Sequence[ast.AST]:
+def own_statements(function: ast.AST) -> Sequence[ast.AST]:
     """Every node in the function, excluding nested function bodies."""
     selected: List[ast.AST] = []
     stack: List[ast.AST] = list(ast.iter_child_nodes(function))
@@ -191,7 +191,7 @@ def _check_blocking(
     ctx: FileContext, function: ast.AsyncFunctionDef, defuse: DefUse
 ) -> List[Finding]:
     findings: List[Finding] = []
-    for node in _own_statements(function):
+    for node in own_statements(function):
         if not isinstance(node, ast.Call):
             continue
         if is_blocking_call(ctx, node):
@@ -260,7 +260,7 @@ def _is_task_spawn(ctx: FileContext, node: ast.AST) -> bool:
 def _check_dropped_tasks(ctx: FileContext, function: ast.AST) -> List[Finding]:
     findings: List[Finding] = []
     defuse: Optional[DefUse] = None
-    for statement in _own_statements(function):
+    for statement in own_statements(function):
         # Bare expression statement: the task handle vanishes immediately.
         if isinstance(statement, ast.Expr) and _is_task_spawn(
             ctx, statement.value
@@ -309,7 +309,7 @@ def _check_lock_held_await(
     lock_attrs: Set[str],
 ) -> List[Finding]:
     findings: List[Finding] = []
-    for node in _own_statements(function):
+    for node in own_statements(function):
         if not isinstance(node, ast.With):
             continue
         if not any(

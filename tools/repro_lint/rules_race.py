@@ -55,6 +55,7 @@ from repro_lint.rules_async import (
     collect_sync_locks,
     is_blocking_call,
     is_sync_lock_expr,
+    own_statements,
 )
 
 RULES = {
@@ -99,19 +100,6 @@ _EXEMPT_METHODS = frozenset({"__init__", "__post_init__", "__del__"})
 _THREAD_POOL_TYPES = frozenset(
     {"concurrent.futures.ThreadPoolExecutor", "ThreadPoolExecutor"}
 )
-
-
-def _own_nodes(function: ast.AST) -> Sequence[ast.AST]:
-    """Every node under ``function`` excluding nested function bodies."""
-    selected: List[ast.AST] = []
-    stack: List[ast.AST] = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        selected.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    return selected
 
 
 def _module_key(ctx: FileContext) -> str:
@@ -243,7 +231,7 @@ class ConcurrencyChecker:
         local_types = _local_var_types(ctx, function, modkey)
         declared_global: Set[str] = set()
         bound_locally: Set[str] = set()
-        for node in _own_nodes(function):
+        for node in own_statements(function):
             if isinstance(node, ast.Global):
                 declared_global.update(node.names)
             elif isinstance(node, (ast.Name,)) and isinstance(
@@ -282,7 +270,7 @@ class ConcurrencyChecker:
 
         lazy_writes = _lazy_init_writes(ctx, function, declared_global)
 
-        for node in _own_nodes(function):
+        for node in own_statements(function):
             if isinstance(node, ast.Call):
                 if is_blocking_call(ctx, node):
                     info.blocking.append(
@@ -603,7 +591,7 @@ def _check_lock_discipline(
         if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         guarded_nodes = _nodes_under_lock(ctx, method, lock_attrs)
-        for node in _own_nodes(method):
+        for node in own_statements(method):
             field_name, is_write = _self_field_access(node, lock_attrs)
             if field_name is None:
                 continue
@@ -664,7 +652,7 @@ def _nodes_under_lock(
 ) -> Set[int]:
     """ids of nodes lexically inside ``with self.<lock>:`` blocks."""
     guarded: Set[int] = set()
-    for node in _own_nodes(method):
+    for node in own_statements(method):
         if not isinstance(node, ast.With):
             continue
         if not any(
@@ -847,7 +835,7 @@ def _local_var_types(
     ctx: FileContext, function: ast.AST, modkey: str
 ) -> Dict[str, str]:
     types: Dict[str, str] = {}
-    for node in _own_nodes(function):
+    for node in own_statements(function):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name):
@@ -973,7 +961,7 @@ def _lazy_init_writes(
 ) -> Set[int]:
     """ids of Name-store nodes that are the body of ``if x is None:``."""
     lazy: Set[int] = set()
-    for node in _own_nodes(function):
+    for node in own_statements(function):
         if not isinstance(node, ast.If):
             continue
         test = node.test
@@ -1026,10 +1014,3 @@ def _make_write(
         guarded=guarded,
         lazy=id(node) in lazy_writes,
     )
-
-
-def check(ctx: FileContext, config: LintConfig) -> List[Finding]:
-    """Standalone per-file entry point (RL602 only); the engine uses
-    :class:`ConcurrencyChecker` directly for the cross-module rules."""
-    checker = ConcurrencyChecker()
-    return checker.check_file(ctx, config)

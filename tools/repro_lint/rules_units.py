@@ -10,7 +10,7 @@ rule right.  These rules fence the conversions into
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro_lint.config import LintConfig
 from repro_lint.core import (
@@ -93,9 +93,10 @@ def check(ctx: FileContext, config: LintConfig) -> List[Finding]:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             findings.extend(_check_return_units(ctx, node))
     syntactic_lines = {finding.line for finding in findings}
+    summaries = function_summaries(ctx)
     for node in ast.walk(ctx.tree):
         if isinstance(node, FunctionNode):
-            findings.extend(_check_flow(ctx, node, syntactic_lines))
+            findings.extend(_check_flow(ctx, node, summaries, syntactic_lines))
     return findings
 
 
@@ -203,7 +204,10 @@ def _stmt_expressions(statement: ast.stmt) -> List[ast.expr]:
 
 
 def _check_flow(
-    ctx: FileContext, function: ast.AST, syntactic_lines: Set[int]
+    ctx: FileContext,
+    function: ast.AST,
+    summaries: Dict[str, str],
+    syntactic_lines: Set[int],
 ) -> List[Finding]:
     """RL104/RL105: the flow-sensitive upgrade of the suffix heuristics.
 
@@ -212,11 +216,10 @@ def _check_flow(
     exact environment that reaches it.
     """
     try:
-        envs = infer_unit_domains(ctx, function)
         graph = ControlFlowGraph.from_function(function)
+        envs = infer_unit_domains(ctx, graph, summaries)
     except RecursionError:  # pathological nesting: fall back to syntax
         return []
-    summaries = function_summaries(ctx)
     findings: List[Finding] = []
     seen: Set[int] = set()
 
