@@ -55,7 +55,7 @@ def test_fault_tolerance_sweep():
         rates=(0.0, 0.3), seeds=range(3), duration_s=0.25
     )
     print()
-    print(fault_tolerance.report(sweep))
+    print(fault_tolerance.render({"sweep": sweep}))
 
     curves = sweep["curves"]
     top = {system: points[-1] for system, points in curves.items()}

@@ -18,7 +18,7 @@ def test_fig04a_attenuation_cdf(capsys):
         assert fraction_in_band > 0.8
     with capsys.disabled():
         print()
-        print(fig04_reflectors.report(study))
+        print(fig04_reflectors.render({"attenuation": study}))
 
 
 def test_fig04b_motion_heatmap(capsys):

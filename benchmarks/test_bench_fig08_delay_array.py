@@ -28,4 +28,4 @@ def test_fig08_band_responses(capsys):
     )
     with capsys.disabled():
         print()
-        print(fig08_delay_array.report(result))
+        print(fig08_delay_array.render({"responses": result}))

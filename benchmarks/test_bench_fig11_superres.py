@@ -21,8 +21,11 @@ def test_fig11a_mse_vs_relative_tof(capsys):
     with capsys.disabled():
         print()
         print(
-            fig11_superres.report(
-                sweep, fig11_superres.run_two_sinc_recovery()
+            fig11_superres.render(
+                {
+                    "mse_sweep": sweep,
+                    "two_sinc": fig11_superres.run_two_sinc_recovery(),
+                }
             )
         )
 

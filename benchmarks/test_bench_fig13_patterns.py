@@ -24,4 +24,4 @@ def test_fig13d_pattern_fidelity(capsys):
     assert coarse.mainlobe_rmse_db() > comparisons[2].mainlobe_rmse_db()
     with capsys.disabled():
         print()
-        print(fig13_patterns.report(comparisons))
+        print(fig13_patterns.render({"patterns": comparisons}))

@@ -35,4 +35,4 @@ def test_fig14_sensitivity_grid(capsys):
     assert np.all(grid.gain_db[:, phase_index] > -0.5)
     with capsys.disabled():
         print()
-        print(fig14_sensitivity.report(grid))
+        print(fig14_sensitivity.render({"grid": grid}))

@@ -22,10 +22,12 @@ def test_fig15ab_combining_accuracy(capsys):
     with capsys.disabled():
         print()
         print(
-            fig15_combining.report(
-                accuracy,
-                fig15_combining.run_phase_stability(),
-                fig15_combining.run_snr_gains(num_trials=10),
+            fig15_combining.render(
+                {
+                    "accuracy": accuracy,
+                    "stability": fig15_combining.run_phase_stability(),
+                    "gains": fig15_combining.run_snr_gains(num_trials=10),
+                }
             )
         )
 

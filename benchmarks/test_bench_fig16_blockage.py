@@ -14,4 +14,4 @@ def test_fig16_walking_blocker(capsys):
     assert series.multibeam_outage_ms == 0.0
     with capsys.disabled():
         print()
-        print(fig16_blockage.report(series))
+        print(fig16_blockage.render({"walking_blocker": series}))

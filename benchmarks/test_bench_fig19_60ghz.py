@@ -14,4 +14,4 @@ def test_fig19_carrier_comparison(capsys):
     assert comparison.carrier_ratio() > 1.8
     with capsys.disabled():
         print()
-        print(fig19_60ghz.report(comparison))
+        print(fig19_60ghz.render({"carriers": comparison}))

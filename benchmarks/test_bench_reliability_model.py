@@ -18,8 +18,11 @@ def test_reliability_model_curves(capsys):
     with capsys.disabled():
         print()
         print(
-            reliability_model.report(
-                curves, reliability_model.run_monte_carlo_check()
+            reliability_model.render(
+                {
+                    "analytic": curves,
+                    "monte_carlo": reliability_model.run_monte_carlo_check(),
+                }
             )
         )
 

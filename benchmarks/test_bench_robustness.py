@@ -33,4 +33,4 @@ def test_clustered_channel_robustness(capsys):
     assert mmr.mean_throughput_bps() > 0.9 * oracle.mean_throughput_bps()
     with capsys.disabled():
         print()
-        print(robustness.report(summaries))
+        print(robustness.render({"clustered": summaries}))

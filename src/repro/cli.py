@@ -385,6 +385,8 @@ def command_run(
         recorder = TelemetryRecorder()
 
     def _run_all() -> int:
+        from repro.sim.executor import EnsembleError
+
         results = []
         for name in identifiers:
             try:
@@ -393,7 +395,13 @@ def command_run(
                 out.write(f"error: {error}\n")
                 return 2
             out.write(f"== {experiment.title} ==\n")
-            result = experiment.run(config)
+            try:
+                result = experiment.run(config)
+            except EnsembleError as error:
+                # An ensemble past its failure budget (e.g. under a
+                # worker_crash campaign) ends the run, not in a traceback.
+                out.write(f"error: {error}\n")
+                return 2
             results.append(result)
             out.write(experiment.render(result) + "\n")
             out.write(f"-- completed in {result.elapsed_s:.1f} s --\n\n")

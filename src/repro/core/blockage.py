@@ -190,8 +190,9 @@ def reallocate_gains(
     Zeroing a blocked beam's relative gain and renormalizing (which the
     weight synthesis does automatically) shifts its share of the total
     radiated power to the surviving lobes.  Raises if every beam is
-    blocked — that is a full outage the caller must escalate to beam
-    training or handover.
+    blocked, or if no unblocked beam carries gain (e.g. its probe stayed
+    degenerate) — either way no live beam is left to re-reference on,
+    and the caller must fall back or escalate to beam training.
     """
     mask = np.asarray(blocked_mask, dtype=bool)
     if mask.shape != (multibeam.num_beams,):
@@ -209,5 +210,9 @@ def reallocate_gains(
     # Re-reference on the strongest survivor so downstream probing keeps a
     # live reference beam.
     strongest = int(np.argmax(np.abs(gains)))
+    if gains[strongest] == 0.0:
+        raise RuntimeError(
+            "no unblocked beam carries gain: nothing to re-reference on"
+        )
     gains = gains / gains[strongest]
     return multibeam.with_relative_gains(tuple(gains))

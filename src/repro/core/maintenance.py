@@ -373,7 +373,7 @@ class MultiBeamManager:
             blocked, previous_mask
         ):
             # Blockage state changed: re-purpose power accordingly.
-            self._apply_blockage_mask(blocked)
+            self._apply_blockage_mask(blocked, time_s)
             return MaintenanceReport(
                 time_s=time_s,
                 snr_db=snr_db,
@@ -530,10 +530,19 @@ class MultiBeamManager:
         )
         return np.where(blocked, held, powers_db)
 
-    def _apply_blockage_mask(self, blocked: np.ndarray) -> None:
-        """Rebuild the live multi-beam from healthy gains + blocked mask."""
+    def _apply_blockage_mask(self, blocked: np.ndarray, time_s: float) -> None:
+        """Rebuild the live multi-beam from healthy gains + blocked mask.
+
+        When no unblocked beam has a healthy gain (an establish whose
+        probe of the survivor stayed degenerate), there is nothing to
+        re-reference on: collapse onto the strongest survivor instead.
+        """
         base = self.multibeam.with_relative_gains(self._healthy_gains)
-        self.multibeam = reallocate_gains(base, blocked)
+        try:
+            self.multibeam = reallocate_gains(base, blocked)
+        except RuntimeError:
+            self._fallback_single_beam(time_s, reason="no_live_gain")
+            return
         self._anchor_pending = True
 
     def _recover_beams(
@@ -580,7 +589,7 @@ class MultiBeamManager:
                     self.multibeam = self.multibeam.with_angles(angles)
                 restored = True
         if restored:
-            self._apply_blockage_mask(self._detector.blocked_mask)
+            self._apply_blockage_mask(self._detector.blocked_mask, time_s)
         return probes
 
     def _reprobe_gains(

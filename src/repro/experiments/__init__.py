@@ -1,9 +1,10 @@
 """Experiment harness: one module per paper table/figure.
 
-Each module exposes a ``run_*`` function returning plain data (arrays,
-dataclasses) plus a ``report()`` helper that prints the same rows/series
-the paper plots.  The ``benchmarks/`` tree asserts each one's shape
-under pytest; the modules are also directly runnable:
+Each module exposes ``run_*`` functions returning plain data (arrays,
+dataclasses, ensemble summaries), plus ``run(config) -> dict`` and
+``render(data) -> str``: the entry points :mod:`repro.experiments.registry`
+calls.  The ``benchmarks/`` tree asserts each one's shape under pytest;
+run one figure from the command line with:
 
-    python -m repro.experiments.fig14_sensitivity
+    python -m repro run fig14
 """

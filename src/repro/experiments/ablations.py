@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.experiments.common import (
     TESTBED_ULA,
     make_sounder,
 )
+from repro.experiments.registry import ExperimentConfig
 from repro.phy.reference_signals import multibeam_maintenance_time_s
 from repro.sim.scenarios import three_path_channel, two_path_channel
 from repro.utils import db_to_linear, ensure_rng, power_linear_to_db
@@ -252,20 +253,25 @@ def run_reprobe_ablation(
     return results
 
 
-def report(
-    cfo: Dict[str, float],
-    quantization: Dict[int, float],
-    beams: BeamCountTradeoff,
-    regularization: Dict[float, float],
-    reprobe: Dict[float, Dict[float, float]] = None,
-) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {
+        "cfo": run_cfo_ablation(),
+        "quantization": run_quantization_ablation(),
+        "beam_count": run_beam_count_ablation(),
+        "regularization": run_regularization_ablation(),
+        "reprobe": run_reprobe_ablation(workers=config.workers),
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
     lines = ["Ablation 1 — probing under CFO (mean |phase error|, deg)"]
-    for label, error in cfo.items():
+    for label, error in data["cfo"].items():
         lines.append(f"  {label:<22s} {error:7.2f} deg")
     lines.append("Ablation 2 — phase quantization (multi-beam SNR loss, dB)")
-    for bits, loss in quantization.items():
+    for bits, loss in data["quantization"].items():
         lines.append(f"  {bits}-bit phase: {loss:6.3f} dB")
     lines.append("Ablation 3 — number of beams (gain saturates, cost grows)")
+    beams = data["beam_count"]
     for k, gain, overhead in zip(
         beams.num_beams, beams.snr_gain_db, beams.overhead_ms
     ):
@@ -273,29 +279,16 @@ def report(
             f"  K={k}: SNR gain {gain:5.2f} dB, overhead {overhead:5.2f} ms"
         )
     lines.append("Ablation 4 — superres ridge lambda (power MSE, dB)")
-    for lam, mse in regularization.items():
+    for lam, mse in data["regularization"].items():
         lines.append(f"  lambda={lam:8.0e}: MSE {mse:7.2f} dB")
-    if reprobe is not None:
-        lines.append(
-            "Ablation 5 — reprobe cadence under carrier-phase drift "
-            "(mean SNR, dB)"
-        )
-        for drift, row in reprobe.items():
-            cells = "  ".join(
-                f"{interval * 1e3:.0f}ms: {snr:5.2f}"
-                for interval, snr in row.items()
-            )
-            lines.append(f"  drift {drift:5.1f} rad/s -> {cells}")
-    return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(
-        report(
-            run_cfo_ablation(),
-            run_quantization_ablation(),
-            run_beam_count_ablation(),
-            run_regularization_ablation(),
-            run_reprobe_ablation(),
-        )
+    lines.append(
+        "Ablation 5 — reprobe cadence under carrier-phase drift "
+        "(mean SNR, dB)"
     )
+    for drift, row in data["reprobe"].items():
+        cells = "  ".join(
+            f"{interval * 1e3:.0f}ms: {snr:5.2f}"
+            for interval, snr in row.items()
+        )
+        lines.append(f"  drift {drift:5.1f} rad/s -> {cells}")
+    return "\n".join(lines)

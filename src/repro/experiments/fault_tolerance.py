@@ -21,6 +21,7 @@ from typing import Any, Dict, Sequence
 
 from repro.experiments.common import format_series, make_manager
 from repro.experiments.fig18_end2end import _mobile_scenario
+from repro.experiments.registry import ExperimentConfig
 from repro.faults import FaultKind, FaultSpec
 from repro.sim.executor import EnsembleSpec, execute_ensemble
 from repro.sim.link import build_link_simulator
@@ -85,8 +86,20 @@ def run_fault_rate_sweep(
     }
 
 
-def report(sweep: Dict[str, Any]) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    """The sweep over the first configured fault's kind (default
+    ``probe_loss``); the sweep sets its own rates."""
+    kind = config.faults[0].kind if config.faults else FaultKind.PROBE_LOSS
+    return {
+        "sweep": run_fault_rate_sweep(
+            seeds=config.seed_range(6), workers=config.workers, kind=kind
+        )
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
     """Render the reliability-vs-fault-rate curves as a text report."""
+    sweep = data["sweep"]
     kind = sweep["kind"]
     lines = [
         f"Fault tolerance — reliability vs injected '{kind}' rate",

@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from repro.channel.measurement import (
 from repro.channel.environment import random_indoor_environment
 from repro.channel.mobility import LinearTrajectory
 from repro.experiments.common import TESTBED_ULA
+from repro.experiments.registry import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,12 @@ def run_motion_heatmap(
     )
 
 
-def report(study: ReflectorStudy) -> str:
-    (indoor_x, indoor_p), (outdoor_x, outdoor_p) = study.cdfs()
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {"attenuation": run_attenuation_study()}
+
+
+def render(data: Dict[str, Any]) -> str:
+    study = data["attenuation"]
     lines = [
         "Fig. 4(a) — relative attenuation of strongest reflection (dB)",
         f"  indoor  median: {study.indoor_median_db:5.2f} dB   (paper: 7.2 dB)",
@@ -90,7 +96,3 @@ def report(study: ReflectorStudy) -> str:
             + " ".join(f"{v:6.2f}" for v in pct)
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(report(run_attenuation_study()))

@@ -11,13 +11,14 @@ notches otherwise, with notch spacing ``1 / delay_spread``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.arrays.steering import single_beam_weights
 from repro.core.delay_opt import band_response_db, build_delay_array, flatness_db
 from repro.experiments.common import TESTBED_ULA
+from repro.experiments.registry import ExperimentConfig
 from repro.sim.scenarios import two_path_channel
 from repro.utils import power_linear_to_db
 
@@ -61,7 +62,12 @@ def run_band_responses(
     return DelayArrayResponse(frequencies_hz=freqs, responses_db=responses)
 
 
-def report(result: DelayArrayResponse) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {"responses": run_band_responses()}
+
+
+def render(data: Dict[str, Any]) -> str:
+    result = data["responses"]
     lines = ["Fig. 8 — band response ripple (peak-to-trough, dB)"]
     for label in sorted(result.responses_db):
         ripple = result.ripple_db(label)
@@ -76,7 +82,3 @@ def report(result: DelayArrayResponse) -> str:
         "  and uncompensated 10ns shows twice the notch density of 5ns."
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(report(run_band_responses()))

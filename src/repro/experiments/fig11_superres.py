@@ -11,10 +11,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict
+
 import numpy as np
 
 from repro.channel.wideband import cir_from_frequency_response, ofdm_frequency_grid
 from repro.core.superres import SuperResolver
+from repro.experiments.registry import ExperimentConfig
 from repro.utils import db_to_linear, ensure_rng, power_linear_to_db
 
 
@@ -117,7 +120,15 @@ def run_two_sinc_recovery(
     )
 
 
-def report(sweep: SuperResSweep, recovery: TwoSincDecomposition) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {
+        "mse_sweep": run_mse_sweep(),
+        "two_sinc": run_two_sinc_recovery(),
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
+    sweep, recovery = data["mse_sweep"], data["two_sinc"]
     lines = [
         "Fig. 11(a) — per-beam power MSE vs relative ToF "
         f"(resolution {sweep.resolution_s * 1e9:.1f} ns)",
@@ -134,7 +145,3 @@ def report(sweep: SuperResSweep, recovery: TwoSincDecomposition) -> str:
             f"recovered {abs(recovery.recovered_alphas[k]):.3f}"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(report(run_mse_sweep(), run_two_sinc_recovery()))

@@ -12,13 +12,14 @@ pattern correlation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.arrays.patterns import beam_pattern_db
 from repro.core.multibeam import MultiBeam
 from repro.experiments.common import TESTBED_ULA
+from repro.experiments.registry import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,15 @@ def run_pattern_comparison(
     )
 
 
-def report(comparisons: Dict[int, PatternComparison]) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {"patterns": {k: run_pattern_comparison(num_beams=k) for k in (2, 3)}}
+
+
+def render(data: Dict[str, Any]) -> str:
     lines = [
         "Fig. 13(d) — multi-beam pattern: theory vs 6-bit hardware control"
     ]
-    for num_beams, comparison in comparisons.items():
+    for num_beams, comparison in data["patterns"].items():
         angle_errors = comparison.lobe_angle_errors_deg()
         level_errors = comparison.lobe_level_errors_db()
         lines.append(
@@ -114,11 +119,3 @@ def report(comparisons: Dict[int, PatternComparison]) -> str:
         "  paper: 'our phased arrays generate accurate multi-beam patterns'"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(
-        report(
-            {k: run_pattern_comparison(num_beams=k) for k in (2, 3)}
-        )
-    )

@@ -11,12 +11,14 @@ error; a 180-degree phase error costs far more than the potential gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.arrays.steering import single_beam_weights
 from repro.core.multibeam import MultiBeam
 from repro.experiments.common import TESTBED_ULA
+from repro.experiments.registry import ExperimentConfig
 from repro.sim.scenarios import two_path_channel
 from repro.utils import complex_from_polar, db_to_linear, power_linear_to_db
 
@@ -85,7 +87,12 @@ def run_sensitivity_grid(
     )
 
 
-def report(grid: SensitivityGrid) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {"grid": run_sensitivity_grid()}
+
+
+def render(data: Dict[str, Any]) -> str:
+    grid = data["grid"]
     tolerance_deg = np.rad2deg(grid.phase_tolerance_rad())
     worst = float(np.min(grid.gain_db))
     lines = [
@@ -98,7 +105,3 @@ def report(grid: SensitivityGrid) -> str:
         f"  worst-case gain (180 deg error): {worst:6.2f} dB",
     ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(report(run_sensitivity_grid()))

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.experiments.common import (
     TESTBED_ULA,
     make_sounder,
 )
+from repro.experiments.registry import ExperimentConfig
 from repro.sim.scenarios import three_path_channel, two_path_channel
 from repro.utils import complex_from_polar, db_to_linear, linear_to_db
 
@@ -213,12 +214,17 @@ def run_snr_gains(seed: int = 2, num_trials: int = 20) -> SnrGains:
     )
 
 
-def report(
-    accuracy: CombiningAccuracy,
-    phase_stability_rad: np.ndarray,
-    gains: SnrGains,
-) -> str:
-    drift = float(np.max(phase_stability_rad) - np.min(phase_stability_rad))
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {
+        "accuracy": run_combining_accuracy(),
+        "stability": run_phase_stability(),
+        "gains": run_snr_gains(),
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
+    accuracy, gains = data["accuracy"], data["gains"]
+    drift = float(np.max(data["stability"]) - np.min(data["stability"]))
     lines = [
         "Fig. 15(a) — phase scan",
         f"  optimal applied phase: {accuracy.best_scan_phase_rad:5.2f} rad; "
@@ -239,13 +245,3 @@ def report(
         "of oracle (paper: ~92%)"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(
-        report(
-            run_combining_accuracy(),
-            run_phase_stability(),
-            run_snr_gains(),
-        )
-    )

@@ -10,11 +10,13 @@ the unblocked beam keeps carrying signal, and never enters outage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.channel.blockage import HumanBlocker
 from repro.experiments.common import TESTBED_ULA, make_manager
+from repro.experiments.registry import ExperimentConfig
 from repro.phy.mcs import OUTAGE_SNR_DB
 from repro.sim.link import LinkSimulator
 from repro.sim.scenarios import SyntheticScenario, two_path_channel
@@ -95,7 +97,12 @@ def run_walking_blocker(
     )
 
 
-def report(series: BlockageTimeSeries) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {"walking_blocker": run_walking_blocker()}
+
+
+def render(data: Dict[str, Any]) -> str:
+    series = data["walking_blocker"]
     return "\n".join(
         [
             "Fig. 16 — walking blocker across both beams",
@@ -109,7 +116,3 @@ def report(series: BlockageTimeSeries) -> str:
             f"{series.multibeam_outage_ms:6.1f} ms (paper: 0 — no outage)",
         ]
     )
-
-
-if __name__ == "__main__":
-    print(report(run_walking_blocker()))

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.experiments.common import (
     make_manager,
     make_sounder,
 )
+from repro.experiments.registry import ExperimentConfig
 from repro.sim.link import LinkSimulator
 from repro.sim.scenarios import SyntheticScenario, two_path_channel
 from repro.utils import power_linear_to_db
@@ -175,11 +176,17 @@ def run_throughput_timeseries(
     return ThroughputComparison(times_s=times, series_mbps=series)
 
 
-def report(
-    power_trace: PerBeamPowerTrace,
-    angle_errors: Dict[float, float],
-    throughput: ThroughputComparison,
-) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {
+        "power_trace": run_per_beam_power_trace(),
+        "angle_accuracy": run_angle_accuracy(),
+        "throughput": run_throughput_timeseries(),
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
+    power_trace, angle_errors = data["power_trace"], data["angle_accuracy"]
+    throughput = data["throughput"]
     lines = [
         "Fig. 17(a) — per-beam power vs rotation",
         f"  mean |measured - pattern| error: "
@@ -202,13 +209,3 @@ def report(
             f"final {throughput.final_mbps(label):7.1f} Mbps"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(
-        report(
-            run_per_beam_power_trace(),
-            run_angle_accuracy(),
-            run_throughput_timeseries(),
-        )
-    )

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -25,12 +25,13 @@ from repro.channel.blockage import (
     random_blockage_schedule,
 )
 from repro.experiments.common import TESTBED_ULA, make_manager
+from repro.experiments.registry import ExperimentConfig
 from repro.phy.reference_signals import (
     beam_training_time_s,
     multibeam_maintenance_time_s,
 )
 from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
-from repro.sim.link import LinkSimulator, build_link_simulator
+from repro.sim.link import build_link_simulator
 from repro.sim.scenarios import indoor_two_path_scenario
 from repro.utils.rng import named_substream
 
@@ -39,54 +40,70 @@ from repro.utils.rng import named_substream
 # (a) static link with blockers
 # ----------------------------------------------------------------------
 
+def _static_scenario(num_blockers: int, seed: int):
+    """One seed's static link with ``num_blockers`` blockers (picklable).
+
+    Each blocker occludes one beam during its own window (the paper's
+    walkers cross the beams at different times; simultaneous full
+    blockage is unrecoverable for every system and tests nothing).
+    """
+    events = []
+    if num_blockers:
+        rng = named_substream(seed, "fig18.blockage_windows")
+        window = 0.9 / num_blockers
+        for b in range(num_blockers):
+            duration = float(rng.uniform(0.15, 0.25))
+            start = 0.05 + b * window + float(
+                rng.uniform(0.0, max(window - duration - 0.05, 0.01))
+            )
+            events.append(
+                BlockageEvent(
+                    path_index=b % 2,
+                    start_s=start,
+                    duration_s=duration,
+                    depth_db=26.0,
+                )
+            )
+    return indoor_two_path_scenario(
+        TESTBED_ULA, translation_speed_mps=0.0,
+        blockage=BlockageSchedule(events=tuple(events)), delta_db=-4.0,
+    )
+
+
 def run_static_blockers(
     num_blockers_values: Sequence[int] = (0, 1, 2),
     seeds: Sequence[int] = range(5),
     duration_s: float = 1.0,
+    workers: int = 1,
+    faults: tuple = (),
 ) -> Dict[str, Dict[int, float]]:
-    """Mean throughput [Mbps] per system per blocker count (Fig. 18a)."""
+    """Mean throughput [Mbps] per system per blocker count (Fig. 18a).
+
+    One ensemble per (blocker count, system); a seed-run that raises
+    aborts the table (``max_failure_fraction=0``).
+    """
     systems = ("mmreliable-static", "beamspy", "reactive")
     results: Dict[str, Dict[int, float]] = {s: {} for s in systems}
     for num_blockers in num_blockers_values:
         for system in systems:
-            throughputs = []
-            for seed in seeds:
-                if num_blockers == 0:
-                    schedule = BlockageSchedule(events=())
-                else:
-                    # Each blocker occludes one beam during its own window
-                    # (the paper's walkers cross the beams at different
-                    # times; simultaneous full blockage is unrecoverable
-                    # for every system and tests nothing).
-                    rng = named_substream(seed, "fig18.blockage_windows")
-                    events = []
-                    for b in range(num_blockers):
-                        window = 0.9 / num_blockers
-                        duration = float(rng.uniform(0.15, 0.25))
-                        start = 0.05 + b * window + float(
-                            rng.uniform(0.0, max(window - duration - 0.05, 0.01))
-                        )
-                        events.append(
-                            BlockageEvent(
-                                path_index=b % 2,
-                                start_s=start,
-                                duration_s=duration,
-                                depth_db=26.0,
-                            )
-                        )
-                    schedule = BlockageSchedule(events=tuple(events))
-                scenario = indoor_two_path_scenario(
-                    TESTBED_ULA, translation_speed_mps=0.0,
-                    blockage=schedule, delta_db=-4.0,
+            summary = execute_ensemble(
+                EnsembleSpec(
+                    label=f"{system}@{num_blockers}blk",
+                    simulator_factory=partial(
+                        build_link_simulator,
+                        partial(_static_scenario, num_blockers),
+                        partial(make_manager, system),
+                        duration_s,
+                    ),
+                    seeds=tuple(seeds),
+                    workers=workers,
+                    max_failure_fraction=0.0,
+                    faults=tuple(faults),
                 )
-                simulator = LinkSimulator(
-                    scenario=scenario,
-                    manager=make_manager(system, seed),
-                    duration_s=duration_s,
-                )
-                metrics = simulator.run().metrics()
-                throughputs.append(metrics.mean_throughput_bps / 1e6)
-            results[system][num_blockers] = float(np.mean(throughputs))
+            )
+            results[system][num_blockers] = float(
+                np.mean([m.mean_throughput_bps / 1e6 for m in summary.metrics])
+            )
     return results
 
 
@@ -183,11 +200,23 @@ def run_probing_overhead(
     return table
 
 
-def report(
-    static: Dict[str, Dict[int, float]],
-    summaries: Dict[str, EnsembleSummary],
-    overhead: Dict[str, Dict[int, float]],
-) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {
+        "static": run_static_blockers(
+            seeds=config.seed_range(5), workers=config.workers,
+            faults=config.faults,
+        ),
+        "mobile": run_mobile_ensembles(
+            seeds=config.seed_range(10), workers=config.workers,
+            faults=config.faults,
+        ),
+        "overhead": run_probing_overhead(),
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
+    static, summaries = data["static"], data["mobile"]
+    overhead = data["overhead"]
     lines = ["Fig. 18(a) — static link, mean throughput (Mbps) vs blockers"]
     blocker_counts = sorted(next(iter(static.values())).keys())
     header = "  system              " + "".join(
@@ -219,13 +248,3 @@ def report(
         cells = "".join(f"  {row[n]:6.2f}" for n in counts)
         lines.append(f"  {scheme:<20s}{cells}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(
-        report(
-            run_static_blockers(),
-            run_mobile_ensembles(seeds=range(10)),
-            run_probing_overhead(),
-        )
-    )

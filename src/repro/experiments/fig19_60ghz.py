@@ -14,17 +14,20 @@ on the direct path:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from functools import partial
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.arrays import UniformLinearArray
 from repro.channel.blockage import BlockageEvent, BlockageSchedule
 from repro.channel.environment import Environment, Reflector
-from repro.experiments.common import make_manager
-from repro.sim.link import LinkSimulator
-from repro.sim.scenarios import GeometricScenario
 from repro.channel.mobility import StaticPose
+from repro.experiments.common import make_manager
+from repro.experiments.registry import ExperimentConfig
+from repro.sim.executor import EnsembleSpec, execute_ensemble
+from repro.sim.link import build_link_simulator
+from repro.sim.scenarios import GeometricScenario
 
 
 @dataclass(frozen=True)
@@ -84,34 +87,58 @@ def run_carrier_comparison(
     blockage_fraction: float = 0.1,
     seeds=range(4),
     bandwidth_hz: float = 100e6,
+    workers: int = 1,
+    faults: tuple = (),
 ) -> CarrierComparison:
-    """mmReliable vs the BeamSpy single-beam baseline at both carriers."""
+    """mmReliable vs the BeamSpy single-beam baseline at both carriers.
+
+    One ensemble per (carrier, system); a seed-run that raises aborts
+    the comparison (``max_failure_fraction=0``).
+    """
     results: Dict[str, Dict[str, float]] = {}
     for label, carrier in (("28GHz", 28e9), ("60GHz", 60e9)):
-        single_tp, multi_tp = [], []
-        for seed in seeds:
-            scenario = _scenario(carrier, blockage_fraction, seed)
-            array = scenario.array
-            for bucket, kind in (
-                (single_tp, "beamspy"),
-                (multi_tp, "mmreliable-static"),
-            ):
-                manager = make_manager(
-                    kind, seed, array=array, bandwidth_hz=bandwidth_hz
+        array = UniformLinearArray(
+            num_elements=8, carrier_frequency_hz=carrier
+        )
+        results[label] = {}
+        for column, kind in (
+            ("single", "beamspy"), ("multibeam", "mmreliable-static"),
+        ):
+            summary = execute_ensemble(
+                EnsembleSpec(
+                    label=f"{kind}@{label}",
+                    simulator_factory=partial(
+                        build_link_simulator,
+                        partial(_scenario, carrier, blockage_fraction),
+                        partial(
+                            make_manager, kind, array=array,
+                            bandwidth_hz=bandwidth_hz,
+                        ),
+                        1.0,
+                    ),
+                    seeds=tuple(seeds),
+                    workers=workers,
+                    max_failure_fraction=0.0,
+                    faults=tuple(faults),
                 )
-                simulator = LinkSimulator(
-                    scenario=scenario, manager=manager, duration_s=1.0
-                )
-                metrics = simulator.run().metrics()
-                bucket.append(metrics.mean_throughput_bps / 1e6)
-        results[label] = {
-            "single": float(np.mean(single_tp)),
-            "multibeam": float(np.mean(multi_tp)),
-        }
+            )
+            results[label][column] = float(
+                np.mean([m.mean_throughput_bps / 1e6 for m in summary.metrics])
+            )
     return CarrierComparison(throughput_mbps=results)
 
 
-def report(comparison: CarrierComparison) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {
+        "carriers": run_carrier_comparison(
+            seeds=config.seed_range(4), workers=config.workers,
+            faults=config.faults,
+        )
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
+    comparison = data["carriers"]
     lines = ["Fig. 19 (Appendix B) — 28 vs 60 GHz, 10% blockage"]
     for carrier in ("28GHz", "60GHz"):
         row = comparison.throughput_mbps[carrier]
@@ -127,7 +154,3 @@ def report(comparison: CarrierComparison) -> str:
         "bandwidth at range)"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(report(run_carrier_comparison()))

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.experiments.registry import ExperimentConfig
 from repro.network import build_network_simulator
 from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
 from repro.sim.spec import ScenarioSpec, get_scenario_spec
@@ -92,7 +93,23 @@ def user_cdf(summaries: Dict[int, EnsembleSummary], attribute: str) -> dict:
     return pools
 
 
-def report(results: Dict[str, Dict[int, EnsembleSummary]]) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    kwargs: Dict[str, Any] = {}
+    if config.scenario is not None:
+        kwargs["spec"] = config.scenario
+        if config.scenario.users > 1:
+            # A pinned user count replaces the default sweep.
+            kwargs["user_counts"] = (config.scenario.users,)
+    return {
+        "scaling": run_user_scaling(
+            seeds=config.seed_range(4), workers=config.workers,
+            faults=config.faults, **kwargs,
+        )
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
+    results = data["scaling"]
     lines = [
         "Network scale — cell throughput and reliability vs user count",
         "(multi-cell scheduler, shared probe budgets, inter-cell "
@@ -124,7 +141,3 @@ def report(results: Dict[str, Dict[int, EnsembleSummary]]) -> str:
             f"{gain:4.2f}x"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(report(run_user_scaling()))

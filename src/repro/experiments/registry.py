@@ -1,20 +1,26 @@
-"""Registry mapping experiment ids to structured run/render entry points.
+"""Registry mapping experiment ids to their modules.
 
-Used by the CLI (``python -m repro run fig14``) and by anyone scripting
-over the full reproduction.  Each experiment is a two-stage pipeline:
+Used by the CLI (``python -m repro run fig14``), the job server and
+anyone scripting over the full reproduction.  Every experiment is one
+module under :mod:`repro.experiments` with two functions:
 
-* ``run(config) -> ExperimentResult`` — produce structured data (the
-  sweeps, ensembles, and tables behind one paper figure) plus timing,
-  honouring the :class:`ExperimentConfig` knobs (seed count, parallel
-  workers) where the experiment has an ensemble to scale.
-* ``render(result) -> str`` — format that data as the printable report.
+* ``run(config) -> dict`` — produce the structured data (the sweeps,
+  ensembles, and tables behind one paper figure), honouring the
+  :class:`ExperimentConfig` knobs; every seed ensemble it runs goes
+  through :func:`repro.sim.executor.execute_ensemble` with the config's
+  seeds, workers and faults.
+* ``render(data) -> str`` — format that data as the printable report.
+
+:class:`Experiment` wraps the pair with a title, timing and a telemetry
+slice (:class:`ExperimentResult`).
 """
 
 from __future__ import annotations
 
+import importlib
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.faults import FaultSpec
 from repro.sim.spec import ScenarioSpec
@@ -25,12 +31,14 @@ from repro.telemetry import TelemetrySummary, get_recorder
 class ExperimentConfig:
     """Knobs threaded into an experiment run.
 
-    ``seeds`` overrides the number of Monte-Carlo seeds for experiments
-    built on ensembles (``fig18``, ``robustness``); ``workers`` sets the
-    ensemble executor's process-pool width.  Experiments without an
-    ensemble ignore both.  ``faults`` injects a chaos campaign (CLI
-    ``--fault`` / ``--faults``) into every ensemble the experiment
-    runs.  ``scenario`` (CLI ``--scenario``) carries a
+    ``seeds`` overrides the number of Monte-Carlo seeds of every seed
+    ensemble the experiment runs; ``workers`` sets the ensemble
+    executor's process-pool width; ``faults`` injects a chaos campaign
+    (CLI ``--fault`` / ``--faults``) into every such ensemble.
+    ``fault_tolerance`` sweeps its own rates of the first fault's kind,
+    ``ablations`` fans its grid cells out over ``workers``, and
+    experiments without an ensemble or grid ignore all three.
+    ``scenario`` (CLI ``--scenario``) carries a
     :class:`~repro.sim.spec.ScenarioSpec` for scenario-driven
     experiments (``network_scale``); experiments without a scenario
     knob ignore it.
@@ -82,12 +90,19 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One registered experiment: a run stage plus a render stage."""
+    """One registered experiment: ``repro.experiments.<module>``.
+
+    The module owns the experiment: ``run(config) -> dict`` produces
+    its data and ``render(data) -> str`` prints the report.  The module
+    is imported on first use, so ``repro list`` loads none of them.
+    """
 
     identifier: str
     title: str
-    runner: Callable[[ExperimentConfig], Dict[str, Any]] = field(repr=False)
-    renderer: Callable[[Dict[str, Any]], str] = field(repr=False)
+    module: str
+
+    def _module(self):
+        return importlib.import_module(f"repro.experiments.{self.module}")
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Produce the experiment's structured data, with timing.
@@ -97,10 +112,11 @@ class Experiment:
         ``telemetry`` summarizes just this experiment's slice of them.
         """
         config = DEFAULT_CONFIG if config is None else config
+        module = self._module()
         recorder = get_recorder()
         mark = recorder.mark() if recorder.enabled else 0
         started = time.perf_counter()
-        data = self.runner(config)
+        data = module.run(config)
         return ExperimentResult(
             identifier=self.identifier,
             title=self.title,
@@ -115,250 +131,7 @@ class Experiment:
     def render(self, result) -> str:
         """Format a result (or its bare data dict) as the paper report."""
         data = result.data if isinstance(result, ExperimentResult) else result
-        return self.renderer(data)
-
-
-# ----------------------------------------------------------------------
-# per-figure run/render stages (imports deferred so ``repro list`` stays
-# instant and figures only pay for what they use)
-# ----------------------------------------------------------------------
-
-def _fig04_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig04_reflectors as m
-
-    return {"attenuation": m.run_attenuation_study()}
-
-
-def _fig04_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig04_reflectors as m
-
-    return m.report(data["attenuation"])
-
-
-def _fig08_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig08_delay_array as m
-
-    return {"responses": m.run_band_responses()}
-
-
-def _fig08_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig08_delay_array as m
-
-    return m.report(data["responses"])
-
-
-def _fig11_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig11_superres as m
-
-    return {
-        "mse_sweep": m.run_mse_sweep(),
-        "two_sinc": m.run_two_sinc_recovery(),
-    }
-
-
-def _fig11_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig11_superres as m
-
-    return m.report(data["mse_sweep"], data["two_sinc"])
-
-
-def _fig13_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig13_patterns as m
-
-    return {
-        "patterns": {k: m.run_pattern_comparison(num_beams=k) for k in (2, 3)}
-    }
-
-
-def _fig13_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig13_patterns as m
-
-    return m.report(data["patterns"])
-
-
-def _fig14_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig14_sensitivity as m
-
-    return {"grid": m.run_sensitivity_grid()}
-
-
-def _fig14_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig14_sensitivity as m
-
-    return m.report(data["grid"])
-
-
-def _fig15_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig15_combining as m
-
-    return {
-        "accuracy": m.run_combining_accuracy(),
-        "stability": m.run_phase_stability(),
-        "gains": m.run_snr_gains(),
-    }
-
-
-def _fig15_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig15_combining as m
-
-    return m.report(data["accuracy"], data["stability"], data["gains"])
-
-
-def _fig16_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig16_blockage as m
-
-    return {"walking_blocker": m.run_walking_blocker()}
-
-
-def _fig16_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig16_blockage as m
-
-    return m.report(data["walking_blocker"])
-
-
-def _fig17_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig17_tracking as m
-
-    return {
-        "power_trace": m.run_per_beam_power_trace(),
-        "angle_accuracy": m.run_angle_accuracy(),
-        "throughput": m.run_throughput_timeseries(),
-    }
-
-
-def _fig17_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig17_tracking as m
-
-    return m.report(
-        data["power_trace"], data["angle_accuracy"], data["throughput"]
-    )
-
-
-def _fig18_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig18_end2end as m
-
-    return {
-        "static": m.run_static_blockers(),
-        "mobile": m.run_mobile_ensembles(
-            seeds=config.seed_range(10), workers=config.workers,
-            faults=config.faults,
-        ),
-        "overhead": m.run_probing_overhead(),
-    }
-
-
-def _fig18_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig18_end2end as m
-
-    return m.report(data["static"], data["mobile"], data["overhead"])
-
-
-def _fig19_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fig19_60ghz as m
-
-    return {"carriers": m.run_carrier_comparison()}
-
-
-def _fig19_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fig19_60ghz as m
-
-    return m.report(data["carriers"])
-
-
-def _reliability_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import reliability_model as m
-
-    return {
-        "analytic": m.run_analytic_curves(),
-        "monte_carlo": m.run_monte_carlo_check(),
-    }
-
-
-def _reliability_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import reliability_model as m
-
-    return m.report(data["analytic"], data["monte_carlo"])
-
-
-def _robustness_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import robustness as m
-
-    return {
-        "clustered": m.run_clustered_ensembles(
-            seeds=config.seed_range(12), workers=config.workers,
-            faults=config.faults,
-        )
-    }
-
-
-def _robustness_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import robustness as m
-
-    return m.report(data["clustered"])
-
-
-def _fault_tolerance_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import fault_tolerance as m
-
-    kind = config.faults[0].kind if config.faults else "probe_loss"
-    return {
-        "sweep": m.run_fault_rate_sweep(
-            seeds=config.seed_range(6), workers=config.workers, kind=kind
-        )
-    }
-
-
-def _fault_tolerance_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import fault_tolerance as m
-
-    return m.report(data["sweep"])
-
-
-def _network_scale_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import network_scale as m
-
-    kwargs: Dict[str, Any] = {}
-    if config.scenario is not None:
-        kwargs["spec"] = config.scenario
-        if config.scenario.users > 1:
-            # A pinned user count replaces the default sweep.
-            kwargs["user_counts"] = (config.scenario.users,)
-    return {
-        "scaling": m.run_user_scaling(
-            seeds=config.seed_range(4), workers=config.workers,
-            faults=config.faults, **kwargs,
-        )
-    }
-
-
-def _network_scale_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import network_scale as m
-
-    return m.report(data["scaling"])
-
-
-def _ablations_run(config: ExperimentConfig) -> Dict[str, Any]:
-    from repro.experiments import ablations as m
-
-    return {
-        "cfo": m.run_cfo_ablation(),
-        "quantization": m.run_quantization_ablation(),
-        "beam_count": m.run_beam_count_ablation(),
-        "regularization": m.run_regularization_ablation(),
-        "reprobe": m.run_reprobe_ablation(workers=config.workers),
-    }
-
-
-def _ablations_render(data: Dict[str, Any]) -> str:
-    from repro.experiments import ablations as m
-
-    return m.report(
-        data["cfo"],
-        data["quantization"],
-        data["beam_count"],
-        data["regularization"],
-        data["reprobe"],
-    )
+        return self._module().render(data)
 
 
 REGISTRY: Dict[str, Experiment] = {
@@ -366,73 +139,61 @@ REGISTRY: Dict[str, Experiment] = {
     for e in (
         Experiment(
             "fig04", "Fig. 4 — strength of mmWave multipath",
-            _fig04_run, _fig04_render,
+            "fig04_reflectors",
         ),
         Experiment(
             "fig08", "Fig. 7/8 — delay phased array response",
-            _fig08_run, _fig08_render,
+            "fig08_delay_array",
         ),
         Experiment(
             "fig11", "Fig. 11 — super-resolution efficiency",
-            _fig11_run, _fig11_render,
+            "fig11_superres",
         ),
         Experiment(
             "fig13", "Fig. 13d — multi-beam pattern fidelity",
-            _fig13_run, _fig13_render,
+            "fig13_patterns",
         ),
         Experiment(
             "fig14", "Fig. 14 — sensitivity to estimation errors",
-            _fig14_run, _fig14_render,
+            "fig14_sensitivity",
         ),
         Experiment(
             "fig15", "Fig. 15 — constructive combining accuracy",
-            _fig15_run, _fig15_render,
+            "fig15_combining",
         ),
         Experiment(
-            "fig16", "Fig. 16 — blockage resilience",
-            _fig16_run, _fig16_render,
+            "fig16", "Fig. 16 — blockage resilience", "fig16_blockage",
         ),
         Experiment(
-            "fig17", "Fig. 17 — proactive tracking",
-            _fig17_run, _fig17_render,
+            "fig17", "Fig. 17 — proactive tracking", "fig17_tracking",
         ),
         Experiment(
-            "fig18", "Fig. 18 — end-to-end comparison",
-            _fig18_run, _fig18_render,
+            "fig18", "Fig. 18 — end-to-end comparison", "fig18_end2end",
         ),
         Experiment(
-            "fig19", "Fig. 19 (App. B) — 28 vs 60 GHz",
-            _fig19_run, _fig19_render,
+            "fig19", "Fig. 19 (App. B) — 28 vs 60 GHz", "fig19_60ghz",
         ),
         Experiment(
             "reliability", "Sec. 3.1 — reliability model",
-            _reliability_run, _reliability_render,
+            "reliability_model",
         ),
         Experiment(
             "robustness", "end-to-end on random clustered channels",
-            _robustness_run, _robustness_render,
+            "robustness",
         ),
         Experiment(
             "fault_tolerance",
             "reliability vs injected fault rate (chaos sweep)",
-            _fault_tolerance_run, _fault_tolerance_render,
+            "fault_tolerance",
         ),
         Experiment(
             "network_scale",
             "network-scale multi-user throughput/reliability CDFs",
-            _network_scale_run, _network_scale_render,
+            "network_scale",
         ),
-        Experiment(
-            "ablations", "design-choice ablations",
-            _ablations_run, _ablations_render,
-        ),
+        Experiment("ablations", "design-choice ablations", "ablations"),
     )
 }
-
-
-def experiment_ids() -> Tuple[str, ...]:
-    """All registered experiment identifiers, in registry order."""
-    return tuple(REGISTRY)
 
 
 def get_experiment(identifier: str) -> Experiment:

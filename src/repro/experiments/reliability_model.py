@@ -10,10 +10,11 @@ fraction of time at least one beam survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
 import numpy as np
 
+from repro.experiments.registry import ExperimentConfig
 from repro.sim.metrics import (
     analytic_multibeam_reliability,
     analytic_single_beam_reliability,
@@ -73,12 +74,17 @@ def run_monte_carlo_check(
     return results
 
 
-def report(
-    curves: ReliabilityCurves, check: Dict[float, Dict[int, float]]
-) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {
+        "analytic": run_analytic_curves(),
+        "monte_carlo": run_monte_carlo_check(),
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
     lines = ["Section 3.1 — reliability model 1 - beta^k"]
     lines.append("  beta    analytic(k=1,2,3)        simulated(k=1,2,3)")
-    for beta, row in check.items():
+    for beta, row in data["monte_carlo"].items():
         analytic = [
             analytic_multibeam_reliability(beta, k) for k in sorted(row)
         ]
@@ -90,7 +96,3 @@ def report(
             + " ".join(f"{v:6.3f}" for v in simulated)
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(report(run_analytic_curves(), run_monte_carlo_check()))

@@ -10,7 +10,7 @@ conclusions do not depend on the scripted geometry.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from repro.channel.clusters import (
     generate_clustered_channel,
 )
 from repro.experiments.common import TESTBED_ULA, make_manager
+from repro.experiments.registry import ExperimentConfig
 from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
 from repro.sim.link import build_link_simulator
 from repro.sim.scenarios import SyntheticScenario
@@ -98,7 +99,17 @@ def run_clustered_ensembles(
     return summaries
 
 
-def report(summaries: Dict[str, EnsembleSummary]) -> str:
+def run(config: ExperimentConfig) -> Dict[str, Any]:
+    return {
+        "clustered": run_clustered_ensembles(
+            seeds=config.seed_range(12), workers=config.workers,
+            faults=config.faults,
+        )
+    }
+
+
+def render(data: Dict[str, Any]) -> str:
+    summaries = data["clustered"]
     lines = [
         "Robustness — end-to-end comparison on random clustered channels",
         "(3GPP-flavoured generator; mobility + LOS blockage per run)",
@@ -114,7 +125,3 @@ def report(summaries: Dict[str, EnsembleSummary]) -> str:
         "(hand-built scenarios: see fig18)"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(report(run_clustered_ensembles()))

@@ -23,10 +23,11 @@ reliability ledger:
   a duplicate of a pending/running job joins that execution, and a
   duplicate of a *succeeded* job is served straight from the record.
 * **One retry owner per failure** — journal replay re-runs jobs a
-  server crash interrupted, and the ensemble executor absorbs a broken
-  process pool; every other failure is a terminal ``failed`` carrying
-  its error.  Nothing re-runs a job or a seed-run that raised: each run
-  is a pure function of its seed and would repeat the same error.
+  server crash interrupted; every other failure is a terminal
+  ``failed`` carrying its error, and a dead process-pool worker fails
+  the seeds it left without a result, under the ensemble's failure
+  budget.  Nothing re-runs a job or a seed-run that raised: each run is
+  a pure function of its seed and would repeat the same error.
 * **Backpressure** — admission control and priority-aware shedding
   live in :class:`repro.serve.queue.AdmissionQueue`; rejected arrivals
   get a structured overload payload, evicted jobs a terminal ``shed``
@@ -41,6 +42,9 @@ Wire protocol (newline-delimited JSON over TCP, one request per line)::
     {"op": "stats"}                  -> {"ok": true, "stats": {...}}
     {"op": "ping"}                   -> {"ok": true}
     {"op": "shutdown"}               -> {"ok": true}  (server drains and exits)
+
+A submit that arrives once shutdown has begun gets
+``{"ok": false, "error": "stopping", ...}``.
 """
 
 from __future__ import annotations
@@ -379,7 +383,17 @@ class JobServer:
     # submission path
 
     async def submit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Admit one submission; returns the wire response payload."""
+        """Admit one submission; returns the wire response payload.
+
+        Once :meth:`stop` has begun, a submission is refused before it
+        touches any record, counter or the journal (whose thread may
+        already be gone); a connection opened earlier stays readable.
+        """
+        if self._stopping:
+            return {
+                "ok": False, "error": "stopping",
+                "reason": "the server is shutting down",
+            }
         try:
             return await self._admit(payload)
         except JournalFailure as failure:

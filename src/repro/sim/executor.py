@@ -12,7 +12,8 @@ serial path's exact per-seed results:
   bitwise identical to ``workers=1``.
 * **Fault tolerance** — a seed whose simulation raises is recorded as a
   structured :class:`RunFailure` (seed, exception, traceback) instead of
-  killing the whole ensemble; the ensemble itself errors only once the
+  killing the whole ensemble, and so is every seed a dead pool worker
+  left without a result; the ensemble itself errors only once the
   failed fraction exceeds :attr:`EnsembleSpec.max_failure_fraction`.
 * **Fallback** — ``workers=1``, single-seed ensembles, and factories
   that cannot be pickled (closures, lambdas) run on a deterministic
@@ -43,7 +44,6 @@ from repro.faults import (
 from repro.sim.metrics import LinkMetrics
 from repro.telemetry import (
     Event,
-    EventKind,
     TelemetryRecorder,
     TelemetrySummary,
     get_recorder,
@@ -101,9 +101,6 @@ class ExecutorStats:
     run_times_s: Tuple[float, ...]
     #: Always 0: every seed runs exactly once.  Kept for stats readers.
     total_retries: int = 0
-    #: Runs executed on the in-process serial path after the process
-    #: pool broke (``BrokenProcessPool`` fallback).
-    serial_fallback_runs: int = 0
 
     @property
     def completed_runs(self) -> int:
@@ -135,15 +132,12 @@ class ExecutorStats:
         return self.total_runs / self.wall_time_s
 
     def describe(self) -> str:
-        line = (
+        return (
             f"{self.backend} x{self.workers}: {self.completed_runs}"
             f"/{self.total_runs} runs in {self.wall_time_s:.2f} s "
             f"({self.runs_per_second:.1f} runs/s, "
             f"utilization {self.utilization:.0%})"
         )
-        if self.serial_fallback_runs:
-            line += f" [{self.serial_fallback_runs} serial-fallback run(s)]"
-        return line
 
 
 @dataclass(frozen=True)
@@ -363,19 +357,29 @@ def _resolve_backend(spec: EnsembleSpec) -> str:
     return "process"
 
 
+def _crash(seed: int, error: str) -> tuple:
+    return (
+        "failure",
+        RunFailure(
+            seed=int(seed), error=error, traceback="", elapsed_s=0.0,
+            kind="crash",
+        ),
+    )
+
+
 def _run_process_batch(
     items: Sequence[Tuple[int, tuple]],
     workers: int,
-) -> Tuple[Dict[int, tuple], List[Tuple[int, tuple]], bool]:
+) -> Dict[int, tuple]:
     """Run ``(index, payload)`` items on a process pool.
 
-    Returns ``(results, leftover, broke)``: per-index outcomes, the items
-    that never got a result because the pool broke, and whether it broke.
-    A ``KeyboardInterrupt`` cancels all queued work and *waits* for the
+    Returns one outcome per index.  A seed whose worker died, or that a
+    dead worker's broken pool left without a result, is a ``crash``
+    failure; nothing re-runs it here or in the caller.  A
+    ``KeyboardInterrupt`` cancels all queued work and *waits* for the
     pool to drain before re-raising, so no orphaned workers survive.
     """
     results: Dict[int, tuple] = {}
-    broke = False
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
@@ -386,31 +390,20 @@ def _run_process_batch(
                 for index, payload, future in futures:
                     try:
                         results[index] = future.result()
-                    except BrokenProcessPool:
-                        broke = True
-                        break
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except BaseException as error:
-                        # The worker's exception came back unpicklable or
-                        # the worker died oddly; record it, keep going.
-                        results[index] = (
-                            "failure",
-                            RunFailure(
-                                seed=int(payload[0]),
-                                error=repr(error),
-                                traceback="",
-                                elapsed_s=0.0,
-                                kind="crash",
-                            ),
-                        )
+                        # A broken pool (a worker died) or an exception
+                        # that came back unpicklable.
+                        results[index] = _crash(payload[0], repr(error))
             except (KeyboardInterrupt, SystemExit):
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
-    except BrokenProcessPool:
-        broke = True
-    leftover = [(index, payload) for index, payload in items if index not in results]
-    return results, leftover, broke
+    except BrokenProcessPool as error:
+        # The pool broke before every seed was submitted.
+        for index, payload in items:
+            results.setdefault(index, _crash(payload[0], repr(error)))
+    return results
 
 
 def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
@@ -420,8 +413,8 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
     results collected in seed order so the output is independent of the
     backend.  A seed-run that raises becomes a :class:`RunFailure`;
     nothing re-runs it, because a run is a pure function of its seed and
-    would only replay the same failure.  A broken process pool drops the
-    remaining seeds onto the serial path instead of aborting.  Raises
+    would only replay the same failure.  When a pool worker dies, every
+    seed left without a result is a ``crash`` failure.  Raises
     :class:`EnsembleError` when the failed fraction exceeds
     ``spec.max_failure_fraction`` or no run succeeded.
     """
@@ -441,23 +434,8 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
         )
         for index, seed in enumerate(spec.seeds)
     ]
-    serial_fallback_runs = 0
     if backend == "process":
-        results, leftover, broke = _run_process_batch(items, actual_workers)
-        if broke:
-            # The pool is gone (a worker died hard).  Finish the
-            # orphaned items in-process rather than giving up.
-            if parent_recorder.enabled:
-                parent_recorder.emit(
-                    EventKind.FALLBACK_ENGAGED,
-                    0.0,
-                    fallback="serial_executor",
-                    label=spec.label,
-                    remaining=len(leftover),
-                )
-            for index, payload in leftover:
-                results[index] = _run_one_seed(payload)
-                serial_fallback_runs += 1
+        results = _run_process_batch(items, actual_workers)
     else:
         results = {index: _run_one_seed(payload) for index, payload in items}
     wall_time_s = time.perf_counter() - started
@@ -493,7 +471,6 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
         failed_runs=len(failures),
         wall_time_s=wall_time_s,
         run_times_s=tuple(run_times),
-        serial_fallback_runs=serial_fallback_runs,
     )
     return EnsembleSummary(
         label=spec.label,

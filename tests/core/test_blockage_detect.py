@@ -143,6 +143,14 @@ class TestReallocateGains:
         # Strongest survivor (index 1) becomes the unit reference.
         assert out.relative_gains[1] == pytest.approx(1.0)
 
+    def test_zero_gain_survivor_raises(self, array):
+        # Dividing by the survivor's zero gain would put NaN in the weights.
+        multibeam = MultiBeam(
+            array=array, angles_rad=(0.0, 0.5), relative_gains=(1.0, 0.0)
+        )
+        with pytest.raises(RuntimeError, match="carries gain"):
+            reallocate_gains(multibeam, [True, False])
+
     def test_total_blockage_raises(self, array):
         multibeam = self.make_multibeam(array)
         with pytest.raises(RuntimeError, match="outage"):

@@ -39,31 +39,37 @@ class TestDeterminism:
 
 class TestReports:
     def test_fig04_report_mentions_paper_values(self):
-        report = fig04_reflectors.report(
-            fig04_reflectors.run_attenuation_study(30, seed=0)
+        report = fig04_reflectors.render(
+            {"attenuation": fig04_reflectors.run_attenuation_study(30, seed=0)}
         )
         assert "7.2 dB" in report and "5.0 dB" in report
 
     def test_fig08_report_lists_all_variants(self):
-        report = fig08_delay_array.report(
-            fig08_delay_array.run_band_responses(num_frequencies=51)
+        report = fig08_delay_array.render(
+            {"responses": fig08_delay_array.run_band_responses(num_frequencies=51)}
         )
         assert "delay-optimized" in report
         assert "uncompensated" in report
         assert "single-beam" in report
 
     def test_fig14_report_mentions_landmark(self):
-        report = fig14_sensitivity.report(
-            fig14_sensitivity.run_sensitivity_grid(
-                num_phases=25, num_amplitudes=9
-            )
+        report = fig14_sensitivity.render(
+            {
+                "grid": fig14_sensitivity.run_sensitivity_grid(
+                    num_phases=25, num_amplitudes=9
+                )
+            }
         )
         assert "1.76 dB" in report
 
     def test_reliability_report_rows(self):
-        report = reliability_model.report(
-            reliability_model.run_analytic_curves(),
-            reliability_model.run_monte_carlo_check(betas=(0.3,)),
+        report = reliability_model.render(
+            {
+                "analytic": reliability_model.run_analytic_curves(),
+                "monte_carlo": reliability_model.run_monte_carlo_check(
+                    betas=(0.3,)
+                ),
+            }
         )
         assert "1 - beta^k" in report
 

@@ -36,7 +36,7 @@ class TestSweep:
         json.dumps(sweep)  # plain scalars only
 
     def test_report_mentions_the_story(self, sweep):
-        text = fault_tolerance.report(sweep)
+        text = fault_tolerance.render({"sweep": sweep})
         assert "probe_loss" in text
         assert "mmReliable" in text
         assert "reactive" in text

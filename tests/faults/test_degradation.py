@@ -168,6 +168,36 @@ class TestMaintenanceDegradation:
                    for a in actions)
 
 
+class TestNoLiveGain:
+    """Heavy probe loss can leave the only unblocked beam with a zero
+    healthy gain (its establish probe stayed degenerate); a blockage
+    then falls back to that single beam instead of dividing by zero."""
+
+    def test_heavy_probe_loss_run_completes(self):
+        from repro.telemetry import TelemetryRecorder, use_recorder
+
+        simulator = LinkSimulator(
+            scenario=_mobile_scenario(
+                1, speed_mps=1.5, blockage_depth_db=30.0, distance_m=25.0
+            ),
+            manager=make_manager("mmreliable", 1),
+            duration_s=1.0,
+        )
+        simulator.install_fault_injector(
+            FaultInjector(seed=1, specs=(FaultSpec("probe_loss", 0.5),))
+        )
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            trace = simulator.run()  # must not raise
+        assert len(trace.snr_db) == 1000
+        assert np.all(np.isfinite(trace.snr_db))
+        assert any(
+            e.kind == "fallback_engaged"
+            and e.fields.get("reason") == "no_live_gain"
+            for e in recorder.events
+        )
+
+
 class TestSimulatorDegradedWindows:
     class _BrokenManager:
         """Establishes fine, then every step raises."""

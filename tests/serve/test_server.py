@@ -203,6 +203,43 @@ class TestStop:
         asyncio.run(second_life(job_id))
 
 
+    def test_submit_after_stop_began_is_refused(self, tmp_path):
+        """A connection opened before stop() gets a refusal, and the
+        submission leaves no record, counter or journal line behind."""
+        journal = tmp_path / "jobs.jsonl"
+
+        async def scenario():
+            server = JobServer(str(journal), job_workers=1)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            stopping = asyncio.ensure_future(server.stop())
+            try:
+                writer.write(b'{"op": "ping"}\n')
+                await writer.drain()
+                assert json.loads(await reader.readline())["ok"]
+                # Where Server.wait_closed() waits for open connections,
+                # stop() blocks on this one; either way it has begun.
+                await asyncio.wait({stopping}, timeout=2.0)
+                request = {"op": "submit", "job": dict(MICRO_JOB)}
+                writer.write((json.dumps(request) + "\n").encode())
+                await writer.drain()
+                response = json.loads(await reader.readline())
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await stopping
+            assert response["ok"] is False
+            assert response["error"] == "stopping"
+            assert server.records == {}
+            assert server.stats.submitted == 0
+
+        asyncio.run(scenario())
+        ops = _journal_ops(journal) if journal.exists() else []
+        assert not [op for op in ops if op["op"] == "submit"]
+
+
 class TestSlowDisk:
     def test_slow_terminal_appends_delay_but_never_drop_a_job(
         self, tmp_path, monkeypatch

@@ -1,14 +1,18 @@
 """Failure-path tests for the hardened ensemble executor.
 
 Covers the robustness contract: every seed runs exactly once and a
-seed-run that raises is a failure on that run, the BrokenProcessPool
-serial fallback, no orphaned workers after KeyboardInterrupt, and the
+seed-run that raises is a failure on that run, a dead pool worker fails
+the seeds it left without a result (nothing re-runs them in the
+caller), no orphaned workers after KeyboardInterrupt, and the
 utilization fix (stats report the workers actually used, not the
 requested width).
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
 from functools import partial
 
@@ -61,8 +65,8 @@ def pool_killer_scenario(seed):
     """Kills any pool worker hard; runs normally in the parent.
 
     ``os._exit`` skips all cleanup, so the pool sees a dead worker and
-    raises BrokenProcessPool; the in-process serial fallback (which runs
-    in the parent, where ``parent_process()`` is None) then succeeds.
+    raises BrokenProcessPool.  A seed that ran in the parent would
+    succeed, so any success means the caller re-ran a seed.
     """
     if multiprocessing.parent_process() is not None:
         os._exit(1)
@@ -164,41 +168,87 @@ class TestOneRunPerSeed:
         assert summary.telemetry.num_runs == 1
 
 
-class TestBrokenPoolFallback:
-    def test_dead_worker_falls_back_to_serial(self):
+#: Runs an ensemble whose scenario factory kills whichever process
+#: builds seed 1, the caller included, and prints the failures.
+SEED_KILLER = textwrap.dedent(
+    """
+    import os
+    from functools import partial
+
+    from repro.arrays import UniformLinearArray
+    from repro.baselines import OracleBeam
+    from repro.phy.ofdm import ChannelSounder, OfdmConfig
+    from repro.sim.executor import EnsembleError, EnsembleSpec, execute_ensemble
+    from repro.sim.link import build_link_simulator
+    from repro.sim.scenarios import indoor_two_path_scenario
+
+    ARRAY = UniformLinearArray(num_elements=8)
+
+
+    def scenario(seed):
+        if seed == 1:
+            os._exit(3)
+        return indoor_two_path_scenario(ARRAY)
+
+
+    def manager(seed):
+        sounder = ChannelSounder(
+            config=OfdmConfig(bandwidth_hz=400e6, num_subcarriers=64),
+            rng=seed,
+        )
+        return OracleBeam(array=ARRAY, sounder=sounder)
+
+
+    if __name__ == "__main__":
+        spec = EnsembleSpec(
+            label="killer",
+            simulator_factory=partial(
+                build_link_simulator, scenario, manager, 0.02
+            ),
+            seeds=range(4),
+            workers=2,
+            max_failure_fraction=1.0,
+        )
+        try:
+            failures = execute_ensemble(spec).failures
+        except EnsembleError as error:  # the pool broke before any run
+            failures = error.failures
+        for failure in failures:
+            print(failure.seed, failure.kind)
+    """
+)
+
+
+class TestDeadWorker:
+    def test_dead_worker_fails_its_seeds_in_the_pool(self):
         spec = fast_spec(
             scenario_factory=pool_killer_scenario,
             seeds=range(4),
             workers=2,
             max_failure_fraction=1.0,
         )
-        summary = execute_ensemble(spec)
-        # Every seed ends up with metrics: the broken pool's leftovers
-        # ran in the parent process, where the factory behaves.
-        assert len(summary.metrics) == 4
-        assert summary.failures == ()
-        assert summary.stats.serial_fallback_runs > 0
-        assert "serial-fallback" in summary.stats.describe()
+        with pytest.raises(EnsembleError) as excinfo:
+            execute_ensemble(spec)
+        # Every pool worker dies and nothing re-runs a seed in this
+        # process, where the factory would have succeeded.
+        failures = excinfo.value.failures
+        assert [f.seed for f in failures] == [0, 1, 2, 3]
+        assert all(f.kind == "crash" for f in failures)
 
-    def test_fallback_engaged_event(self):
-        from repro.telemetry import TelemetryRecorder, use_recorder
+    def test_dead_worker_never_takes_the_caller_down(self, tmp_path):
+        import repro
 
-        recorder = TelemetryRecorder()
-        with use_recorder(recorder):
-            execute_ensemble(
-                fast_spec(
-                    scenario_factory=pool_killer_scenario,
-                    seeds=range(4),
-                    workers=2,
-                    max_failure_fraction=1.0,
-                )
-            )
-        fallbacks = [
-            e for e in recorder.events
-            if e.kind == "fallback_engaged"
-            and e.fields.get("fallback") == "serial_executor"
-        ]
-        assert fallbacks
+        script = tmp_path / "seed_killer.py"
+        script.write_text(SEED_KILLER)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        completed = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        failures = [line.split() for line in completed.stdout.splitlines()]
+        assert ["1", "crash"] in failures
+        assert all(kind == "crash" for _, kind in failures)
 
 
 class TestKeyboardInterrupt:

@@ -5,16 +5,12 @@ import io
 import pytest
 
 from repro.cli import build_parser, command_list, command_run
-from repro.experiments.registry import (
-    REGISTRY,
-    experiment_ids,
-    get_experiment,
-)
+from repro.experiments.registry import REGISTRY, get_experiment
 
 
 class TestRegistry:
     def test_all_paper_figures_registered(self):
-        ids = experiment_ids()
+        ids = tuple(REGISTRY)
         for expected in (
             "fig04", "fig08", "fig11", "fig14", "fig15", "fig16",
             "fig17", "fig18", "fig19", "reliability", "ablations",
@@ -37,6 +33,38 @@ class TestRegistry:
         for experiment in REGISTRY.values():
             assert callable(experiment.run)
             assert callable(experiment.render)
+
+    def test_every_module_defines_run_and_render(self):
+        import importlib
+
+        for experiment in REGISTRY.values():
+            module = importlib.import_module(
+                f"repro.experiments.{experiment.module}"
+            )
+            assert callable(module.run), experiment.identifier
+            assert callable(module.render), experiment.identifier
+
+    def test_list_imports_no_experiment_module(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        probe = (
+            "import io, sys\n"
+            "from repro.cli import command_list\n"
+            "command_list(out=io.StringIO())\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "'repro.experiments.') and m != 'repro.experiments.registry'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
 
 class TestCli:
@@ -210,6 +238,15 @@ class TestCliFaultFlags:
         )
         assert status == 2
         assert "error" in out.getvalue()
+
+    def test_crashed_ensemble_exits_2(self):
+        # Fig. 19 aborts on its first failed run; the CLI says so.
+        out = io.StringIO()
+        status = command_run(
+            "fig19", seeds=1, fault_args=["worker_crash:1.0"], out=out
+        )
+        assert status == 2
+        assert "error: ensemble" in out.getvalue()
 
     def test_missing_faults_file_exits_2(self):
         out = io.StringIO()
