@@ -69,13 +69,18 @@ def main() -> None:
     degraded = manager.link_snr_db(moved)
     print(f"user translates; both ends misalign by 4 deg:")
     print(f"  SNR drops to {degraded:6.2f} dB")
-    report = manager.step(moved, time_s=0.1)
+    gnb_before = np.asarray(manager.gnb_multibeam.angles_rad)
+    ue_before = np.asarray(manager.ue_multibeam.angles_rad)
+    probes_before = manager.budget.total_probes()
+    action = manager.step(moved, time_s=0.1)
+    gnb_turn = np.rad2deg(np.asarray(manager.gnb_multibeam.angles_rad) - gnb_before)
+    ue_turn = np.rad2deg(np.asarray(manager.ue_multibeam.angles_rad) - ue_before)
     print(
-        f"  manager infers |misalignment| = "
-        f"{np.rad2deg(report.misalignment_rad):.1f} deg from the drop,"
+        f"  manager inverts the drop and turns the gNB beams by "
+        f"{np.round(gnb_turn, 1)} deg, the UE beams by {np.round(ue_turn, 1)} deg"
     )
     print(
-        f"  realigns both ends ({report.action}, {report.probes_used} "
+        f"  ({action}, {manager.budget.total_probes() - probes_before} "
         f"probes) -> SNR {manager.link_snr_db(moved):6.2f} dB"
     )
 

@@ -11,10 +11,12 @@
 * :class:`~repro.baselines.oracle.OracleBeam` — the per-antenna MRT
   upper bound with genie channel knowledge.
 
-All managers share the informal protocol the simulator drives:
-``establish(channel, time_s)``, ``step(channel, time_s)``,
-``current_weights()``, plus ``budget`` and ``training_windows`` for
-overhead/reliability accounting.
+Every baseline implements the beam-manager contract of
+:mod:`repro.sim.link`: ``establish(channel, time_s)``,
+``step(channel, time_s)`` returning the action it took,
+``current_weights()``, and ``sounder``, ``budget``, ``training_rounds``
+and ``training_windows``.  The training baselines charge each training
+episode through :func:`repro.beamtraining.base.train_and_record`.
 """
 
 from repro.baselines.reactive import ReactiveSingleBeam

@@ -17,12 +17,11 @@ import numpy as np
 
 from repro.arrays.geometry import UniformLinearArray
 from repro.arrays.steering import single_beam_weights
-from repro.baselines.reactive import BaselineReport, emit_retrain
-from repro.beamtraining.base import top_k_directions
+from repro.beamtraining.base import top_k_directions, train_and_record
 from repro.channel.geometric import GeometricChannel
 from repro.phy.mcs import OUTAGE_SNR_DB
 from repro.phy.ofdm import ChannelSounder
-from repro.phy.reference_signals import ProbeBudget, ProbeKind, ssb_duration_s
+from repro.phy.reference_signals import ProbeBudget, ProbeKind
 
 
 @dataclass
@@ -51,18 +50,13 @@ class BeamSpySingleBeam:
 
     def establish(self, channel: GeometricChannel, time_s: float = 0.0) -> float:
         """Train, keep the spatial profile, serve on the strongest beam."""
-        result = self.trainer.train(channel, budget=self.budget, time_s=time_s)
-        self.training_rounds += 1
-        self.training_windows.append(
-            (time_s, result.num_probes * ssb_duration_s(self.budget.numerology))
-        )
+        result = train_and_record(self, channel, time_s)
         angles, powers = top_k_directions(
             result, self.profile_size, self.min_separation_rad
         )
         self.profile = list(zip(angles, powers))
         self.beam_angle_rad = angles[0]
         self._outage_since = None
-        emit_retrain(self, time_s, result.num_probes)
         return self.beam_angle_rad
 
     def current_weights(self) -> np.ndarray:
@@ -70,27 +64,20 @@ class BeamSpySingleBeam:
             raise RuntimeError("call establish() first")
         return single_beam_weights(self.array, self.beam_angle_rad)
 
-    def step(self, channel: GeometricChannel, time_s: float) -> BaselineReport:
+    def step(self, channel: GeometricChannel, time_s: float) -> str:
         """Serve; on outage, hop through the stored profile, then retrain."""
         snr_db = self.sounder.link_snr_db(channel, self.current_weights())
         if snr_db >= OUTAGE_SNR_DB:
             self._outage_since = None
-            return BaselineReport(
-                time_s=time_s, snr_db=snr_db, action="none", probes_used=0
-            )
+            return "none"
         if self._outage_since is None:
             self._outage_since = time_s
         if time_s - self._outage_since < self.reaction_delay_s:
-            return BaselineReport(
-                time_s=time_s, snr_db=snr_db, action="outage_wait",
-                probes_used=0,
-            )
+            return "outage_wait"
         # Blocked: try the stored alternates in decreasing trained power.
-        probes = 0
         for angle, _power in sorted(self.profile, key=lambda ap: -ap[1]):
             if angle == self.beam_angle_rad:
                 continue
-            probes += 1
             self.budget.charge(ProbeKind.CSI_RS, time_s=time_s, count=1)
             candidate = single_beam_weights(self.array, angle)
             estimate = self.sounder.sound(channel, candidate, time_s=time_s)
@@ -98,14 +85,7 @@ class BeamSpySingleBeam:
             if candidate_snr >= OUTAGE_SNR_DB:
                 self.beam_angle_rad = angle
                 self._outage_since = None
-                return BaselineReport(
-                    time_s=time_s,
-                    snr_db=snr_db,
-                    action="profile_switch",
-                    probes_used=probes,
-                )
+                return "profile_switch"
         # Profile exhausted (stale after mobility): full retrain.
         self.establish(channel, time_s=time_s)
-        return BaselineReport(
-            time_s=time_s, snr_db=snr_db, action="retrain", probes_used=probes
-        )
+        return "retrain"

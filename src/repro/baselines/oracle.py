@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.arrays.geometry import UniformLinearArray
-from repro.baselines.reactive import BaselineReport
 from repro.channel.geometric import GeometricChannel
 from repro.core.multibeam import optimal_mrt_weights
 from repro.phy.ofdm import ChannelSounder
@@ -46,12 +45,7 @@ class OracleBeam:
             raise RuntimeError("call establish() first")
         return self._weights
 
-    def step(self, channel: GeometricChannel, time_s: float) -> BaselineReport:
+    def step(self, channel: GeometricChannel, time_s: float) -> str:
         """Refresh the genie weights against the instantaneous channel."""
         self._weights = optimal_mrt_weights(channel)
-        return BaselineReport(
-            time_s=time_s,
-            snr_db=self.sounder.link_snr_db(channel, self.current_weights()),
-            action="genie_refresh",
-            probes_used=0,
-        )
+        return "genie_refresh"

@@ -17,34 +17,11 @@ import numpy as np
 
 from repro.arrays.geometry import UniformLinearArray
 from repro.arrays.steering import single_beam_weights
+from repro.beamtraining.base import train_and_record
 from repro.channel.geometric import GeometricChannel
 from repro.phy.mcs import OUTAGE_SNR_DB
 from repro.phy.ofdm import ChannelSounder
-from repro.phy.reference_signals import ProbeBudget, ssb_duration_s
-from repro.telemetry import EventKind, get_recorder
-
-
-def emit_retrain(manager, time_s: float, num_probes: int) -> None:
-    """Telemetry hook shared by every baseline's establish path."""
-    recorder = get_recorder()
-    if recorder.enabled:
-        recorder.emit(
-            EventKind.BEAM_RETRAIN,
-            time_s,
-            manager=type(manager).__name__,
-            num_probes=int(num_probes),
-            round=manager.training_rounds,
-        )
-
-
-@dataclass(frozen=True)
-class BaselineReport:
-    """Per-step observation shared by all baseline managers."""
-
-    time_s: float
-    snr_db: float
-    action: str
-    probes_used: int
+from repro.phy.reference_signals import ProbeBudget
 
 
 @dataclass
@@ -75,14 +52,9 @@ class ReactiveSingleBeam:
 
     def establish(self, channel: GeometricChannel, time_s: float = 0.0) -> float:
         """Train and point the single beam at the strongest direction."""
-        result = self.trainer.train(channel, budget=self.budget, time_s=time_s)
-        self.training_rounds += 1
-        self.training_windows.append(
-            (time_s, result.num_probes * ssb_duration_s(self.budget.numerology))
-        )
+        result = train_and_record(self, channel, time_s)
         self.beam_angle_rad = result.best_angle_rad
         self._outage_since = None
-        emit_retrain(self, time_s, result.num_probes)
         return self.beam_angle_rad
 
     def current_weights(self) -> np.ndarray:
@@ -90,21 +62,15 @@ class ReactiveSingleBeam:
             raise RuntimeError("call establish() first")
         return single_beam_weights(self.array, self.beam_angle_rad)
 
-    def step(self, channel: GeometricChannel, time_s: float) -> BaselineReport:
+    def step(self, channel: GeometricChannel, time_s: float) -> str:
         """Observe the link; retrain only after outage + recovery latency."""
         snr_db = self.sounder.link_snr_db(channel, self.current_weights())
         if snr_db >= OUTAGE_SNR_DB:
             self._outage_since = None
-            return BaselineReport(
-                time_s=time_s, snr_db=snr_db, action="none", probes_used=0
-            )
+            return "none"
         if self._outage_since is None:
             self._outage_since = time_s
         if time_s - self._outage_since >= self.reaction_delay_s:
             self.establish(channel, time_s=time_s)
-            return BaselineReport(
-                time_s=time_s, snr_db=snr_db, action="retrain", probes_used=0
-            )
-        return BaselineReport(
-            time_s=time_s, snr_db=snr_db, action="outage_wait", probes_used=0
-        )
+            return "retrain"
+        return "outage_wait"

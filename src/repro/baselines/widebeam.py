@@ -17,11 +17,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.arrays.geometry import UniformLinearArray
-from repro.baselines.reactive import BaselineReport, emit_retrain
+from repro.beamtraining.base import train_and_record
 from repro.channel.geometric import GeometricChannel
 from repro.phy.mcs import OUTAGE_SNR_DB
 from repro.phy.ofdm import ChannelSounder
-from repro.phy.reference_signals import ProbeBudget, ssb_duration_s
+from repro.phy.reference_signals import ProbeBudget
 
 
 @dataclass
@@ -51,14 +51,9 @@ class WideBeam:
             )
 
     def establish(self, channel: GeometricChannel, time_s: float = 0.0) -> float:
-        result = self.trainer.train(channel, budget=self.budget, time_s=time_s)
-        self.training_rounds += 1
-        self.training_windows.append(
-            (time_s, result.num_probes * ssb_duration_s(self.budget.numerology))
-        )
+        result = train_and_record(self, channel, time_s)
         self.beam_angle_rad = result.best_angle_rad
         self._bad_streak = 0
-        emit_retrain(self, time_s, result.num_probes)
         return self.beam_angle_rad
 
     def current_weights(self) -> np.ndarray:
@@ -75,7 +70,7 @@ class WideBeam:
         )
         return weights / np.sqrt(self.active_elements)
 
-    def step(self, channel: GeometricChannel, time_s: float) -> BaselineReport:
+    def step(self, channel: GeometricChannel, time_s: float) -> str:
         """Mostly static; retrains only after a sustained outage."""
         snr_db = self.sounder.link_snr_db(channel, self.current_weights())
         if snr_db < OUTAGE_SNR_DB:
@@ -84,9 +79,5 @@ class WideBeam:
             self._bad_streak = 0
         if self._bad_streak >= self.outage_patience:
             self.establish(channel, time_s=time_s)
-            return BaselineReport(
-                time_s=time_s, snr_db=snr_db, action="retrain", probes_used=0
-            )
-        return BaselineReport(
-            time_s=time_s, snr_db=snr_db, action="none", probes_used=0
-        )
+            return "retrain"
+        return "none"

@@ -1,12 +1,14 @@
-"""Common beam-training result type and peak picking."""
+"""Common beam-training result type, the training ledger, peak picking."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
+from repro.phy.reference_signals import ssb_duration_s
+from repro.telemetry import EventKind, get_recorder
 from repro.utils import power_db_to_linear
 
 
@@ -50,6 +52,36 @@ class BeamTrainingResult:
     def power_at(self, angle_rad: float) -> float:
         """Measured power of the probed direction nearest ``angle_rad``."""
         return float(self.powers[int(np.argmin(np.abs(self.angles_rad - angle_rad)))])
+
+
+def train_and_record(
+    manager: Any, channel: Any, time_s: float
+) -> BeamTrainingResult:
+    """Run ``manager.trainer`` and charge the episode to the manager.
+
+    The one ledger for beam training: the sweep's probes go to
+    ``manager.budget``, the round is counted on
+    ``manager.training_rounds``, its SSB airtime window (the link carries
+    no data during it) is appended to ``manager.training_windows``, and a
+    ``beam_retrain`` event records it.
+    """
+    result = manager.trainer.train(
+        channel, budget=manager.budget, time_s=time_s
+    )
+    manager.training_rounds += 1
+    manager.training_windows.append(
+        (time_s, result.num_probes * ssb_duration_s(manager.budget.numerology))
+    )
+    recorder = get_recorder()
+    if recorder.enabled:
+        recorder.emit(
+            EventKind.BEAM_RETRAIN,
+            time_s,
+            manager=type(manager).__name__,
+            num_probes=int(result.num_probes),
+            round=manager.training_rounds,
+        )
+    return result
 
 
 def interpolate_peak(result: BeamTrainingResult, index: int) -> float:

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME_OR_PATH",
         help=(
-            "scenario spec: a registered name (see repro.sim.spec) or a "
+            "scenario spec: a built-in name (see repro.sim.spec) or a "
             "JSON file with ScenarioSpec fields"
         ),
     )

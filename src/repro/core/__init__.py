@@ -35,11 +35,11 @@ from repro.core.probing import (
 from repro.core.superres import SuperResolver, superres_gains
 from repro.core.tracking import BeamTracker, MultiBeamTracker, PowerSmoother
 from repro.core.blockage import BlockageDetector, reallocate_gains
-from repro.core.maintenance import MultiBeamManager, MaintenanceReport
+from repro.core.maintenance import MultiBeamManager
 from repro.core.delay_opt import compensating_delays, build_delay_array
 from repro.core.ue import associate_beams, UeMisalignmentEstimator
-from repro.core.ue_link import DirectionalUeLinkManager, UeLinkReport
-from repro.core.handover import MultiGnbManager, HandoverReport
+from repro.core.ue_link import DirectionalUeLinkManager
+from repro.core.handover import MultiGnbManager
 
 __all__ = [
     "MultiBeam",
@@ -59,13 +59,10 @@ __all__ = [
     "BlockageDetector",
     "reallocate_gains",
     "MultiBeamManager",
-    "MaintenanceReport",
     "compensating_delays",
     "build_delay_array",
     "associate_beams",
     "UeMisalignmentEstimator",
     "DirectionalUeLinkManager",
-    "UeLinkReport",
     "MultiGnbManager",
-    "HandoverReport",
 ]

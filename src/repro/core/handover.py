@@ -27,17 +27,6 @@ from repro.phy.reference_signals import ProbeKind
 DEFAULT_HANDOVER_LATENCY_S = 30e-3
 
 
-@dataclass(frozen=True)
-class HandoverReport:
-    """One coordination round across gNBs."""
-
-    time_s: float
-    serving_gnb: int
-    snr_db: float
-    action: str
-    probes_used: int
-
-
 @dataclass
 class MultiGnbManager:
     """Serve on one gNB; hand over when its every path is gone.
@@ -130,17 +119,13 @@ class MultiGnbManager:
             channels[self.serving_index], self.current_weights()
         )
 
-    def step(
-        self, channels: Sequence[GeometricChannel], time_s: float
-    ) -> HandoverReport:
+    def step(self, channels: Sequence[GeometricChannel], time_s: float) -> str:
         """Maintain the serving link; hand over if it cannot be saved."""
         if len(channels) != len(self.managers):
             raise ValueError(
                 f"{len(channels)} channels for {len(self.managers)} gNBs"
             )
-        serving_channel = channels[self.serving_index]
-        report = self.serving.step(serving_channel, time_s)
-        probes = report.probes_used
+        action = self.serving.step(channels[self.serving_index], time_s)
         snr_db = self.link_snr_db(channels)
 
         check_due = (
@@ -149,13 +134,7 @@ class MultiGnbManager:
         )
         in_outage = snr_db < OUTAGE_SNR_DB
         if not (in_outage or check_due):
-            return HandoverReport(
-                time_s=time_s,
-                serving_gnb=self.serving_index,
-                snr_db=snr_db,
-                action=report.action,
-                probes_used=probes,
-            )
+            return action
 
         self._last_candidate_check_s = time_s
         best_index, best_snr = self.serving_index, snr_db
@@ -167,30 +146,15 @@ class MultiGnbManager:
             candidate_snr = manager.sounder.link_snr_db(
                 channel, manager.current_weights()
             )
-            probes += 1
             manager.budget.charge(ProbeKind.CSI_RS, time_s=time_s, count=1)
             if candidate_snr > best_snr:
                 best_index, best_snr = index, candidate_snr
         should_switch = best_index != self.serving_index and (
             in_outage or best_snr >= snr_db + self.hysteresis_db
         )
-        if should_switch:
-            self.serving_index = best_index
-            self.handover_count += 1
-            self.handover_windows.append(
-                (time_s, self.handover_latency_s)
-            )
-            return HandoverReport(
-                time_s=time_s,
-                serving_gnb=self.serving_index,
-                snr_db=best_snr,
-                action="handover",
-                probes_used=probes,
-            )
-        return HandoverReport(
-            time_s=time_s,
-            serving_gnb=self.serving_index,
-            snr_db=snr_db,
-            action=report.action,
-            probes_used=probes,
-        )
+        if not should_switch:
+            return action
+        self.serving_index = best_index
+        self.handover_count += 1
+        self.handover_windows.append((time_s, self.handover_latency_s))
+        return "handover"

@@ -19,7 +19,11 @@ link:
   path has returned is restored to the multi-beam).
 
 All probe spends are charged to a :class:`ProbeBudget` so experiments can
-account reliability and overhead exactly as the paper does.
+account reliability and overhead exactly as the paper does.  ``step``
+returns only the action it took (the beam-manager contract of
+:mod:`repro.sim.link`); what a round measured and decided is recorded
+only in the telemetry event stream.  A lost feedback report never
+reaches ``step``: the link simulator owns that fault.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from repro.arrays.geometry import UniformLinearArray
 from repro.arrays.steering import single_beam_weights
 from repro.arrays.weights import WeightQuantizer
-from repro.beamtraining.base import top_k_directions
+from repro.beamtraining.base import top_k_directions, train_and_record
 from repro.channel.geometric import GeometricChannel
 from repro.channel.wideband import cir_from_frequency_response
 from repro.core.blockage import BlockageDetector, reallocate_gains
@@ -42,24 +46,12 @@ from repro.core.superres import SuperResolver, estimate_pulse_tof
 from repro.core.tracking import MultiBeamTracker
 from repro.phy.mcs import OUTAGE_SNR_DB
 from repro.phy.ofdm import ChannelSounder
-from repro.phy.reference_signals import ProbeBudget, ProbeKind, ssb_duration_s
+from repro.phy.reference_signals import ProbeBudget, ProbeKind
 from repro.telemetry import EventKind, get_recorder
 from repro.utils.units import power_linear_to_db
 
 #: Placeholder per-beam power [dB] for beams not transmitting this round.
 SILENT_POWER_DB = -300.0
-
-
-@dataclass(frozen=True)
-class MaintenanceReport:
-    """What one maintenance round observed and did."""
-
-    time_s: float
-    snr_db: float
-    action: str
-    per_beam_power_db: np.ndarray
-    blocked_mask: np.ndarray
-    probes_used: int
 
 
 @dataclass
@@ -108,9 +100,6 @@ class MultiBeamManager:
     #: control loop has lost the plot and a full retrain is forced.
     watchdog_drop_db: float = 12.0
     watchdog_rounds: int = 4
-    #: Optional :class:`repro.faults.FaultInjector` for control-plane
-    #: faults (feedback dropouts).  Probe-level faults ride the sounder.
-    fault_injector: Optional[object] = None
     budget: ProbeBudget = field(default_factory=ProbeBudget)
 
     multibeam: Optional[MultiBeam] = field(default=None, init=False)
@@ -126,7 +115,7 @@ class MultiBeamManager:
     _watchdog_streak: int = field(default=0, init=False)
     _invalid_streak: int = field(default=0, init=False)
     #: Maintenance rounds that ran in a degraded mode (dropped
-    #: measurements, single-beam fallbacks, feedback dropouts).
+    #: measurements, single-beam fallbacks).
     degraded_rounds: int = field(default=0, init=False)
     training_rounds: int = field(default=0, init=False)
     #: (start_s, duration_s) of every beam-training episode; the link is
@@ -144,22 +133,7 @@ class MultiBeamManager:
     # ------------------------------------------------------------------
     def establish(self, channel: GeometricChannel, time_s: float = 0.0) -> MultiBeam:
         """Beam-train, probe, and stand up the constructive multi-beam."""
-        recorder = get_recorder()
-        result = self.trainer.train(
-            channel, budget=self.budget, time_s=time_s
-        )
-        self.training_rounds += 1
-        self.training_windows.append(
-            (time_s, result.num_probes * ssb_duration_s(self.budget.numerology))
-        )
-        if recorder.enabled:
-            recorder.emit(
-                EventKind.BEAM_RETRAIN,
-                time_s,
-                manager=type(self).__name__,
-                num_probes=int(result.num_probes),
-                round=self.training_rounds,
-            )
+        result = train_and_record(self, channel, time_s)
         angles, _powers = top_k_directions(
             result, self.num_beams, self.min_beam_separation_rad,
             interpolate=True,
@@ -175,6 +149,7 @@ class MultiBeamManager:
         estimate = outcome.estimate
         if outcome.degraded:
             self.degraded_rounds += 1
+            recorder = get_recorder()
             if recorder.enabled:
                 recorder.emit(
                     EventKind.FALLBACK_ENGAGED,
@@ -245,8 +220,8 @@ class MultiBeamManager:
             raise RuntimeError("call establish() first")
         return self.multibeam.weights(self.quantizer).vector
 
-    def step(self, channel: GeometricChannel, time_s: float) -> MaintenanceReport:
-        """One maintenance round at a CSI-RS opportunity."""
+    def step(self, channel: GeometricChannel, time_s: float) -> str:
+        """One maintenance round at a CSI-RS opportunity; returns its action."""
         if (
             self.multibeam is None
             or self._tracker is None
@@ -254,25 +229,9 @@ class MultiBeamManager:
             or self._resolver is None
         ):
             raise RuntimeError("call establish() first")
-        probes = 1  # the monitoring CSI-RS itself
+        # The monitoring CSI-RS itself.
         self.budget.charge(ProbeKind.CSI_RS, time_s=time_s, count=1)
         recorder = get_recorder()
-        num_beams = self.multibeam.num_beams
-
-        if self.fault_injector is not None and self.fault_injector.feedback_dropped(
-            time_s
-        ):
-            # The SNR/CQI report for this round never arrived: hold every
-            # decision (acting on a missing report would be guessing).
-            self.degraded_rounds += 1
-            return MaintenanceReport(
-                time_s=time_s,
-                snr_db=float("nan"),
-                action="feedback_dropout",
-                per_beam_power_db=np.full(num_beams, SILENT_POWER_DB),
-                blocked_mask=self._detector.blocked_mask,
-                probes_used=probes,
-            )
 
         weights = self.current_weights()
         estimate = self.sounder.sound(channel, weights, time_s=time_s)
@@ -283,7 +242,7 @@ class MultiBeamManager:
             # always carries receiver noise, so an exactly-zero snapshot
             # means the measurement itself is gone.  Skip the round rather
             # than mistake it for an outage and burn a retrain.
-            return self._handle_dropped_measurement(channel, time_s, probes)
+            return self._handle_dropped_measurement(channel, time_s)
         self._invalid_streak = 0
 
         cir = cir_from_frequency_response(estimate.csi)
@@ -298,14 +257,7 @@ class MultiBeamManager:
             # Per-beam estimates are unusable: keep the link alive on the
             # single strongest surviving beam until the next clean round.
             self._fallback_single_beam(time_s, reason="invalid_beam_estimate")
-            return MaintenanceReport(
-                time_s=time_s,
-                snr_db=snr_db,
-                action="estimate_fallback",
-                per_beam_power_db=np.full(num_beams, SILENT_POWER_DB),
-                blocked_mask=previous_mask,
-                probes_used=probes,
-            )
+            return "estimate_fallback"
         powers_db = np.where(active, powers_db, SILENT_POWER_DB)
         if recorder.enabled:
             recorder.emit(
@@ -323,17 +275,8 @@ class MultiBeamManager:
             if time_s - self._last_retrain_s >= self.retrain_cooldown_s:
                 self._last_retrain_s = time_s
                 self.establish(channel, time_s=time_s)
-                action = "retrain"
-            else:
-                action = "outage_wait"
-            return MaintenanceReport(
-                time_s=time_s,
-                snr_db=snr_db,
-                action=action,
-                per_beam_power_db=powers_db,
-                blocked_mask=blocked,
-                probes_used=probes,
-            )
+                return "retrain"
+            return "outage_wait"
 
         # Tracking-divergence watchdog: an SNR collapse that blockage
         # detection cannot explain, sustained across several rounds, means
@@ -360,40 +303,19 @@ class MultiBeamManager:
                 )
             self._last_retrain_s = time_s
             self.establish(channel, time_s=time_s)
-            return MaintenanceReport(
-                time_s=time_s,
-                snr_db=snr_db,
-                action="watchdog_retrain",
-                per_beam_power_db=powers_db,
-                blocked_mask=self._detector.blocked_mask,
-                probes_used=probes,
-            )
+            return "watchdog_retrain"
 
         if self.enable_blockage_response and not np.array_equal(
             blocked, previous_mask
         ):
             # Blockage state changed: re-purpose power accordingly.
             self._apply_blockage_mask(blocked, time_s)
-            return MaintenanceReport(
-                time_s=time_s,
-                snr_db=snr_db,
-                action="blockage_drop",
-                per_beam_power_db=powers_db,
-                blocked_mask=blocked,
-                probes_used=probes,
-            )
+            return "blockage_drop"
 
         if self._anchor_pending:
             self._tracker.anchor(self._tracking_powers(powers_db, blocked))
             self._anchor_pending = False
-            return MaintenanceReport(
-                time_s=time_s,
-                snr_db=snr_db,
-                action="anchor",
-                per_beam_power_db=powers_db,
-                blocked_mask=blocked,
-                probes_used=probes,
-            )
+            return "anchor"
 
         action = "none"
 
@@ -417,7 +339,6 @@ class MultiBeamManager:
         else:
             refined, tracking_probes = self.multibeam, 0
         if tracking_probes:
-            probes += tracking_probes
             self.budget.charge(
                 ProbeKind.CSI_RS, time_s=time_s, count=tracking_probes
             )
@@ -428,32 +349,20 @@ class MultiBeamManager:
 
         # Periodic constructive-gain refresh + dropped-beam recovery probe.
         if time_s - self._last_reprobe_s >= self.reprobe_interval_s:
-            reprobe_count = 0
             if self.enable_blockage_response:
-                reprobe_count += self._recover_beams(channel, time_s, blocked)
+                self._recover_beams(channel, time_s, blocked)
             if self.constructive:
-                reprobe_count += self._reprobe_gains(
-                    channel, time_s, self._detector.blocked_mask
-                )
-            probes += reprobe_count
+                self._reprobe_gains(channel, time_s, self._detector.blocked_mask)
             self._last_reprobe_s = time_s
             action = "reprobe" if action == "none" else action + "+reprobe"
-
-        return MaintenanceReport(
-            time_s=time_s,
-            snr_db=snr_db,
-            action=action,
-            per_beam_power_db=powers_db,
-            blocked_mask=self._detector.blocked_mask,
-            probes_used=probes,
-        )
+        return action
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _handle_dropped_measurement(
-        self, channel: GeometricChannel, time_s: float, probes: int
-    ) -> MaintenanceReport:
+        self, channel: GeometricChannel, time_s: float
+    ) -> str:
         """Skip a round whose monitoring probe never arrived.
 
         A run of consecutive dropped measurements means the control loop
@@ -463,7 +372,6 @@ class MultiBeamManager:
         recorder = get_recorder()
         self._invalid_streak += 1
         self.degraded_rounds += 1
-        action = "measurement_dropped"
         if (
             self._invalid_streak >= self.watchdog_rounds
             and time_s - self._last_retrain_s >= self.retrain_cooldown_s
@@ -477,15 +385,8 @@ class MultiBeamManager:
                 )
             self._last_retrain_s = time_s
             self.establish(channel, time_s=time_s)
-            action = "watchdog_retrain"
-        return MaintenanceReport(
-            time_s=time_s,
-            snr_db=-np.inf,
-            action=action,
-            per_beam_power_db=np.full(self.multibeam.num_beams, SILENT_POWER_DB),
-            blocked_mask=self._detector.blocked_mask,
-            probes_used=probes,
-        )
+            return "watchdog_retrain"
+        return "measurement_dropped"
 
     def _fallback_single_beam(self, time_s: float, reason: str) -> None:
         """Collapse the multi-beam onto its single strongest surviving beam.
@@ -547,7 +448,7 @@ class MultiBeamManager:
 
     def _recover_beams(
         self, channel: GeometricChannel, time_s: float, blocked: np.ndarray
-    ) -> int:
+    ) -> None:
         """Probe each dropped beam; restore the ones whose path is back.
 
         The path may have drifted while the beam was dark (its tracker was
@@ -555,7 +456,6 @@ class MultiBeamManager:
         last known direction; on success the beam is restored *at the
         angle that responded*.
         """
-        probes = 0
         restored = False
         scan_offsets = (0.0, np.deg2rad(2.0), -np.deg2rad(2.0))
         for k in np.where(blocked)[0]:
@@ -567,7 +467,6 @@ class MultiBeamManager:
                 estimate = self.sounder.sound(
                     channel, weights, time_s=time_s
                 )
-                probes += 1
                 self.budget.charge(ProbeKind.CSI_RS, time_s=time_s, count=1)
                 power_db = float(power_linear_to_db(max(estimate.mean_power, 1e-30)))
                 if offset == 0.0:
@@ -590,15 +489,14 @@ class MultiBeamManager:
                 restored = True
         if restored:
             self._apply_blockage_mask(self._detector.blocked_mask, time_s)
-        return probes
 
     def _reprobe_gains(
         self, channel: GeometricChannel, time_s: float, blocked: np.ndarray
-    ) -> int:
+    ) -> None:
         """Refresh relative gains of the unblocked beams (2 probes/beam)."""
         live = [i for i in range(self.multibeam.num_beams) if not blocked[i]]
         if len(live) < 2:
-            return 0
+            return
         angles = [self.multibeam.angles_rad[i] for i in live]
         controller = ProbeController(array=self.array, sounder=self.sounder)
         outcome = controller.probe_relative_gains(
@@ -610,7 +508,7 @@ class MultiBeamManager:
             # The reference beam itself could not be measured; nothing in
             # this round is trustworthy.  Drop to the strongest survivor.
             self._fallback_single_beam(time_s, reason="reprobe_reference_invalid")
-            return estimate.num_probes
+            return
         # Refresh the healthy state for the probed beams, keeping the
         # overall reference on the live reference beam.  Beams whose
         # estimates stayed degenerate keep their previous healthy gains
@@ -634,4 +532,3 @@ class MultiBeamManager:
                     fallback="survivor_beams",
                     valid=[bool(v) for v in outcome.valid],
                 )
-        return estimate.num_probes

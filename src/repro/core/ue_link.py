@@ -35,17 +35,6 @@ from repro.phy.ofdm import ChannelSounder
 from repro.phy.reference_signals import ProbeBudget, ProbeKind
 
 
-@dataclass(frozen=True)
-class UeLinkReport:
-    """One maintenance round of the bidirectional link."""
-
-    time_s: float
-    snr_db: float
-    action: str
-    misalignment_rad: float
-    probes_used: int
-
-
 @dataclass
 class DirectionalUeLinkManager:
     """Maintains a gNB multi-beam and a UE multi-beam jointly.
@@ -59,6 +48,12 @@ class DirectionalUeLinkManager:
     sounder: ChannelSounder
     num_beams: int = 2
     budget: ProbeBudget = field(default_factory=ProbeBudget)
+    #: Beam training is modelled by the channel's strongest paths, so no
+    #: training round ever runs; kept for the beam-manager contract.
+    training_rounds: int = field(default=0, init=False)
+    training_windows: List[Tuple[float, float]] = field(
+        default_factory=list, init=False
+    )
 
     gnb_multibeam: Optional[MultiBeam] = field(default=None, init=False)
     ue_multibeam: Optional[MultiBeam] = field(default=None, init=False)
@@ -147,20 +142,16 @@ class DirectionalUeLinkManager:
         tx, rx = self.current_weights()
         return self.sounder.link_snr_db(channel, tx, rx_weights=rx)
 
-    def step(self, channel: GeometricChannel, time_s: float) -> UeLinkReport:
+    def step(self, channel: GeometricChannel, time_s: float) -> str:
         """One maintenance round: detect drop, invert, realign both ends."""
         if self._reference_snr_db is None:
             raise RuntimeError("call establish() first")
-        probes = 1
         self.budget.charge(ProbeKind.CSI_RS, time_s=time_s, count=1)
         snr_db = self.link_snr_db(channel)
         drop_db = self._reference_snr_db - snr_db
         if drop_db < 0.5:
             self._reference_snr_db = max(self._reference_snr_db, snr_db)
-            return UeLinkReport(
-                time_s=time_s, snr_db=snr_db, action="none",
-                misalignment_rad=0.0, probes_used=probes,
-            )
+            return "none"
         # Translation misaligns both ends by the same angle (Fig. 12):
         # invert the combined-pattern drop.
         misalignment = self._estimator.translation_angle(drop_db)
@@ -178,7 +169,6 @@ class DirectionalUeLinkManager:
                 ue_angles[ue_beam] += sign * ue_corr
             gnb_candidate = self.gnb_multibeam.with_angles(gnb_angles)
             ue_candidate = self.ue_multibeam.with_angles(ue_angles)
-            probes += 1
             self.budget.charge(ProbeKind.CSI_RS, time_s=time_s, count=1)
             candidate_snr = self.sounder.link_snr_db(
                 channel,
@@ -189,14 +179,8 @@ class DirectionalUeLinkManager:
                 best = (candidate_snr, gnb_candidate, ue_candidate)
             if candidate_snr > snr_db + 0.5:
                 break  # first hypothesis already explains the drop
-        improved = best[0] > snr_db
-        if improved:
-            _, self.gnb_multibeam, self.ue_multibeam = best
-            self._reference_snr_db = best[0]
-        return UeLinkReport(
-            time_s=time_s,
-            snr_db=snr_db,
-            action="realign" if improved else "hold",
-            misalignment_rad=misalignment,
-            probes_used=probes,
-        )
+        if best[0] <= snr_db:
+            return "hold"
+        _, self.gnb_multibeam, self.ue_multibeam = best
+        self._reference_snr_db = best[0]
+        return "realign"

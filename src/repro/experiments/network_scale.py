@@ -41,7 +41,7 @@ def run_user_scaling(
 ) -> Dict[str, Dict[int, EnsembleSummary]]:
     """Ensembles over (system, user count) on one base scenario spec.
 
-    ``spec`` fixes the cell layout and clocks (default: the registered
+    ``spec`` fixes the cell layout and clocks (default: the built-in
     ``dual-cell`` spec); each sweep point overrides its user count and
     manager kind.  Per-seed runs go through the ordinary ensemble
     executor via ``simulator_factory`` — the failure budget, fault
@@ -96,10 +96,9 @@ def user_cdf(summaries: Dict[int, EnsembleSummary], attribute: str) -> dict:
 def run(config: ExperimentConfig) -> Dict[str, Any]:
     kwargs: Dict[str, Any] = {}
     if config.scenario is not None:
+        # A scenario runs its own user count in place of the sweep.
         kwargs["spec"] = config.scenario
-        if config.scenario.users > 1:
-            # A pinned user count replaces the default sweep.
-            kwargs["user_counts"] = (config.scenario.users,)
+        kwargs["user_counts"] = (config.scenario.users,)
     return {
         "scaling": run_user_scaling(
             seeds=config.seed_range(4), workers=config.workers,

@@ -8,17 +8,17 @@ injector and any observed failure replays exactly from
 ``(seed, fault_spec)``.
 
 Layering: this package depends only on numpy and ``repro.telemetry``.
-The sounder (:mod:`repro.phy.ofdm`) and beam maintenance
-(:mod:`repro.core.maintenance`) expose optional ``fault_injector``
-hooks; the ensemble executor (:mod:`repro.sim.executor`) constructs one
-injector per run from ``EnsembleSpec.faults``.
+The sounder (:mod:`repro.phy.ofdm`) exposes an optional
+``fault_injector`` hook, the link simulator (:mod:`repro.sim.link`)
+asks it whether each maintenance round's report was lost, and the
+ensemble executor (:mod:`repro.sim.executor`) constructs one injector
+per run from ``EnsembleSpec.faults``.
 """
 
 from repro.faults.injector import (
     FaultInjector,
     FaultTarget,
     InjectedWorkerCrash,
-    wire_manager_faults,
 )
 from repro.faults.spec import (
     KNOWN_FAULT_KINDS,
@@ -39,5 +39,4 @@ __all__ = [
     "load_fault_specs",
     "parse_fault",
     "parse_fault_specs",
-    "wire_manager_faults",
 ]

@@ -13,13 +13,13 @@ so the schedule of one kind does not shift when another kind's rate
 changes.  Chaos kinds (worker crash, slow run) draw once per run, from
 streams keyed like every other kind's.
 
-Consumers stay decoupled: the sounder and the maintenance manager expose
-an optional ``fault_injector`` attribute, and simulators that accept
-chaos implement the :class:`FaultTarget` protocol — a single typed
-``install_fault_injector`` method.  :func:`wire_manager_faults` is the
-shared wiring helper that attaches an injector to whichever hooks a
-manager actually has (baseline managers without the attribute simply get
-probe-level faults through their sounder).
+Consumers stay decoupled: the sounder exposes an optional
+``fault_injector`` attribute for probe-level and element faults, and
+simulators that accept chaos implement the :class:`FaultTarget`
+protocol — a single typed ``install_fault_injector`` method.  The link
+simulator owns the control-plane hook: it asks
+:meth:`FaultInjector.feedback_dropped` once per maintenance round and
+skips the round of whichever beam manager it drives.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class FaultInjector:
         return faulty
 
     # ------------------------------------------------------------------
-    # control-plane hook (called by MultiBeamManager.step)
+    # control-plane hook (called by LinkSimulator once per maintenance round)
 
     def feedback_dropped(self, time_s: float = 0.0) -> bool:
         """Whether this round's SNR/CQI feedback report was lost."""
@@ -226,7 +226,8 @@ class FaultTarget(Protocol):
     The executor wires an injector into whatever it is about to run via
     this single typed method, instead of reaching into the object's
     manager/sounder attributes.  :class:`repro.sim.link.LinkSimulator`
-    implements it by wiring its one manager;
+    implements it by wiring its manager's sounder and keeping the
+    injector for its maintenance rounds;
     :class:`repro.network.simulator.NetworkSimulator` fans the same
     injector out to every per-user manager.
     """
@@ -235,18 +236,3 @@ class FaultTarget(Protocol):
         """Attach ``injector`` to every fault hook this target owns."""
         ...  # pragma: no cover - protocol
 
-
-def wire_manager_faults(manager: Any, injector: FaultInjector) -> Any:
-    """Wire one injector into a beam manager's fault hooks.
-
-    Probe-level faults ride the sounder (every manager kind has one);
-    control-plane hooks only attach when the manager exposes a
-    ``fault_injector`` attribute (baselines simply don't).  This is the
-    shared implementation behind every :class:`FaultTarget`.
-    """
-    sounder = getattr(manager, "sounder", None)
-    if sounder is not None and hasattr(sounder, "fault_injector"):
-        sounder.fault_injector = injector
-    if hasattr(manager, "fault_injector"):
-        manager.fault_injector = injector
-    return manager

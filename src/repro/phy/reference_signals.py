@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -122,19 +122,18 @@ class ProbeBudget:
 
     The simulator charges every probe here; reliability metrics then count
     probing airtime as link-unavailable time, which is exactly how the
-    paper defines reliability (Section 3.1).
+    paper defines reliability (Section 3.1).  When each probe went out is
+    recorded only as ``probe_tx`` telemetry events.
     """
 
     numerology: Numerology = FR2_120KHZ
     counts: Dict[ProbeKind, int] = field(default_factory=dict)
-    log: List[Tuple[float, ProbeKind]] = field(default_factory=list)
 
     def charge(self, kind: ProbeKind, time_s: float = 0.0, count: int = 1) -> None:
         """Record ``count`` probes of ``kind`` at simulation time ``time_s``."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count!r}")
         self.counts[kind] = self.counts.get(kind, 0) + count
-        self.log.extend((time_s, kind) for _ in range(count))
         recorder = get_recorder()
         if recorder.enabled and count:
             recorder.emit(

@@ -33,11 +33,10 @@ from repro.sim.executor import (
     parallel_map,
 )
 from repro.sim.spec import (
+    SCENARIO_SPECS,
     ScenarioSpec,
-    available_scenarios,
     get_scenario_spec,
     load_scenario_spec,
-    register_scenario_spec,
 )
 from repro.sim.export import (
     trace_to_csv,
@@ -65,11 +64,10 @@ __all__ = [
     "LinkSimulator",
     "SimulationTrace",
     "build_link_simulator",
+    "SCENARIO_SPECS",
     "ScenarioSpec",
-    "available_scenarios",
     "get_scenario_spec",
     "load_scenario_spec",
-    "register_scenario_spec",
     "execute_ensemble",
     "parallel_map",
     "EnsembleError",

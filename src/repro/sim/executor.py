@@ -12,8 +12,9 @@ serial path's exact per-seed results:
   bitwise identical to ``workers=1``.
 * **Fault tolerance** — a seed whose simulation raises is recorded as a
   structured :class:`RunFailure` (seed, exception, traceback) instead of
-  killing the whole ensemble, and so is every seed a dead pool worker
-  left without a result; the ensemble itself errors only once the
+  killing the whole ensemble, and so is every seed a dead pool worker's
+  broken pool held (the seeds not yet submitted run on a fresh pool);
+  the ensemble itself errors only once the
   failed fraction exceeds :attr:`EnsembleSpec.max_failure_fraction`.
 * **Fallback** — ``workers=1``, single-seed ensembles, and factories
   that cannot be pickled (closures, lambdas) run on a deterministic
@@ -28,7 +29,7 @@ import pickle
 import time
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -373,36 +374,43 @@ def _run_process_batch(
 ) -> Dict[int, tuple]:
     """Run ``(index, payload)`` items on a process pool.
 
-    Returns one outcome per index.  A seed whose worker died, or that a
-    dead worker's broken pool left without a result, is a ``crash``
-    failure; nothing re-runs it here or in the caller.  A
+    Returns one outcome per index.  The pool holds at most ``workers``
+    seeds at once.  When a worker dies, the broken pool fails every seed
+    it held: each is a ``crash`` failure, and nothing re-runs it here or
+    in the caller.  The seeds not yet submitted run on a fresh pool.  A
     ``KeyboardInterrupt`` cancels all queued work and *waits* for the
     pool to drain before re-raising, so no orphaned workers survive.
     """
     results: Dict[int, tuple] = {}
-    try:
+    queue = list(items)
+    while queue:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (index, payload, pool.submit(_run_one_seed, payload))
-                for index, payload in items
-            ]
+            held: Dict[object, Tuple[int, tuple]] = {}
+            broken = False
             try:
-                for index, payload, future in futures:
-                    try:
-                        results[index] = future.result()
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except BaseException as error:
-                        # A broken pool (a worker died) or an exception
-                        # that came back unpicklable.
-                        results[index] = _crash(payload[0], repr(error))
+                while held or (queue and not broken):
+                    while queue and not broken and len(held) < workers:
+                        try:
+                            future = pool.submit(_run_one_seed, queue[0][1])
+                        except BrokenProcessPool:
+                            broken = True
+                        else:
+                            held[future] = queue.pop(0)
+                    done, _ = wait(held, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        index, payload = held.pop(future)
+                        try:
+                            results[index] = future.result()
+                        except (KeyboardInterrupt, SystemExit):
+                            raise
+                        except BaseException as error:
+                            # A broken pool (a worker died) or an
+                            # exception that came back unpicklable.
+                            broken |= isinstance(error, BrokenProcessPool)
+                            results[index] = _crash(payload[0], repr(error))
             except (KeyboardInterrupt, SystemExit):
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
-    except BrokenProcessPool as error:
-        # The pool broke before every seed was submitted.
-        for index, payload in items:
-            results.setdefault(index, _crash(payload[0], repr(error)))
     return results
 
 
@@ -413,8 +421,9 @@ def execute_ensemble(spec: EnsembleSpec) -> EnsembleSummary:
     results collected in seed order so the output is independent of the
     backend.  A seed-run that raises becomes a :class:`RunFailure`;
     nothing re-runs it, because a run is a pure function of its seed and
-    would only replay the same failure.  When a pool worker dies, every
-    seed left without a result is a ``crash`` failure.  Raises
+    would only replay the same failure.  When a pool worker dies, the
+    seeds its pool held are ``crash`` failures and the rest run on a
+    fresh pool.  Raises
     :class:`EnsembleError` when the failed fraction exceeds
     ``spec.max_failure_fraction`` or no run succeeded.
     """

@@ -8,9 +8,21 @@ baseline) over a scenario:
 * the **maintenance clock** (default one CSI-RS opportunity every 5 ms)
   invokes the manager's ``step`` so it can observe and react.
 
-Training windows reported by the manager are charged as link-unavailable
-time, so reactive baselines pay for their re-scans exactly as in the
-paper.
+The beam-manager contract
+-------------------------
+A manager provides ``establish(channel, time_s)``, ``step(channel,
+time_s)`` returning the action the round took as a string (``"none"``
+when it did nothing), ``current_weights()`` or its own
+``link_snr_db(channel)``, and the attributes ``sounder``, ``budget`` (a
+:class:`~repro.phy.reference_signals.ProbeBudget`), ``training_rounds``
+and ``training_windows``.  The simulator records every action but
+``"none"`` on the trace; everything else a round measured or decided is
+recorded only in the telemetry event stream.  Training windows are
+charged as link-unavailable time, so reactive baselines pay for their
+re-scans exactly as in the paper.  With a fault injector installed, the
+simulator asks it once per maintenance round whether the round's report
+was lost; a lost report records ``feedback_dropout`` instead of calling
+``step``, for every manager alike.
 
 Weight spans
 ------------
@@ -44,8 +56,8 @@ float accumulation.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,10 +142,11 @@ class LinkSimulator:
     """Runs one manager over one scenario."""
 
     scenario: object  # anything exposing channel_at(time_s)
-    manager: object  # establish/step, and current_weights or link_snr_db
+    manager: Any  # the beam-manager contract (module docstring)
     duration_s: float = 1.0
     sample_period_s: float = 1e-3
     maintenance_period_s: float = 5e-3
+    fault_injector: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -149,12 +162,12 @@ class LinkSimulator:
         """Wire a :class:`repro.faults.FaultInjector` into this link.
 
         Implements the :class:`repro.faults.FaultTarget` protocol: probe
-        faults attach to the manager's sounder, control-plane faults to
-        the manager itself when it exposes the hook.
+        and element faults attach to the manager's sounder, and the
+        simulator keeps the injector to draw each maintenance round's
+        feedback dropout itself.
         """
-        from repro.faults import wire_manager_faults
-
-        wire_manager_faults(self.manager, injector)
+        self.manager.sounder.fault_injector = injector
+        self.fault_injector = injector
 
     def run(self) -> SimulationTrace:
         """Establish at t=0, then sample and maintain until the horizon.
@@ -215,10 +228,16 @@ class LinkSimulator:
                 if not established:
                     self.manager.establish(channel, time_s=t)
                     established = True
+                elif self.fault_injector is not None and (
+                    self.fault_injector.feedback_dropped(t)
+                ):
+                    # The round's SNR/CQI report never arrived: hold every
+                    # decision (acting on a missing report would be guessing).
+                    actions.append((t, "feedback_dropout"))
                 else:
-                    report = self.manager.step(channel, time_s=t)
-                    if getattr(report, "action", "none") != "none":
-                        actions.append((t, report.action))
+                    action = self.manager.step(channel, time_s=t)
+                    if action != "none":
+                        actions.append((t, action))
             except Exception as error:
                 enter_degraded(
                     t, "step" if established else "establish", error
@@ -297,8 +316,7 @@ class LinkSimulator:
             flush(times.shape[0])
 
         exit_degraded(float(self.duration_s))
-        budget = getattr(self.manager, "budget", None)
-        probe_airtime = budget.airtime_s() if budget is not None else 0.0
+        probe_airtime = self.manager.budget.airtime_s()
         if tracing:
             recorder.end_run(
                 float(self.duration_s),
@@ -311,10 +329,8 @@ class LinkSimulator:
             times_s=times,
             snr_db=snr,
             actions=tuple(actions),
-            training_windows=tuple(
-                getattr(self.manager, "training_windows", ())
-            ),
-            training_rounds=getattr(self.manager, "training_rounds", 0),
+            training_windows=tuple(self.manager.training_windows),
+            training_rounds=self.manager.training_rounds,
             probe_airtime_s=probe_airtime,
             bandwidth_hz=self.manager.sounder.config.bandwidth_hz,
             degraded_windows=tuple(degraded),

@@ -4,7 +4,7 @@ A :class:`ScenarioSpec` is the serializable face of the scenario layer:
 a flat, frozen record of the knobs that define a network-scale run
 (cells, users, manager kind, clocks, budgets).  Specs round-trip through
 plain dicts (``to_dict`` / ``from_dict``) and therefore through JSON
-files, and named specs live in a process-wide registry, so
+files, and the built-in named specs live in :data:`SCENARIO_SPECS`, so
 
     repro run --scenario quad-cell
     repro run --scenario my_campaign.json
@@ -18,14 +18,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 __all__ = [
+    "SCENARIO_SPECS",
     "ScenarioSpec",
-    "available_scenarios",
     "get_scenario_spec",
     "load_scenario_spec",
-    "register_scenario_spec",
 ]
 
 
@@ -122,45 +122,36 @@ class ScenarioSpec:
         )
 
 
-_SPEC_REGISTRY: Dict[str, ScenarioSpec] = {}
-
-
-def register_scenario_spec(
-    spec: ScenarioSpec, overwrite: bool = False
-) -> ScenarioSpec:
-    """Add a named spec to the registry (idempotent for equal specs)."""
-    existing = _SPEC_REGISTRY.get(spec.name)
-    if existing is not None and existing != spec and not overwrite:
-        raise ValueError(
-            f"scenario {spec.name!r} is already registered with a "
-            "different definition (pass overwrite=True to replace it)"
-        )
-    _SPEC_REGISTRY[spec.name] = spec
-    return spec
-
-
-def available_scenarios() -> Tuple[str, ...]:
-    """Registered scenario names, sorted."""
-    return tuple(sorted(_SPEC_REGISTRY))
+#: The built-in named specs, the configurations the experiments and
+#: docs use.  Anything else is a JSON spec file.
+SCENARIO_SPECS: Mapping[str, ScenarioSpec] = MappingProxyType({
+    spec.name: spec
+    for spec in (
+        ScenarioSpec(name="single-cell", cells=1, users=1, duration_s=0.5),
+        ScenarioSpec(name="dual-cell", cells=2, users=8, duration_s=0.5),
+        ScenarioSpec(name="quad-cell", cells=4, users=32, duration_s=0.5),
+        ScenarioSpec(name="network-smoke", cells=2, users=4, duration_s=0.1),
+    )
+})
 
 
 def get_scenario_spec(name: str) -> ScenarioSpec:
-    """Look up a registered spec, with a helpful error on typos."""
+    """Look up a built-in spec, with a helpful error on typos."""
     try:
-        return _SPEC_REGISTRY[name]
+        return SCENARIO_SPECS[name]
     except KeyError:
-        known = ", ".join(available_scenarios()) or "(none)"
+        known = ", ".join(sorted(SCENARIO_SPECS))
         raise KeyError(
             f"unknown scenario {name!r}; known scenarios: {known}"
         ) from None
 
 
 def load_scenario_spec(name_or_path: str) -> ScenarioSpec:
-    """Resolve ``--scenario``'s argument: registry name or JSON file.
+    """Resolve ``--scenario``'s argument: built-in name or JSON file.
 
     Anything that looks like a file (ends in ``.json`` or exists on
-    disk) is parsed as a JSON object; everything else is a registry
-    lookup.
+    disk) is parsed as a JSON object; everything else is a built-in
+    name lookup.
     """
     if name_or_path.endswith(".json") or os.path.exists(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as stream:
@@ -172,22 +163,3 @@ def load_scenario_spec(name_or_path: str) -> ScenarioSpec:
             )
         return ScenarioSpec.from_dict(payload)
     return get_scenario_spec(name_or_path)
-
-
-# ----------------------------------------------------------------------
-# built-in specs — the named configurations the experiments and docs use
-
-register_scenario_spec(
-    ScenarioSpec(name="single-cell", cells=1, users=1, duration_s=0.5)
-)
-register_scenario_spec(
-    ScenarioSpec(name="dual-cell", cells=2, users=8, duration_s=0.5)
-)
-register_scenario_spec(
-    ScenarioSpec(name="quad-cell", cells=4, users=32, duration_s=0.5)
-)
-register_scenario_spec(
-    ScenarioSpec(
-        name="network-smoke", cells=2, users=4, duration_s=0.1
-    )
-)

@@ -71,8 +71,8 @@ class TestReactiveSingleBeam:
         manager.establish(scenario.channel_at(0.0))
         retrain_time = None
         for t in np.arange(0.005, 0.4, 0.005):
-            report = manager.step(scenario.channel_at(float(t)), float(t))
-            if report.action == "retrain":
+            action = manager.step(scenario.channel_at(float(t)), float(t))
+            if action == "retrain":
                 retrain_time = t
                 break
         # Blockage starts at 0.05; retrain only after ~0.1 s of outage.
@@ -114,8 +114,9 @@ class TestBeamSpy:
         manager.establish(scenario.channel_at(0.0))
         actions = []
         for t in np.arange(0.005, 0.2, 0.005):
-            report = manager.step(scenario.channel_at(float(t)), float(t))
-            actions.append(report.action)
+            actions.append(
+                manager.step(scenario.channel_at(float(t)), float(t))
+            )
         assert "profile_switch" in actions
         assert manager.training_rounds == 1  # never did a full retrain
 

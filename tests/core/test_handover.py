@@ -85,8 +85,8 @@ class TestHandover:
             channels = [
                 serving.channel_at(float(t)), backup.channel_at(float(t))
             ]
-            report = manager.step(channels, float(t))
-            history.append((float(t), report, manager.link_snr_db(channels)))
+            action = manager.step(channels, float(t))
+            history.append((float(t), action, manager.link_snr_db(channels)))
         return history
 
     def test_hands_over_on_total_blockage(self):
@@ -94,7 +94,7 @@ class TestHandover:
         history = self.run(manager)
         assert manager.handover_count >= 1
         handover_times = [
-            t for t, report, _ in history if report.action == "handover"
+            t for t, action, _ in history if action == "handover"
         ]
         # Blockage starts at 0.1; handover follows within ~50 ms.
         assert handover_times[0] == pytest.approx(0.11, abs=0.05)

@@ -98,8 +98,7 @@ class TestRealignment:
         moved = channel.rotated([offset, offset], [-offset, -offset])
         degraded = manager.link_snr_db(moved)
         assert degraded < aligned - 1.0
-        report = manager.step(moved, 0.1)
-        assert report.action == "realign"
+        assert manager.step(moved, 0.1) == "realign"
         recovered = manager.link_snr_db(moved)
         assert recovered > degraded + 1.0
         assert recovered == pytest.approx(aligned, abs=1.5)
@@ -108,9 +107,9 @@ class TestRealignment:
         manager = make_manager()
         channel = directional_channel()
         manager.establish(channel)
-        report = manager.step(channel, 0.1)
-        assert report.action == "none"
-        assert report.misalignment_rad == 0.0
+        angles = manager.gnb_multibeam.angles_rad
+        assert manager.step(channel, 0.1) == "none"
+        assert manager.gnb_multibeam.angles_rad == angles
 
     def test_probe_budget_charged(self):
         manager = make_manager()
@@ -129,7 +128,8 @@ class TestRealignment:
         manager.establish(channel)
         offset = np.deg2rad(4.0)
         moved = channel.rotated([offset, offset], [-offset, -offset])
-        report = manager.step(moved, 0.1)
-        assert report.misalignment_rad == pytest.approx(
-            offset, abs=np.deg2rad(1.5)
-        )
+        before = np.asarray(manager.gnb_multibeam.angles_rad)
+        assert manager.step(moved, 0.1) == "realign"
+        # Both gNB beams are counter-rotated by the estimated misalignment.
+        shift = np.abs(np.asarray(manager.gnb_multibeam.angles_rad) - before)
+        np.testing.assert_allclose(shift, offset, atol=np.deg2rad(1.5))

@@ -57,3 +57,16 @@ def test_static_and_carrier_ensembles_use_the_pool(monkeypatch):
         assert spec.workers == 2
         # A raising run aborts the table, as a serial loop would.
         assert spec.max_failure_fraction == 0.0
+
+
+def test_scenario_runs_its_own_user_count():
+    from repro.experiments import network_scale
+    from repro.sim.spec import get_scenario_spec
+
+    config = ExperimentConfig(
+        seeds=1, scenario=get_scenario_spec("single-cell")
+    )
+    scaling = network_scale.run(config)["scaling"]
+    assert {system: sorted(by_users) for system, by_users in scaling.items()} == {
+        system: [1] for system in network_scale.SYSTEMS
+    }

@@ -18,8 +18,9 @@ from repro.arrays import UniformLinearArray
 from repro.core.probing import ProbeController, two_probe_ratio
 from repro.experiments.common import make_manager
 from repro.experiments.fig18_end2end import _mobile_scenario
-from repro.faults import FaultInjector, FaultSpec, wire_manager_faults
+from repro.faults import FaultInjector, FaultSpec
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
+from repro.phy.reference_signals import ProbeBudget
 from repro.sim.executor import EnsembleSpec, execute_ensemble
 from repro.sim.link import LinkSimulator, build_link_simulator
 from repro.sim.scenarios import two_path_channel
@@ -126,46 +127,82 @@ class TestMaintenanceDegradation:
             seed, speed_mps=1.5, blockage_depth_db=30.0, distance_m=25.0
         )
         manager = make_manager("mmreliable", seed)
-        wire_manager_faults(
-            manager, FaultInjector(seed=seed, specs=faults)
-        )
+        manager.sounder.fault_injector = FaultInjector(seed=seed, specs=faults)
         manager.establish(scenario.channel_at(0.0), time_s=0.0)
-        reports = []
+        actions = []
         for i in range(1, rounds + 1):
             t = i * 5e-3
-            reports.append(manager.step(scenario.channel_at(t), time_s=t))
-        return manager, reports
+            actions.append(manager.step(scenario.channel_at(t), time_s=t))
+        return manager, actions
 
     def test_survives_total_probe_loss(self):
         # Regression for the crash: ValueError must not escape step().
-        manager, reports = self.run_rounds(
+        manager, actions = self.run_rounds(
             (FaultSpec(kind="probe_loss", rate=1.0),)
         )
-        actions = {r.action for r in reports}
         assert "measurement_dropped" in actions
         assert manager.degraded_rounds > 0
 
     def test_blind_watchdog_retrains_after_streak(self):
-        manager, reports = self.run_rounds(
+        manager, actions = self.run_rounds(
             (FaultSpec(kind="probe_loss", rate=1.0),), rounds=30
         )
-        assert any(r.action == "watchdog_retrain" for r in reports)
+        assert "watchdog_retrain" in actions
 
     def test_feedback_dropout_skips_round(self):
-        manager, reports = self.run_rounds(
-            (FaultSpec(kind="feedback_dropout", rate=1.0),), rounds=5
+        # The simulator owns the lost report: step never runs, so the
+        # manager charges nothing after establish.
+        scenario = _mobile_scenario(
+            0, speed_mps=1.5, blockage_depth_db=30.0, distance_m=25.0
         )
-        assert all(r.action == "feedback_dropout" for r in reports)
+        simulator = LinkSimulator(
+            scenario=scenario,
+            manager=make_manager("mmreliable", 0),
+            duration_s=0.03,
+        )
+        simulator.install_fault_injector(
+            FaultInjector(seed=0, specs=(FaultSpec("feedback_dropout", 1.0),))
+        )
+        trace = simulator.run()
+        assert [a for _, a in trace.actions] == ["feedback_dropout"] * 5
+        established = make_manager("mmreliable", 0)
+        established.establish(scenario.channel_at(0.0), time_s=0.0)
+        assert simulator.manager.budget.counts == established.budget.counts
 
     def test_moderate_loss_keeps_maintaining(self):
-        manager, reports = self.run_rounds(
+        manager, actions = self.run_rounds(
             (FaultSpec(kind="probe_loss", rate=0.3),), rounds=30
         )
-        actions = [r.action for r in reports]
         # Some rounds are dropped, but the loop keeps doing real work.
         assert "measurement_dropped" in actions
         assert any(a not in ("measurement_dropped", "watchdog_retrain")
                    for a in actions)
+
+
+class TestLostReport:
+    """A lost feedback report reaches every Fig. 18 system alike."""
+
+    @pytest.mark.parametrize(
+        "system", ("mmreliable", "reactive", "beamspy", "widebeam", "oracle")
+    )
+    def test_every_round_lost_keeps_the_t0_weights(self, system):
+        simulator = LinkSimulator(
+            scenario=_mobile_scenario(
+                0, speed_mps=1.5, blockage_depth_db=30.0, distance_m=25.0
+            ),
+            manager=make_manager(system, 0),
+            duration_s=0.1,
+        )
+        simulator.install_fault_injector(
+            FaultInjector(seed=0, specs=(FaultSpec("feedback_dropout", 1.0),))
+        )
+        trace = simulator.run()
+        ticks = simulator._maintenance_boundaries(trace.times_s)
+        assert trace.actions == tuple(
+            (float(trace.times_s[i]), "feedback_dropout") for i in ticks
+        )
+        assert len(trace.weight_record) == 1
+        assert trace.weight_record[0][0] == 0
 
 
 class TestNoLiveGain:
@@ -207,6 +244,9 @@ class TestSimulatorDegradedWindows:
                 bandwidth_hz = 400e6
 
         sounder = _Sounder()
+        budget = ProbeBudget()
+        training_rounds = 0
+        training_windows = ()
 
         def establish(self, channel, time_s=0.0):
             return None

@@ -8,7 +8,6 @@ from repro.faults import (
     FaultKind,
     FaultSpec,
     InjectedWorkerCrash,
-    wire_manager_faults,
 )
 
 
@@ -247,37 +246,39 @@ class TestTelemetry:
         assert injector.injected  # log kept even when telemetry is off
 
 
+def install_on_link(kind):
+    """A link simulator over ``kind`` with a fresh injector installed."""
+    from repro.experiments.common import make_manager
+    from repro.sim.link import LinkSimulator
+    from repro.sim.scenarios import indoor_two_path_scenario
+
+    manager = make_manager(kind, seed=0)
+    simulator = LinkSimulator(
+        scenario=indoor_two_path_scenario(manager.array), manager=manager
+    )
+    injector = make_injector(FaultSpec(kind="probe_loss", rate=0.5))
+    simulator.install_fault_injector(injector)
+    return simulator, injector
+
+
 class TestInstall:
     def test_wires_sounder_and_manager(self):
-        from repro.experiments.common import make_manager
-
-        manager = make_manager("mmreliable", seed=0)
-        injector = make_injector(FaultSpec(kind="probe_loss", rate=0.5))
-        wire_manager_faults(manager, injector)
-        assert manager.sounder.fault_injector is injector
-        assert manager.fault_injector is injector
+        # Probe faults ride the manager's sounder; the simulator keeps
+        # the control-plane hook, so the manager carries none itself.
+        simulator, injector = install_on_link("mmreliable")
+        assert simulator.manager.sounder.fault_injector is injector
+        assert simulator.fault_injector is injector
+        assert not hasattr(simulator.manager, "fault_injector")
 
     def test_baseline_without_hooks_is_fine(self):
-        from repro.experiments.common import make_manager
-
-        manager = make_manager("oracle", seed=0)
-        injector = make_injector(FaultSpec(kind="probe_loss", rate=0.5))
-        wire_manager_faults(manager, injector)  # must not raise
-        assert manager.sounder.fault_injector is injector
+        # A baseline needs no hook of its own to get every fault kind.
+        simulator, injector = install_on_link("oracle")
+        assert simulator.manager.sounder.fault_injector is injector
+        assert simulator.fault_injector is injector
 
     def test_link_simulator_is_a_fault_target(self):
-        from repro.experiments.common import make_manager
         from repro.faults import FaultTarget
-        from repro.sim.link import LinkSimulator
-        from repro.sim.scenarios import indoor_two_path_scenario
 
-        manager = make_manager("mmreliable", seed=0)
-        simulator = LinkSimulator(
-            scenario=indoor_two_path_scenario(manager.array),
-            manager=manager,
-        )
+        simulator, injector = install_on_link("mmreliable")
         assert isinstance(simulator, FaultTarget)
-        injector = make_injector(FaultSpec(kind="probe_loss", rate=0.5))
-        simulator.install_fault_injector(injector)
-        assert manager.sounder.fault_injector is injector
-        assert manager.fault_injector is injector
+        assert simulator.fault_injector is injector

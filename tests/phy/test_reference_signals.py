@@ -13,6 +13,7 @@ from repro.phy.reference_signals import (
     multibeam_maintenance_time_s,
     ssb_duration_s,
 )
+from repro.telemetry import TelemetryRecorder, use_recorder
 
 
 class TestDurations:
@@ -105,9 +106,14 @@ class TestProbeBudget:
         assert budget.overhead_fraction(1.0) == 1.0
 
     def test_log_records_times(self):
+        # When probes went out is recorded only as probe_tx events.
         budget = ProbeBudget()
-        budget.charge(ProbeKind.CSI_RS, time_s=0.25, count=2)
-        assert budget.log == [(0.25, ProbeKind.CSI_RS)] * 2
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            budget.charge(ProbeKind.CSI_RS, time_s=0.25, count=2)
+        [event] = recorder.events
+        assert (event.kind, event.time_s) == ("probe_tx", 0.25)
+        assert event.fields == {"probe": "csi_rs", "count": 2}
 
     def test_rejects_negative_count(self):
         budget = ProbeBudget()

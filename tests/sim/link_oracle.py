@@ -80,16 +80,20 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
     except Exception as error:
         enter_degraded(0.0, "establish", error)
 
+    injector = simulator.fault_injector
+
     def maintain(t: float, channel) -> None:
         nonlocal established
         try:
             if not established:
                 manager.establish(channel, time_s=t)
                 established = True
+            elif injector is not None and injector.feedback_dropped(t):
+                actions.append((t, "feedback_dropout"))
             else:
-                report = manager.step(channel, time_s=t)
-                if getattr(report, "action", "none") != "none":
-                    actions.append((t, report.action))
+                action = manager.step(channel, time_s=t)
+                if action != "none":
+                    actions.append((t, action))
         except Exception as error:
             enter_degraded(t, "step" if established else "establish", error)
         else:
@@ -133,8 +137,7 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
             trace_mcs(i)
 
     exit_degraded(float(simulator.duration_s))
-    budget = getattr(manager, "budget", None)
-    probe_airtime = budget.airtime_s() if budget is not None else 0.0
+    probe_airtime = manager.budget.airtime_s()
     if tracing:
         recorder.end_run(
             float(simulator.duration_s),
@@ -147,8 +150,8 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
         times_s=times,
         snr_db=snr,
         actions=tuple(actions),
-        training_windows=tuple(getattr(manager, "training_windows", ())),
-        training_rounds=getattr(manager, "training_rounds", 0),
+        training_windows=tuple(manager.training_windows),
+        training_rounds=manager.training_rounds,
         probe_airtime_s=probe_airtime,
         bandwidth_hz=manager.sounder.config.bandwidth_hz,
         degraded_windows=tuple(degraded),

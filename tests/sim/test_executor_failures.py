@@ -169,7 +169,7 @@ class TestOneRunPerSeed:
 
 
 #: Runs an ensemble whose scenario factory kills whichever process
-#: builds seed 1, the caller included, and prints the failures.
+#: builds seed 1, the caller included, and prints each seed's outcome.
 SEED_KILLER = textwrap.dedent(
     """
     import os
@@ -211,10 +211,11 @@ SEED_KILLER = textwrap.dedent(
         )
         try:
             failures = execute_ensemble(spec).failures
-        except EnsembleError as error:  # the pool broke before any run
+        except EnsembleError as error:  # no seed returned metrics
             failures = error.failures
-        for failure in failures:
-            print(failure.seed, failure.kind)
+        kinds = {failure.seed: failure.kind for failure in failures}
+        for seed in range(4):
+            print(seed, kinds.get(seed, "ok"))
     """
 )
 
@@ -235,7 +236,8 @@ class TestDeadWorker:
         assert [f.seed for f in failures] == [0, 1, 2, 3]
         assert all(f.kind == "crash" for f in failures)
 
-    def test_dead_worker_never_takes_the_caller_down(self, tmp_path):
+    @staticmethod
+    def run_seed_killer(tmp_path):
         import repro
 
         script = tmp_path / "seed_killer.py"
@@ -246,9 +248,19 @@ class TestDeadWorker:
             env=dict(os.environ, PYTHONPATH=src), timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        failures = [line.split() for line in completed.stdout.splitlines()]
-        assert ["1", "crash"] in failures
-        assert all(kind == "crash" for _, kind in failures)
+        return dict(line.split() for line in completed.stdout.splitlines())
+
+    def test_dead_worker_never_takes_the_caller_down(self, tmp_path):
+        outcomes = self.run_seed_killer(tmp_path)
+        assert outcomes["1"] == "crash"
+        assert set(outcomes.values()) <= {"ok", "crash"}
+
+    def test_dead_worker_fails_only_the_seeds_it_held(self, tmp_path):
+        # Seeds 0 and 1 share the first pool; seeds 2 and 3 were never
+        # submitted to it, so they run on a fresh pool.
+        outcomes = self.run_seed_killer(tmp_path)
+        assert outcomes["2"] == outcomes["3"] == "ok"
+        assert {s for s, kind in outcomes.items() if kind == "crash"} <= {"0", "1"}
 
 
 class TestKeyboardInterrupt:

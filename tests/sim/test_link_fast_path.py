@@ -19,6 +19,7 @@ from repro.arrays.steering import single_beam_weights
 from repro.channel.blockage import random_blockage_schedule
 from repro.experiments.common import TESTBED_ULA, make_manager
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
+from repro.phy.reference_signals import ProbeBudget
 from repro.sim.link import MAX_BATCH_SAMPLES, LinkSimulator
 from repro.sim.scenarios import SyntheticScenario, indoor_two_path_scenario
 from repro.telemetry import TelemetryRecorder, use_recorder
@@ -250,12 +251,15 @@ class FixedBeam:
             rng=seed,
         )
         self.weights = single_beam_weights(TESTBED_ULA, 0.1)
+        self.budget = ProbeBudget()
+        self.training_rounds = 0
+        self.training_windows = []
 
     def establish(self, channel, time_s=0.0):
         return None
 
     def step(self, channel, time_s):
-        return None
+        return "none"
 
     def current_weights(self):
         return self.weights

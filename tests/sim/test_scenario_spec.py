@@ -1,4 +1,4 @@
-"""ScenarioSpec round-trip, registry, and file loading."""
+"""ScenarioSpec round-trip, built-in specs, and file loading."""
 
 import dataclasses
 import json
@@ -6,11 +6,10 @@ import json
 import pytest
 
 from repro.sim.spec import (
+    SCENARIO_SPECS,
     ScenarioSpec,
-    available_scenarios,
     get_scenario_spec,
     load_scenario_spec,
-    register_scenario_spec,
 )
 
 
@@ -58,30 +57,20 @@ class TestRoundTrip:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = available_scenarios()
-        for name in ("single-cell", "dual-cell", "quad-cell",
-                     "network-smoke"):
-            assert name in names
+        assert sorted(SCENARIO_SPECS) == [
+            "dual-cell", "network-smoke", "quad-cell", "single-cell",
+        ]
+        for name, spec in SCENARIO_SPECS.items():
+            assert get_scenario_spec(name) is spec
+            assert spec.name == name
 
     def test_lookup_error_lists_known(self):
-        with pytest.raises(KeyError, match="known scenarios"):
+        with pytest.raises(KeyError, match="known scenarios: dual-cell"):
             get_scenario_spec("no-such-scenario")
 
-    def test_reregistering_equal_spec_is_idempotent(self):
-        spec = get_scenario_spec("dual-cell")
-        assert register_scenario_spec(spec) == spec
-
-    def test_conflicting_registration_rejected(self):
-        spec = get_scenario_spec("dual-cell")
-        changed = dataclasses.replace(spec, users=spec.users + 1)
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario_spec(changed)
-        # Explicit overwrite wins; restore the original after.
-        register_scenario_spec(changed, overwrite=True)
-        try:
-            assert get_scenario_spec("dual-cell") == changed
-        finally:
-            register_scenario_spec(spec, overwrite=True)
+    def test_builtins_are_constant(self):
+        with pytest.raises(TypeError):
+            SCENARIO_SPECS["dual-cell"] = ScenarioSpec(name="dual-cell")
 
 
 class TestLoad:
