@@ -113,15 +113,26 @@ class ChannelBatch:
         a simulator that evaluates the same samples under
         piecewise-constant weights (one weight vector per span) builds
         them once per chunk and shares them across every :meth:`sliced`
-        piece.  Returns ``self`` for chaining.
+        piece.  A batch that already holds this grid returns at once, so
+        links sharing one batch build them once.  Returns ``self`` for
+        chaining.
         """
         freqs = np.atleast_1d(np.asarray(baseband_frequencies_hz, dtype=float))
+        if self._holds_grid(freqs):
+            return self
         object.__setattr__(  # repro-lint: disable=RL302 (precompute/slice cache)
             self, "_steering", steering_vector(self.tx_array, self.aods_rad)
         )
         object.__setattr__(self, "_rotation", self._delay_rotation(freqs))  # repro-lint: disable=RL302 (precompute/slice cache)
         object.__setattr__(self, "_freqs", freqs)  # repro-lint: disable=RL302 (precompute/slice cache)
         return self
+
+    def _holds_grid(self, freqs: np.ndarray) -> bool:
+        """Whether :meth:`precompute` already ran for grid ``freqs``."""
+        cached = getattr(self, "_freqs", None)
+        return cached is not None and (
+            cached is freqs or np.array_equal(cached, freqs)
+        )
 
     def _delay_rotation(self, freqs: np.ndarray) -> np.ndarray:
         """``e^{-j 2 pi f tau_{t,l}}``, shape ``(T, F, L)``; one broadcast
@@ -144,10 +155,7 @@ class ChannelBatch:
         ``y_t(f) = sum_l g_{t,l} (a(phi_{t,l})^T w) e^{-j 2 pi f tau_{t,l}}``.
         """
         freqs = np.atleast_1d(np.asarray(baseband_frequencies_hz, dtype=float))
-        cached = getattr(self, "_freqs", None)
-        if cached is not None and (
-            cached is freqs or np.array_equal(cached, freqs)
-        ):
+        if self._holds_grid(freqs):
             a = self._steering
             rotation = self._rotation
         else:

@@ -114,9 +114,6 @@ class MultiBeamManager:
     _watchdog_ref_db: float = field(default=-np.inf, init=False)
     _watchdog_streak: int = field(default=0, init=False)
     _invalid_streak: int = field(default=0, init=False)
-    #: Maintenance rounds that ran in a degraded mode (dropped
-    #: measurements, single-beam fallbacks).
-    degraded_rounds: int = field(default=0, init=False)
     training_rounds: int = field(default=0, init=False)
     #: (start_s, duration_s) of every beam-training episode; the link is
     #: unavailable for data during these windows (reliability accounting).
@@ -148,7 +145,6 @@ class MultiBeamManager:
         )
         estimate = outcome.estimate
         if outcome.degraded:
-            self.degraded_rounds += 1
             recorder = get_recorder()
             if recorder.enabled:
                 recorder.emit(
@@ -371,7 +367,6 @@ class MultiBeamManager:
         """
         recorder = get_recorder()
         self._invalid_streak += 1
-        self.degraded_rounds += 1
         if (
             self._invalid_streak >= self.watchdog_rounds
             and time_s - self._last_retrain_s >= self.retrain_cooldown_s
@@ -404,7 +399,6 @@ class MultiBeamManager:
         gains[strongest] = 1.0 + 0.0j
         self.multibeam = self.multibeam.with_relative_gains(tuple(gains))
         self._anchor_pending = True
-        self.degraded_rounds += 1
         recorder = get_recorder()
         if recorder.enabled:
             recorder.emit(
@@ -523,7 +517,6 @@ class MultiBeamManager:
             gains[slot] = gain if ok else 0.0 + 0.0j
         self.multibeam = self.multibeam.with_relative_gains(gains)
         if outcome.degraded:
-            self.degraded_rounds += 1
             recorder = get_recorder()
             if recorder.enabled:
                 recorder.emit(

@@ -1,6 +1,10 @@
-"""Shared experiment plumbing: standard array, configs, manager builders."""
+"""Shared experiment plumbing: standard array, configs, manager builders,
+and the seed-paired system comparison."""
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -14,6 +18,9 @@ from repro.baselines import (
 from repro.beamtraining import ExhaustiveTrainer, HierarchicalTrainer
 from repro.core.maintenance import MultiBeamManager
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
+from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
+from repro.sim.link import build_link_comparison
+from repro.telemetry import TelemetrySummary, get_recorder
 from repro.utils.rng import RngLike
 
 #: The testbed's azimuth array: 8 elements at 28 GHz, lambda/2 spacing.
@@ -107,6 +114,65 @@ def make_manager(
     if kind == "oracle":
         return OracleBeam(array=array, sounder=sounder, **overrides)
     raise ValueError(f"unknown manager kind {kind!r}")
+
+
+def compare_systems(
+    systems: Sequence[str],
+    scenario_factory: Callable[[int], object],
+    duration_s: float,
+    seeds: Sequence[int],
+    workers: int = 1,
+    faults: tuple = (),
+    max_failure_fraction: float = 0.5,
+    label_suffix: str = "",
+    **manager_options,
+) -> Dict[str, EnsembleSummary]:
+    """Run each system over the same scenario per seed; one summary each.
+
+    System ``kind`` runs ``make_manager(kind, seed, **manager_options)``
+    under the label ``kind + label_suffix``.  Every seed is one
+    :class:`~repro.sim.link.LinkComparison` seed-run that builds the
+    seed's scenario once and runs the systems over it in turn, and the
+    seed-runs form one ensemble labelled ``"+".join(systems) +
+    label_suffix``.  So a seed whose run raises fails for every system,
+    and each system's summary carries the comparison's failures and
+    stats.  Under an enabled recorder, each summary's ``telemetry``
+    digests only that system's events (its run labels start with its
+    label).  Returns the summaries keyed by kind, in ``systems`` order.
+    """
+    labels = [f"{kind}{label_suffix}" for kind in systems]
+    comparison = EnsembleSpec(
+        label="+".join(systems) + label_suffix,
+        simulator_factory=partial(
+            build_link_comparison,
+            scenario_factory,
+            tuple(
+                (label, partial(make_manager, kind, **manager_options))
+                for kind, label in zip(systems, labels)
+            ),
+            duration_s,
+        ),
+        seeds=tuple(seeds),
+        workers=workers,
+        max_failure_fraction=max_failure_fraction,
+        faults=tuple(faults),
+    )
+    recorder = get_recorder()
+    since = recorder.mark() if recorder.enabled else None
+    summary = execute_ensemble(comparison)
+    absorbed = () if since is None else recorder.events[since:]
+    summaries = {}
+    for index, (kind, label) in enumerate(zip(systems, labels)):
+        summaries[kind] = EnsembleSummary(
+            label=label,
+            metrics=tuple(per_seed[index] for per_seed in summary.metrics),
+            failures=summary.failures,
+            stats=summary.stats,
+            telemetry=None if since is None else TelemetrySummary.from_events(
+                event for event in absorbed if event.run.startswith(f"{label}/")
+            ),
+        )
+    return summaries
 
 
 def format_series(label: str, xs, ys, unit_x: str = "", unit_y: str = "",

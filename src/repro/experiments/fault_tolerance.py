@@ -2,9 +2,9 @@
 
 The paper's claim is that the constructive multi-beam keeps the link
 *reliable*; this experiment stresses the claim with the fault-injection
-subsystem (:mod:`repro.faults`).  For each fault rate, an ensemble of
-mmReliable runs and an ensemble of reactive-baseline runs execute under
-an injector of that rate; the curve of mean reliability vs rate shows
+subsystem (:mod:`repro.faults`).  For each fault rate, mmReliable and
+the reactive baseline run over the same seeds' scenarios, each link
+under its own injector of that rate; the curve of mean reliability vs rate shows
 graceful degradation, and the ``failures`` column shows that every run
 *completes* — faults surface as flagged outcomes, fallbacks, and
 telemetry events, never as :class:`~repro.sim.executor.RunFailure`\\ s.
@@ -19,12 +19,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, Sequence
 
-from repro.experiments.common import format_series, make_manager
+from repro.experiments.common import compare_systems, format_series
 from repro.experiments.fig18_end2end import _mobile_scenario
 from repro.experiments.registry import ExperimentConfig
 from repro.faults import FaultKind, FaultSpec
-from repro.sim.executor import EnsembleSpec, execute_ensemble
-from repro.sim.link import build_link_simulator
 
 #: The default fault-rate axis (0.0 doubles as the no-chaos reference).
 DEFAULT_RATES = (0.0, 0.1, 0.2, 0.3)
@@ -52,23 +50,17 @@ def run_fault_rate_sweep(
     )
     curves: Dict[str, list] = {system: [] for system in SYSTEMS}
     for rate in rates:
-        faults = (FaultSpec(kind=kind, rate=float(rate)),)
-        for system in SYSTEMS:
-            summary = execute_ensemble(
-                EnsembleSpec(
-                    label=f"{system}@{kind}={rate:.2f}",
-                    simulator_factory=partial(
-                        build_link_simulator,
-                        scenario_factory,
-                        partial(make_manager, system),
-                        duration_s,
-                    ),
-                    seeds=tuple(seeds),
-                    workers=workers,
-                    max_failure_fraction=1.0,
-                    faults=faults,
-                )
-            )
+        summaries = compare_systems(
+            SYSTEMS,
+            scenario_factory,
+            duration_s,
+            seeds,
+            workers=workers,
+            faults=(FaultSpec(kind=kind, rate=float(rate)),),
+            max_failure_fraction=1.0,
+            label_suffix=f"@{kind}={rate:.2f}",
+        )
+        for system, summary in summaries.items():
             curves[system].append(
                 {
                     "rate": float(rate),

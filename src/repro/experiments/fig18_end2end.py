@@ -24,14 +24,13 @@ from repro.channel.blockage import (
     BlockageSchedule,
     random_blockage_schedule,
 )
-from repro.experiments.common import TESTBED_ULA, make_manager
+from repro.experiments.common import TESTBED_ULA, compare_systems
 from repro.experiments.registry import ExperimentConfig
 from repro.phy.reference_signals import (
     beam_training_time_s,
     multibeam_maintenance_time_s,
 )
-from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
-from repro.sim.link import build_link_simulator
+from repro.sim.executor import EnsembleSummary
 from repro.sim.scenarios import indoor_two_path_scenario
 from repro.utils.rng import named_substream
 
@@ -79,28 +78,23 @@ def run_static_blockers(
 ) -> Dict[str, Dict[int, float]]:
     """Mean throughput [Mbps] per system per blocker count (Fig. 18a).
 
-    One ensemble per (blocker count, system); a seed-run that raises
-    aborts the table (``max_failure_fraction=0``).
+    One comparison per blocker count; a seed-run that raises aborts the
+    table (``max_failure_fraction=0``).
     """
     systems = ("mmreliable-static", "beamspy", "reactive")
     results: Dict[str, Dict[int, float]] = {s: {} for s in systems}
     for num_blockers in num_blockers_values:
-        for system in systems:
-            summary = execute_ensemble(
-                EnsembleSpec(
-                    label=f"{system}@{num_blockers}blk",
-                    simulator_factory=partial(
-                        build_link_simulator,
-                        partial(_static_scenario, num_blockers),
-                        partial(make_manager, system),
-                        duration_s,
-                    ),
-                    seeds=tuple(seeds),
-                    workers=workers,
-                    max_failure_fraction=0.0,
-                    faults=tuple(faults),
-                )
-            )
+        summaries = compare_systems(
+            systems,
+            partial(_static_scenario, num_blockers),
+            duration_s,
+            seeds,
+            workers=workers,
+            faults=faults,
+            max_failure_fraction=0.0,
+            label_suffix=f"@{num_blockers}blk",
+        )
+        for system, summary in summaries.items():
             results[system][num_blockers] = float(
                 np.mean([m.mean_throughput_bps / 1e6 for m in summary.metrics])
             )
@@ -145,32 +139,23 @@ def run_mobile_ensembles(
     The link distance puts the single-beam SNR ~9 dB above the outage
     threshold — the paper's operating regime (~1-1.5 b/s/Hz average
     spectral efficiency), where blockage means outage for a single beam
-    and the widebeam's gain deficit is ruinous.  ``workers`` fans the
-    seed-runs out over the ensemble executor's process pool.
+    and the widebeam's gain deficit is ruinous.  Every system faces each
+    seed's one scenario; ``workers`` fans the seed-runs out over the
+    ensemble executor's process pool.
     """
-    systems = ("mmreliable", "reactive", "beamspy", "widebeam", "oracle")
-    summaries = {}
-    for system in systems:
-        summaries[system] = execute_ensemble(
-            EnsembleSpec(
-                label=system,
-                simulator_factory=partial(
-                    build_link_simulator,
-                    partial(
-                        _mobile_scenario,
-                        speed_mps=speed_mps,
-                        blockage_depth_db=blockage_depth_db,
-                        distance_m=distance_m,
-                    ),
-                    partial(make_manager, system),
-                    duration_s,
-                ),
-                seeds=tuple(seeds),
-                workers=workers,
-                faults=tuple(faults),
-            )
-        )
-    return summaries
+    return compare_systems(
+        ("mmreliable", "reactive", "beamspy", "widebeam", "oracle"),
+        partial(
+            _mobile_scenario,
+            speed_mps=speed_mps,
+            blockage_depth_db=blockage_depth_db,
+            distance_m=distance_m,
+        ),
+        duration_s,
+        seeds,
+        workers=workers,
+        faults=faults,
+    )
 
 
 def product_improvement(

@@ -23,10 +23,8 @@ from repro.arrays import UniformLinearArray
 from repro.channel.blockage import BlockageEvent, BlockageSchedule
 from repro.channel.environment import Environment, Reflector
 from repro.channel.mobility import StaticPose
-from repro.experiments.common import make_manager
+from repro.experiments.common import compare_systems
 from repro.experiments.registry import ExperimentConfig
-from repro.sim.executor import EnsembleSpec, execute_ensemble
-from repro.sim.link import build_link_simulator
 from repro.sim.scenarios import GeometricScenario
 
 
@@ -92,39 +90,35 @@ def run_carrier_comparison(
 ) -> CarrierComparison:
     """mmReliable vs the BeamSpy single-beam baseline at both carriers.
 
-    One ensemble per (carrier, system); a seed-run that raises aborts
-    the comparison (``max_failure_fraction=0``).
+    One comparison per carrier, so both systems read each seed's
+    ray-traced channels once; a seed-run that raises aborts the
+    comparison (``max_failure_fraction=0``).
     """
+    columns = {"single": "beamspy", "multibeam": "mmreliable-static"}
     results: Dict[str, Dict[str, float]] = {}
     for label, carrier in (("28GHz", 28e9), ("60GHz", 60e9)):
-        array = UniformLinearArray(
-            num_elements=8, carrier_frequency_hz=carrier
+        summaries = compare_systems(
+            tuple(columns.values()),
+            partial(_scenario, carrier, blockage_fraction),
+            1.0,
+            seeds,
+            workers=workers,
+            faults=faults,
+            max_failure_fraction=0.0,
+            label_suffix=f"@{label}",
+            array=UniformLinearArray(
+                num_elements=8, carrier_frequency_hz=carrier
+            ),
+            bandwidth_hz=bandwidth_hz,
         )
-        results[label] = {}
-        for column, kind in (
-            ("single", "beamspy"), ("multibeam", "mmreliable-static"),
-        ):
-            summary = execute_ensemble(
-                EnsembleSpec(
-                    label=f"{kind}@{label}",
-                    simulator_factory=partial(
-                        build_link_simulator,
-                        partial(_scenario, carrier, blockage_fraction),
-                        partial(
-                            make_manager, kind, array=array,
-                            bandwidth_hz=bandwidth_hz,
-                        ),
-                        1.0,
-                    ),
-                    seeds=tuple(seeds),
-                    workers=workers,
-                    max_failure_fraction=0.0,
-                    faults=tuple(faults),
+        results[label] = {
+            column: float(
+                np.mean(
+                    [m.mean_throughput_bps / 1e6 for m in summaries[kind].metrics]
                 )
             )
-            results[label][column] = float(
-                np.mean([m.mean_throughput_bps / 1e6 for m in summary.metrics])
-            )
+            for column, kind in columns.items()
+        }
     return CarrierComparison(throughput_mbps=results)
 
 

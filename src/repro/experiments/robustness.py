@@ -20,10 +20,9 @@ from repro.channel.clusters import (
     ClusterProfile,
     generate_clustered_channel,
 )
-from repro.experiments.common import TESTBED_ULA, make_manager
+from repro.experiments.common import TESTBED_ULA, compare_systems
 from repro.experiments.registry import ExperimentConfig
-from repro.sim.executor import EnsembleSpec, EnsembleSummary, execute_ensemble
-from repro.sim.link import build_link_simulator
+from repro.sim.executor import EnsembleSummary
 from repro.sim.scenarios import SyntheticScenario
 
 
@@ -76,27 +75,18 @@ def run_clustered_ensembles(
 ) -> Dict[str, EnsembleSummary]:
     """mmReliable vs baselines over random clustered channels.
 
-    ``workers`` fans the seed-runs out over the ensemble executor's
-    process pool; the per-seed metrics are identical either way.
+    Every system faces each seed's one channel draw; ``workers`` fans
+    the seed-runs out over the ensemble executor's process pool, and the
+    per-seed metrics are identical either way.
     """
-    systems = ("mmreliable", "reactive", "beamspy", "oracle")
-    summaries = {}
-    for system in systems:
-        summaries[system] = execute_ensemble(
-            EnsembleSpec(
-                label=system,
-                simulator_factory=partial(
-                    build_link_simulator,
-                    partial(clustered_scenario, profile=profile),
-                    partial(make_manager, system),
-                    duration_s,
-                ),
-                seeds=tuple(seeds),
-                workers=workers,
-                faults=tuple(faults),
-            )
-        )
-    return summaries
+    return compare_systems(
+        ("mmreliable", "reactive", "beamspy", "oracle"),
+        partial(clustered_scenario, profile=profile),
+        duration_s,
+        seeds,
+        workers=workers,
+        faults=faults,
+    )
 
 
 def run(config: ExperimentConfig) -> Dict[str, Any]:

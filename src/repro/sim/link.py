@@ -51,19 +51,38 @@ Maintenance ticks are derived from an integer tick counter (the
 threshold is always ``tick * maintenance_period_s``), not by repeatedly
 adding the period, so long runs cannot drift off the sample grid through
 float accumulation.
+
+Comparisons
+-----------
+The paper's figures compare systems that face the same mobility and
+blockage.  :class:`LinkComparison` is one seed of such a comparison: it
+builds the seed's scenario once and runs each system's
+:class:`LinkSimulator` over one :func:`~repro.sim.scenarios.memoize_channels`
+memo of it in turn, so each channel is computed once per seed rather
+than once per system.  Each system's link is otherwise the run it would
+be alone (:func:`build_link_simulator`): its own manager, its own fault
+injector and its own telemetry scope, so its trace and events are
+bitwise the standalone run's.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.faults import FaultInjector
 from repro.phy.mcs import NR_MCS_TABLE, select_mcs_indices
 from repro.sim.metrics import LinkMetrics
-from repro.telemetry import EventKind, get_recorder
+from repro.sim.scenarios import memoize_channels
+from repro.telemetry import (
+    EventKind,
+    TelemetryRecorder,
+    get_recorder,
+    use_recorder,
+)
 
 #: Upper bound on samples evaluated by one batched SNR call, which keeps
 #: the intermediate ``(T, F, L)`` rotation tensor's footprint bounded.
@@ -419,3 +438,100 @@ class LinkSimulator:
                 snr[index] = self.manager.link_snr_db(channel)
             except Exception:
                 snr[index] = -np.inf
+
+
+def build_link_comparison(
+    scenario_factory: Callable[[int], object],
+    systems: Sequence[Tuple[str, Callable[[int], object]]],
+    duration_s: float,
+    seed: int,
+) -> "LinkComparison":
+    """Module-level seed-run factory for comparison ensemble specs.
+
+    ``systems`` is ``((label, manager_factory), ...)``.
+    ``functools.partial(build_link_comparison, scenario_factory, systems,
+    duration_s)`` is picklable whenever the factories are, so
+    comparisons can use the executor's process pool.  The scenario is
+    built here; each manager is built when its system's turn comes.
+    """
+    return LinkComparison(
+        scenario=scenario_factory(int(seed)),
+        systems=tuple(systems),
+        duration_s=duration_s,
+        seed=int(seed),
+    )
+
+
+@dataclass(frozen=True)
+class ComparisonTrace:
+    """Each compared system's trace of one seed, in system order."""
+
+    traces: Tuple[SimulationTrace, ...]
+
+    def metrics(self) -> Tuple[LinkMetrics, ...]:
+        """Each system's :class:`LinkMetrics`, in system order."""
+        return tuple(trace.metrics() for trace in self.traces)
+
+
+@dataclass
+class LinkComparison:
+    """Runs every compared system's link over one seed's scenario.
+
+    Implements the executor's simulator contract (``run()`` returning a
+    trace with ``metrics()``, and the :class:`repro.faults.FaultTarget`
+    protocol), like :class:`~repro.network.simulator.NetworkSimulator`.
+    """
+
+    scenario: object
+    systems: Tuple[Tuple[str, Callable[[int], object]], ...]
+    duration_s: float = 1.0
+    seed: int = 0
+    _injector: Optional[FaultInjector] = field(
+        default=None, init=False, repr=False
+    )
+
+    def install_fault_injector(self, injector: FaultInjector) -> None:
+        """Arm every system's link with a campaign like ``injector``'s.
+
+        Injector streams are stateful (one draw per probe or round), so
+        each link gets its own ``FaultInjector(seed, specs)``: its fault
+        schedule is the one it would draw alone.
+        """
+        self._injector = injector
+
+    def run(self) -> ComparisonTrace:
+        """Run the systems in order over one memo of the seed's channels.
+
+        Under an enabled recorder each system records into its own
+        recorder scoped ``"<label>/seed<n>"``, whose events are then
+        absorbed into the active one, so every run label reads as it
+        would in a one-system ensemble labelled ``label``.
+        """
+        channels = memoize_channels(self.scenario)
+        outer = get_recorder()
+        traces: List[SimulationTrace] = []
+        for label, manager_factory in self.systems:
+            if not outer.enabled:
+                traces.append(self._run_system(channels, manager_factory))
+                continue
+            recorder = TelemetryRecorder(scope=f"{label}/seed{self.seed}")
+            with use_recorder(recorder):
+                traces.append(self._run_system(channels, manager_factory))
+            outer.absorb(recorder.events)
+        return ComparisonTrace(traces=tuple(traces))
+
+    def _run_system(
+        self, channels: object, manager_factory: Callable[[int], object]
+    ) -> SimulationTrace:
+        link = LinkSimulator(
+            scenario=channels,
+            manager=manager_factory(self.seed),
+            duration_s=self.duration_s,
+        )
+        if self._injector is not None:
+            link.install_fault_injector(
+                FaultInjector(
+                    seed=self._injector.seed, specs=self._injector.specs
+                )
+            )
+        return link.run()

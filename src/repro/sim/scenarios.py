@@ -8,12 +8,15 @@ Two scenario families cover everything in the evaluation:
 * :class:`GeometricScenario` — paths ray-traced from a 2-D environment as
   the UE follows a trajectory.  This mirrors the free-motion end-to-end
   runs.
+
+:func:`memoize_channels` wraps either one so that several links reading
+the same seed's scenario compute each channel once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -243,6 +246,64 @@ class GeometricScenario:
         channel = GeometricChannel(tx_array=self.array, paths=paths)
         factors = self.blockage.amplitude_factors(time_s, channel.num_paths)
         return channel.with_path_scaling(factors)
+
+
+class ChannelMemo:
+    """One seed's channels, computed once for every link that reads them.
+
+    A comparison seed-run (:class:`repro.sim.link.LinkComparison`) hands
+    one memo to each compared system's link in turn, so ``channel_at(t)``
+    runs once per distinct time however many systems ask for it.
+    Channels are immutable, so reading a shared one is the same as
+    building a fresh one; only its lazy response memos stay warm.  The
+    memo lives as long as the seed-run holding it and stores no bound
+    method of itself, so dropping the seed-run frees it at once.
+    """
+
+    __slots__ = ("scenario", "_channels")
+
+    def __init__(self, scenario) -> None:
+        self.scenario = scenario
+        self._channels: Dict[float, GeometricChannel] = {}
+
+    def channel_at(self, time_s: float) -> GeometricChannel:
+        """The scenario's channel at ``time_s``, built on first request."""
+        channel = self._channels.get(time_s)
+        if channel is None:
+            channel = self.scenario.channel_at(time_s)
+            self._channels[time_s] = channel
+        return channel
+
+
+class BatchChannelMemo(ChannelMemo):
+    """A :class:`ChannelMemo` that also memoizes ``channel_batch`` by the
+    exact sample times (one entry per sample-clock chunk)."""
+
+    __slots__ = ("_batches",)
+
+    def __init__(self, scenario) -> None:
+        super().__init__(scenario)
+        self._batches: Dict[bytes, object] = {}
+
+    def channel_batch(self, times_s):
+        """The scenario's batch over ``times_s``, built on first request."""
+        key = np.asarray(times_s, dtype=float).tobytes()
+        batch = self._batches.get(key)
+        if batch is None:
+            batch = self.scenario.channel_batch(times_s)
+            self._batches[key] = batch
+        return batch
+
+
+def memoize_channels(scenario) -> ChannelMemo:
+    """A memo over ``scenario`` offering exactly the channel calls it does.
+
+    Only a scenario with ``channel_batch`` gets a memo with one, because
+    the link simulator picks its sample-clock path by that attribute.
+    """
+    if hasattr(scenario, "channel_batch"):
+        return BatchChannelMemo(scenario)
+    return ChannelMemo(scenario)
 
 
 def indoor_two_path_scenario(

