@@ -14,7 +14,7 @@ Two contracts:
 from repro.experiments import fault_tolerance
 from repro.experiments.common import make_manager
 from repro.experiments.fig18_end2end import _mobile_scenario
-from repro.faults import FaultInjector, FaultSpec
+from repro.faults import FaultInjector, FaultSpec, use_injector
 from repro.sim.link import LinkSimulator
 
 ZERO_CAMPAIGN = (
@@ -25,24 +25,20 @@ ZERO_CAMPAIGN = (
 )
 
 
-def make_sim(seed=0, duration=0.25, faults=None):
-    simulator = LinkSimulator(
+def make_sim(seed=0, duration=0.25):
+    return LinkSimulator(
         scenario=_mobile_scenario(
             seed, speed_mps=1.5, blockage_depth_db=30.0, distance_m=25.0
         ),
         manager=make_manager("mmreliable", seed),
         duration_s=duration,
     )
-    if faults is not None:
-        simulator.install_fault_injector(
-            FaultInjector(seed=seed, specs=faults)
-        )
-    return simulator
 
 
 def test_zero_rate_injector_is_free():
     plain = make_sim().run()
-    injected = make_sim(faults=ZERO_CAMPAIGN).run()
+    with use_injector(FaultInjector(seed=0, specs=ZERO_CAMPAIGN)):
+        injected = make_sim().run()
 
     # The bitwise-identity contract: all-zero rates never draw, so the
     # sounder's RNG stream — and therefore the physics — is untouched.

@@ -8,17 +8,20 @@ injector and any observed failure replays exactly from
 ``(seed, fault_spec)``.
 
 Layering: this package depends only on numpy and ``repro.telemetry``.
-The sounder (:mod:`repro.phy.ofdm`) exposes an optional
-``fault_injector`` hook, the link simulator (:mod:`repro.sim.link`)
-asks it whether each maintenance round's report was lost, and the
-ensemble executor (:mod:`repro.sim.executor`) constructs one injector
-per run from ``EnsembleSpec.faults``.
+The active injector sits in a thread-scoped slot (:func:`get_injector`,
+:func:`use_injector`), as the telemetry recorder does.  The ensemble
+executor (:mod:`repro.sim.executor`) builds one injector per seed-run
+from ``EnsembleSpec.faults`` and scopes it around the run; the sounder
+(:mod:`repro.phy.ofdm`) reads the slot for probe and element faults,
+and the link simulator (:mod:`repro.sim.link`) for whether each
+maintenance round's report was lost.
 """
 
 from repro.faults.injector import (
     FaultInjector,
-    FaultTarget,
     InjectedWorkerCrash,
+    get_injector,
+    use_injector,
 )
 from repro.faults.spec import (
     KNOWN_FAULT_KINDS,
@@ -34,9 +37,10 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultSpec",
-    "FaultTarget",
     "InjectedWorkerCrash",
+    "get_injector",
     "load_fault_specs",
     "parse_fault",
     "parse_fault_specs",
+    "use_injector",
 ]

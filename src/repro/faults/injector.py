@@ -13,27 +13,26 @@ so the schedule of one kind does not shift when another kind's rate
 changes.  Chaos kinds (worker crash, slow run) draw once per run, from
 streams keyed like every other kind's.
 
-Consumers stay decoupled: the sounder exposes an optional
-``fault_injector`` attribute for probe-level and element faults, and
-simulators that accept chaos implement the :class:`FaultTarget`
-protocol — a single typed ``install_fault_injector`` method.  The link
-simulator owns the control-plane hook: it asks
-:meth:`FaultInjector.feedback_dropped` once per maintenance round and
-skips the round of whichever beam manager it drives.
+Consumers stay decoupled, the way telemetry's do: the active injector
+lives in a thread-scoped slot.  The ensemble executor scopes each
+seed-run's injector with :func:`use_injector`, and every fault hook
+reads :func:`get_injector` — the sounder for probe-level and element
+faults, the link simulator for each maintenance round's
+:meth:`FaultInjector.feedback_dropped`.  Outside any scope the slot
+holds ``None`` and nothing is faulted::
+
+    with use_injector(FaultInjector(seed=0, specs=specs)):
+        LinkSimulator(...).run()
+
+Every fault that fires is recorded only as a ``fault_injected``
+telemetry event.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+import threading
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -77,17 +76,9 @@ class FaultInjector:
         self._stuck_masks: Dict[int, npt.NDArray[np.bool_]] = {}
         self._last_clean_csi: Optional[npt.NDArray[Any]] = None
         self._chaos: Optional[Tuple[float, bool]] = None
-        #: Chronological ``(time_s, kind)`` log of every fault that fired,
-        #: the ground truth for schedule-reproducibility tests.
-        self.injected: List[Tuple[float, str]] = []
 
     # ------------------------------------------------------------------
     # stream plumbing
-
-    @property
-    def enabled(self) -> bool:
-        """True when any spec can actually fire."""
-        return any(spec.rate > 0.0 for spec in self.specs)
 
     def rate(self, kind: str) -> float:
         spec = self._spec_by_kind.get(kind)
@@ -110,7 +101,6 @@ class FaultInjector:
         return bool(self._rng(kind).random() < spec.rate)
 
     def _record(self, kind: str, time_s: float, **fields: object) -> None:
-        self.injected.append((float(time_s), kind))
         recorder = get_recorder()
         if recorder.enabled:
             recorder.emit(EventKind.FAULT_INJECTED, time_s, fault=kind, **fields)
@@ -219,20 +209,26 @@ class FaultInjector:
         return self._chaos_draws()[1]
 
 
-@runtime_checkable
-class FaultTarget(Protocol):
-    """Anything chaos can be installed on — simulators, link or network.
+# The active injector is thread-scoped like the telemetry recorder: the
+# serve layer runs jobs on worker threads, and a process-wide slot would
+# leak one job's campaign into another's seed-runs.
+_ACTIVE = threading.local()
 
-    The executor wires an injector into whatever it is about to run via
-    this single typed method, instead of reaching into the object's
-    manager/sounder attributes.  :class:`repro.sim.link.LinkSimulator`
-    implements it by wiring its manager's sounder and keeping the
-    injector for its maintenance rounds;
-    :class:`repro.network.simulator.NetworkSimulator` fans the same
-    injector out to every per-user manager.
-    """
 
-    def install_fault_injector(self, injector: FaultInjector) -> None:
-        """Attach ``injector`` to every fault hook this target owns."""
-        ...  # pragma: no cover - protocol
+def get_injector() -> Optional[FaultInjector]:
+    """The injector scoped on this thread (``None`` by default)."""
+    injector: Optional[FaultInjector] = getattr(_ACTIVE, "injector", None)
+    return injector
 
+
+@contextmanager
+def use_injector(
+    injector: Optional[FaultInjector],
+) -> Iterator[Optional[FaultInjector]]:
+    """Scope ``injector`` (``None``: no injector) for a ``with`` block."""
+    previous = get_injector()
+    _ACTIVE.injector = injector
+    try:
+        yield injector
+    finally:
+        _ACTIVE.injector = previous

@@ -27,8 +27,8 @@ directly (enforced by the differential test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -229,27 +229,18 @@ class NetworkSimulator:
     """Runs one :class:`NetworkScenario` end to end for one seed.
 
     Implements the same contract as :class:`LinkSimulator` — ``run()``
-    returning a trace with ``metrics()``, plus the
-    :class:`repro.faults.FaultTarget` protocol — so the ensemble
-    executor, telemetry, and fault machinery drive it unchanged via
-    ``EnsembleSpec.simulator_factory``.
+    returning a trace with ``metrics()`` — so the ensemble executor,
+    telemetry, and fault machinery drive it unchanged via
+    ``EnsembleSpec.simulator_factory``.  Every user's link reads the one
+    injector scoped around the run, so one campaign stresses the whole
+    network the way it stresses a single link.
     """
 
     scenario: NetworkScenario
     seed: int = 0
-    _injector: Optional[object] = field(default=None, init=False, repr=False)
-
-    def install_fault_injector(self, injector: object) -> None:
-        """Arm a fault injector for every per-user link of this run.
-
-        The injector is wired into each user's manager/sounder as the
-        links are built, so one campaign stresses the whole network the
-        way it stresses a single link.
-        """
-        self._injector = injector
 
     def _build_link(self, batch: UserBatch, user_index: int) -> LinkSimulator:
-        simulator = LinkSimulator(
+        return LinkSimulator(
             scenario=self.scenario.link_scenario(self.seed, batch, user_index),
             manager=self.scenario.build_manager(
                 self.seed, batch, user_index
@@ -258,9 +249,6 @@ class NetworkSimulator:
             sample_period_s=self.scenario.sample_period_s,
             maintenance_period_s=self.scenario.maintenance_period_s,
         )
-        if self._injector is not None:
-            simulator.install_fault_injector(self._injector)
-        return simulator
 
     def run(self) -> NetworkTrace:
         """Place, schedule, simulate every link, and fold in interference."""

@@ -18,6 +18,7 @@ import numpy as np
 from repro.channel.geometric import GeometricChannel
 from repro.channel.impairments import CfoSfoModel, awgn_noise_power_watt, complex_awgn
 from repro.channel.wideband import ofdm_frequency_grid
+from repro.faults import get_injector
 from repro.phy.numerology import FR2_120KHZ, Numerology
 from repro.utils import ensure_rng
 from repro.utils.units import power_linear_to_db
@@ -128,16 +129,17 @@ class ChannelSounder:
     Each :meth:`sound` call models one reference-signal probe: the true
     beamformed frequency response plus complex AWGN (scaled so the estimate
     error matches the link SNR) and a common-mode CFO/SFO phase rotation.
+
+    Under a scoped :class:`repro.faults.FaultInjector`
+    (:func:`repro.faults.use_injector`), transmit weights pass through
+    its stuck-element mask and every sounded CSI snapshot through its
+    probe filter.  The injector keeps its own RNG streams, so no
+    injector and a zero-rate injector are bitwise identical.
     """
 
     config: OfdmConfig
     cfo_model: Optional[CfoSfoModel] = None
     rng: object = None
-    #: Optional :class:`repro.faults.FaultInjector`.  When set, transmit
-    #: weights pass through its stuck-element mask and every sounded CSI
-    #: snapshot through its probe filter.  The injector keeps its own RNG
-    #: streams, so ``None`` and a zero-rate injector are bitwise identical.
-    fault_injector: Optional[object] = None
 
     def __post_init__(self) -> None:
         self.rng = ensure_rng(self.rng)
@@ -150,7 +152,7 @@ class ChannelSounder:
         time_s: float = 0.0,
     ) -> ChannelEstimate:
         """Sound the channel through the given beams once."""
-        injector = self.fault_injector
+        injector = get_injector()
         if injector is not None:
             tx_weights = injector.apply_element_faults(tx_weights)
         freqs = self.config.frequency_grid()
@@ -184,21 +186,16 @@ class ChannelSounder:
         estimates match per-beam sounding to the documented last-ulp
         tolerance of the stacked response.
         """
-        injector = self.fault_injector
+        injector = get_injector()
         weights = list(tx_weights_list)
         if not weights:
             return []
         if injector is not None:
             weights = [injector.apply_element_faults(w) for w in weights]
         freqs = self.config.frequency_grid()
-        batched = getattr(channel, "frequency_response_many", None)
-        if batched is not None:
-            responses = batched(weights, freqs, rx_weights)  # (B, F)
-        else:  # channel double exposing only the scalar response
-            responses = [
-                channel.frequency_response(w, freqs, rx_weights)
-                for w in weights
-            ]
+        responses = channel.frequency_response_many(
+            weights, freqs, rx_weights
+        )  # (B, F)
         noise_variance = (
             self.config.noise_power_watt / self.config.transmit_power_watt
         )
@@ -248,8 +245,9 @@ class ChannelSounder:
         the data beam, not just the probes — but probe-level faults do
         not: this is the physical link, not a measurement of it.
         """
-        if self.fault_injector is not None:
-            tx_weights = self.fault_injector.apply_element_faults(tx_weights)
+        injector = get_injector()
+        if injector is not None:
+            tx_weights = injector.apply_element_faults(tx_weights)
         freqs = self.config.frequency_grid()
         response = channel.frequency_response(tx_weights, freqs, rx_weights)
         return self.config.snr_db(float(np.mean(np.abs(response) ** 2)))
@@ -280,8 +278,9 @@ class ChannelSounder:
                     dtype=float,
                 )
             channels = batch
-        if self.fault_injector is not None:
-            tx_weights = self.fault_injector.apply_element_faults(tx_weights)
+        injector = get_injector()
+        if injector is not None:
+            tx_weights = injector.apply_element_faults(tx_weights)
         freqs = self.config.frequency_grid()
         response = channels.frequency_response(tx_weights, freqs)
         powers = np.mean(np.abs(response) ** 2, axis=1)

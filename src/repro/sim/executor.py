@@ -39,16 +39,17 @@ import numpy as np
 from repro.faults import (
     FaultInjector,
     FaultSpec,
-    FaultTarget,
     InjectedWorkerCrash,
+    use_injector,
 )
 from repro.sim.metrics import LinkMetrics
 from repro.telemetry import (
+    NULL_RECORDER,
     Event,
     TelemetryRecorder,
     TelemetrySummary,
     get_recorder,
-    set_recorder,
+    use_recorder,
 )
 
 __all__ = [
@@ -209,11 +210,11 @@ class EnsembleSpec:
     """Everything needed to run one ensemble: a simulator per seed.
 
     ``simulator_factory(seed)`` builds the whole run — anything whose
-    ``run()`` returns a trace with a ``metrics()`` method and which
-    implements the :class:`repro.faults.FaultTarget` protocol.  Link
-    ensembles pass ``partial(build_link_simulator, scenario_factory,
-    manager_factory, duration_s)`` (see :mod:`repro.sim.link`); network
-    ensembles pass ``partial(build_network_simulator, scenario)``.  For
+    ``run()`` returns a trace with a ``metrics()`` method; that is the
+    whole contract.  Link ensembles pass ``partial(build_link_simulator,
+    scenario_factory, manager_factory, duration_s)`` (see
+    :mod:`repro.sim.link`); network ensembles pass
+    ``partial(build_network_simulator, scenario)``.  For
     ``workers > 1`` the factory must be picklable (module-level
     functions or :func:`functools.partial` over them); a factory that
     cannot be pickled falls back to the serial path with a warning.
@@ -225,9 +226,9 @@ class EnsembleSpec:
     workers: int = 1
     max_failure_fraction: float = 0.5
     #: Fault-injection campaign applied inside every run (a
-    #: :class:`repro.faults.FaultInjector` is built per seed).  Empty
-    #: means no injector at all; all-zero rates are bitwise identical
-    #: to that.
+    #: :class:`repro.faults.FaultInjector` is built per seed and scoped
+    #: around its run).  Empty means no injector at all; all-zero rates
+    #: are bitwise identical to that.
     faults: Tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -285,39 +286,36 @@ def _run_one_seed(payload: tuple) -> tuple:
     Module-level so the process pool can pickle it by reference.  The
     traceback is captured inside the worker, where the frames still
     exist, and shipped back as a string.  When telemetry is requested, a
-    recorder scoped to ``"<label>/seed<n>"`` is installed for the run and
+    recorder with scope ``"<label>/seed<n>"`` is active for the run and
     its events ship back as plain picklable data.
 
     When the payload carries fault specs, a :class:`FaultInjector` keyed
-    by the seed is built first: executor chaos (slow run, injected
-    worker crash) applies before the simulation, and the injector is
-    installed on the simulator for in-run faults.
+    by the seed is scoped around the run the same way
+    (:func:`repro.faults.use_injector`): executor chaos (slow run,
+    injected worker crash) applies before the simulation, and every
+    fault hook inside the run reads the same injector.
     """
     seed, label, simulator_factory, collect_telemetry, faults = payload
     started = time.perf_counter()
     recorder = (
         TelemetryRecorder(scope=f"{label}/seed{int(seed)}")
         if collect_telemetry
-        else None
+        else NULL_RECORDER
     )
-    previous_recorder = None
-    if recorder is not None:
-        previous_recorder = set_recorder(recorder)
     try:
-        injector = None
-        if faults:
-            injector = FaultInjector(seed=int(seed), specs=faults)
-            delay_s = injector.chaos_delay_s()
-            if delay_s > 0.0:
-                time.sleep(delay_s)
-            if injector.chaos_crash():
-                raise InjectedWorkerCrash(
-                    f"injected worker crash (seed {int(seed)})"
-                )
-        simulator: FaultTarget = simulator_factory(int(seed))
-        if injector is not None:
-            simulator.install_fault_injector(injector)
-        metrics = simulator.run().metrics()
+        injector = (
+            FaultInjector(seed=int(seed), specs=faults) if faults else None
+        )
+        with use_recorder(recorder), use_injector(injector):
+            if injector is not None:
+                delay_s = injector.chaos_delay_s()
+                if delay_s > 0.0:
+                    time.sleep(delay_s)
+                if injector.chaos_crash():
+                    raise InjectedWorkerCrash(
+                        f"injected worker crash (seed {int(seed)})"
+                    )
+            metrics = simulator_factory(int(seed)).run().metrics()
     except Exception as error:  # per-seed fault tolerance
         return (
             "failure",
@@ -329,10 +327,7 @@ def _run_one_seed(payload: tuple) -> tuple:
                 kind="crash" if isinstance(error, InjectedWorkerCrash) else "error",
             ),
         )
-    finally:
-        if recorder is not None:
-            set_recorder(previous_recorder)
-    run_events = None if recorder is None else tuple(recorder.events)
+    run_events = tuple(recorder.events) if collect_telemetry else None
     return (
         "success",
         int(seed),

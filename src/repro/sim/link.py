@@ -19,10 +19,11 @@ and ``training_windows``.  The simulator records every action but
 ``"none"`` on the trace; everything else a round measured or decided is
 recorded only in the telemetry event stream.  Training windows are
 charged as link-unavailable time, so reactive baselines pay for their
-re-scans exactly as in the paper.  With a fault injector installed, the
-simulator asks it once per maintenance round whether the round's report
-was lost; a lost report records ``feedback_dropout`` instead of calling
-``step``, for every manager alike.
+re-scans exactly as in the paper.  Under a scoped fault injector
+(:func:`repro.faults.use_injector`), the simulator asks it once per
+maintenance round whether the round's report was lost; a lost report
+records ``feedback_dropout`` instead of calling ``step``, for every
+manager alike.
 
 Weight spans
 ------------
@@ -68,12 +69,12 @@ bitwise the standalone run's.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, get_injector, use_injector
 from repro.phy.mcs import NR_MCS_TABLE, select_mcs_indices
 from repro.sim.metrics import LinkMetrics
 from repro.sim.scenarios import memoize_channels
@@ -165,7 +166,6 @@ class LinkSimulator:
     duration_s: float = 1.0
     sample_period_s: float = 1e-3
     maintenance_period_s: float = 5e-3
-    fault_injector: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -176,17 +176,6 @@ class LinkSimulator:
             raise ValueError(
                 "maintenance_period_s must be >= sample_period_s"
             )
-
-    def install_fault_injector(self, injector) -> None:
-        """Wire a :class:`repro.faults.FaultInjector` into this link.
-
-        Implements the :class:`repro.faults.FaultTarget` protocol: probe
-        and element faults attach to the manager's sounder, and the
-        simulator keeps the injector to draw each maintenance round's
-        feedback dropout itself.
-        """
-        self.manager.sounder.fault_injector = injector
-        self.fault_injector = injector
 
     def run(self) -> SimulationTrace:
         """Establish at t=0, then sample and maintain until the horizon.
@@ -207,6 +196,7 @@ class LinkSimulator:
         tracing = recorder.enabled
         if tracing:
             recorder.begin_run(type(self.manager).__name__, time_s=0.0)
+        injector = get_injector()
         last_mcs: Optional[int] = None
 
         def enter_degraded(time_s: float, stage: str, error: Exception) -> None:
@@ -247,9 +237,7 @@ class LinkSimulator:
                 if not established:
                     self.manager.establish(channel, time_s=t)
                     established = True
-                elif self.fault_injector is not None and (
-                    self.fault_injector.feedback_dropped(t)
-                ):
+                elif injector is not None and injector.feedback_dropped(t):
                     # The round's SNR/CQI report never arrived: hold every
                     # decision (acting on a missing report would be guessing).
                     actions.append((t, "feedback_dropout"))
@@ -478,60 +466,50 @@ class LinkComparison:
     """Runs every compared system's link over one seed's scenario.
 
     Implements the executor's simulator contract (``run()`` returning a
-    trace with ``metrics()``, and the :class:`repro.faults.FaultTarget`
-    protocol), like :class:`~repro.network.simulator.NetworkSimulator`.
+    trace with ``metrics()``), like
+    :class:`~repro.network.simulator.NetworkSimulator`.
     """
 
     scenario: object
     systems: Tuple[Tuple[str, Callable[[int], object]], ...]
     duration_s: float = 1.0
     seed: int = 0
-    _injector: Optional[FaultInjector] = field(
-        default=None, init=False, repr=False
-    )
-
-    def install_fault_injector(self, injector: FaultInjector) -> None:
-        """Arm every system's link with a campaign like ``injector``'s.
-
-        Injector streams are stateful (one draw per probe or round), so
-        each link gets its own ``FaultInjector(seed, specs)``: its fault
-        schedule is the one it would draw alone.
-        """
-        self._injector = injector
 
     def run(self) -> ComparisonTrace:
         """Run the systems in order over one memo of the seed's channels.
 
-        Under an enabled recorder each system records into its own
-        recorder scoped ``"<label>/seed<n>"``, whose events are then
-        absorbed into the active one, so every run label reads as it
-        would in a one-system ensemble labelled ``label``.
+        Under a scoped fault injector each system's link runs under its
+        own ``FaultInjector(seed, specs)`` with the same campaign:
+        injector streams are stateful (one draw per probe or round), so
+        each system draws the fault schedule it would draw alone.  Under
+        an enabled recorder each system records into its own recorder
+        scoped ``"<label>/seed<n>"``, whose events are then absorbed
+        into the active one, so every run label reads as it would in a
+        one-system ensemble labelled ``label``.
         """
         channels = memoize_channels(self.scenario)
         outer = get_recorder()
+        campaign = get_injector()
         traces: List[SimulationTrace] = []
         for label, manager_factory in self.systems:
-            if not outer.enabled:
-                traces.append(self._run_system(channels, manager_factory))
-                continue
-            recorder = TelemetryRecorder(scope=f"{label}/seed{self.seed}")
-            with use_recorder(recorder):
-                traces.append(self._run_system(channels, manager_factory))
-            outer.absorb(recorder.events)
-        return ComparisonTrace(traces=tuple(traces))
-
-    def _run_system(
-        self, channels: object, manager_factory: Callable[[int], object]
-    ) -> SimulationTrace:
-        link = LinkSimulator(
-            scenario=channels,
-            manager=manager_factory(self.seed),
-            duration_s=self.duration_s,
-        )
-        if self._injector is not None:
-            link.install_fault_injector(
-                FaultInjector(
-                    seed=self._injector.seed, specs=self._injector.specs
-                )
+            recorder = (
+                TelemetryRecorder(scope=f"{label}/seed{self.seed}")
+                if outer.enabled
+                else outer
             )
-        return link.run()
+            injector = (
+                None
+                if campaign is None
+                else FaultInjector(seed=campaign.seed, specs=campaign.specs)
+            )
+            with use_recorder(recorder), use_injector(injector):
+                traces.append(
+                    LinkSimulator(
+                        scenario=channels,
+                        manager=manager_factory(self.seed),
+                        duration_s=self.duration_s,
+                    ).run()
+                )
+            if outer.enabled:
+                outer.absorb(recorder.events)
+        return ComparisonTrace(traces=tuple(traces))

@@ -1,8 +1,8 @@
-"""The telemetry recorder and the process-wide current-recorder slot.
+"""The telemetry recorder and the thread-scoped current-recorder slot.
 
 Instrumented hot paths (`sim.link`, `core.maintenance`, the baselines,
 ...) fetch the active recorder with :func:`get_recorder` and bail out on
-``recorder.enabled`` — with telemetry off that is one module-global load
+``recorder.enabled`` — with telemetry off that is one thread-local lookup
 and one attribute check, so the simulator's numeric behaviour and its
 wall time are untouched.  Enabling telemetry is scoped::
 
@@ -10,9 +10,10 @@ wall time are untouched.  Enabling telemetry is scoped::
         LinkSimulator(...).run()
     print(recorder.summary().describe())
 
-Each process (including every ensemble pool worker) has its own slot;
-the executor installs a recorder inside the worker and ships the
-captured events back to the parent as plain data.
+Each thread has its own slot, so serve-layer jobs on worker threads
+never see each other's recorders; the executor scopes a recorder around
+each seed-run (inside a pool worker too) and ships the captured events
+back to the parent as plain data.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ from repro.beamtraining import ExhaustiveTrainer
 from repro.channel.blockage import BlockageEvent, BlockageSchedule
 from repro.core.handover import MultiGnbManager
 from repro.core.maintenance import MultiBeamManager
+from repro.faults import FaultInjector, FaultSpec, use_injector
 from repro.phy.mcs import OUTAGE_SNR_DB
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
+from repro.sim.link import LinkSimulator
 from repro.sim.scenarios import SyntheticScenario, two_path_channel
 
 
@@ -144,3 +146,40 @@ class TestHandover:
             manager.step(channels, float(t))
         assert manager.serving_index == 0
         assert manager.handover_count == 0
+
+
+class EveryGnb:
+    """A multi-gNB link's scenario: each gNB's channel at one instant."""
+
+    def __init__(self, scenarios):
+        self.scenarios = scenarios
+
+    def channel_at(self, time_s):
+        return [scenario.channel_at(time_s) for scenario in self.scenarios]
+
+
+class TestFaultCampaign:
+    @pytest.mark.parametrize("first", ["serving", "backup"])
+    def test_total_probe_loss_reaches_whichever_gnb_serves(self, first):
+        # Every gNB's sounder reads the scoped campaign, so with every
+        # probe lost no gNB completes a healthy maintenance round, even
+        # after the link hands over.
+        scenarios = dual_scenarios()
+        if first == "backup":
+            scenarios = scenarios[::-1]
+        simulator = LinkSimulator(
+            scenario=EveryGnb(scenarios),
+            manager=make_multi_gnb(),
+            duration_s=0.5,
+        )
+        injector = FaultInjector(
+            seed=0, specs=(FaultSpec("probe_loss", 1.0),)
+        )
+        with use_injector(injector):
+            trace = simulator.run()
+        actions = {action for _, action in trace.actions}
+        assert "measurement_dropped" in actions
+        assert "handover" in actions
+        assert actions <= {
+            "measurement_dropped", "watchdog_retrain", "handover"
+        }

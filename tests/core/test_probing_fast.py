@@ -17,7 +17,7 @@ from repro.channel.geometric import GeometricChannel
 from repro.channel.impairments import CfoSfoModel
 from repro.channel.paths import Path
 from repro.core.probing import ProbeController
-from repro.faults import FaultInjector, FaultKind, FaultSpec
+from repro.faults import FaultInjector, FaultKind, FaultSpec, use_injector
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
 from repro.phy.reference_signals import ProbeBudget
 
@@ -34,7 +34,19 @@ def make_channel():
     return GeometricChannel(tx_array=ARRAY, paths=paths)
 
 
-def make_sounder(seed=42, cfo=False, faults=False):
+def make_sounder(seed=42, cfo=False):
+    cfo_model = (
+        CfoSfoModel(rng=np.random.default_rng(seed + 1)) if cfo else None
+    )
+    return ChannelSounder(
+        config=OfdmConfig(),
+        cfo_model=cfo_model,
+        rng=np.random.default_rng(seed),
+    )
+
+
+def fresh_campaign(faults):
+    """Scope a fresh injector (or none): each side draws its own streams."""
     injector = None
     if faults:
         injector = FaultInjector(
@@ -44,15 +56,7 @@ def make_sounder(seed=42, cfo=False, faults=False):
             ),
             seed=7,
         )
-    cfo_model = (
-        CfoSfoModel(rng=np.random.default_rng(seed + 1)) if cfo else None
-    )
-    return ChannelSounder(
-        config=OfdmConfig(),
-        cfo_model=cfo_model,
-        rng=np.random.default_rng(seed),
-        fault_injector=injector,
-    )
+    return use_injector(injector)
 
 
 def assert_estimates_match(batched, sequential):
@@ -71,37 +75,21 @@ class TestSoundMany:
     def test_matches_sequential_sound(self, cfo, faults):
         weights = [single_beam_weights(ARRAY, a) for a in ANGLES]
         # Sequential reference: one sounder, probes in order.
-        reference_sounder = make_sounder(cfo=cfo, faults=faults)
+        reference_sounder = make_sounder(cfo=cfo)
         channel = make_channel()
-        sequential = [
-            reference_sounder.sound(channel, w, time_s=0.001)
-            for w in weights
-        ]
-        batched = make_sounder(cfo=cfo, faults=faults).sound_many(
-            make_channel(), weights, time_s=0.001
-        )
+        with fresh_campaign(faults):
+            sequential = [
+                reference_sounder.sound(channel, w, time_s=0.001)
+                for w in weights
+            ]
+        with fresh_campaign(faults):
+            batched = make_sounder(cfo=cfo).sound_many(
+                make_channel(), weights, time_s=0.001
+            )
         assert_estimates_match(batched, sequential)
 
     def test_empty_list(self):
         assert make_sounder().sound_many(make_channel(), []) == []
-
-    def test_channel_double_without_batched_response(self):
-        class ScalarOnly:
-            def __init__(self, channel):
-                self._channel = channel
-
-            def frequency_response(self, tx_weights, freqs, rx_weights=None):
-                return self._channel.frequency_response(
-                    tx_weights, freqs, rx_weights
-                )
-
-        weights = [single_beam_weights(ARRAY, a) for a in ANGLES]
-        via_double = make_sounder().sound_many(
-            ScalarOnly(make_channel()), weights
-        )
-        direct = make_sounder().sound_many(make_channel(), weights)
-        for ours, theirs in zip(via_double, direct):
-            np.testing.assert_allclose(ours.csi, theirs.csi, rtol=1e-12)
 
     def test_rng_stream_consumed_identically(self):
         # After sounding the same probes, both sounders' RNGs must be in

@@ -18,7 +18,7 @@ from repro.arrays import UniformLinearArray
 from repro.core.probing import ProbeController, two_probe_ratio
 from repro.experiments.common import make_manager
 from repro.experiments.fig18_end2end import _mobile_scenario
-from repro.faults import FaultInjector, FaultSpec
+from repro.faults import FaultInjector, FaultSpec, use_injector
 from repro.phy.ofdm import ChannelSounder, OfdmConfig
 from repro.phy.reference_signals import ProbeBudget
 from repro.sim.executor import EnsembleSpec, execute_ensemble
@@ -28,14 +28,17 @@ from repro.sim.scenarios import two_path_channel
 ARRAY = UniformLinearArray(num_elements=8)
 
 
-def make_controller(seed=0, faults=()):
+def make_controller(seed=0):
     sounder = ChannelSounder(
         config=OfdmConfig(bandwidth_hz=400e6, num_subcarriers=64),
         rng=seed,
     )
-    if faults:
-        sounder.fault_injector = FaultInjector(seed=seed, specs=faults)
     return ProbeController(array=ARRAY, sounder=sounder)
+
+
+def campaign(*faults, seed=0):
+    """Scope a campaign the way the executor scopes a seed-run's."""
+    return use_injector(FaultInjector(seed=seed, specs=faults))
 
 
 @pytest.fixture
@@ -72,13 +75,11 @@ class TestProbeOutcomeFlags:
         assert outcome.retries == 0
 
     def test_total_probe_loss_flags_instead_of_raising(self, channel):
-        # Every probe lost: pre-PR this was the escaping ValueError.
-        controller = make_controller(
-            faults=(FaultSpec(kind="probe_loss", rate=1.0),)
-        )
-        outcome = controller.probe_relative_gains(
-            channel, self.ANGLES, max_retries=2
-        )
+        # Every probe lost: this used to be the escaping ValueError.
+        with campaign(FaultSpec(kind="probe_loss", rate=1.0)):
+            outcome = make_controller().probe_relative_gains(
+                channel, self.ANGLES, max_retries=2
+            )
         assert outcome.degraded
         assert outcome.valid[0] is False
         assert outcome.estimate.relative_gains[1] == 0.0
@@ -87,25 +88,20 @@ class TestProbeOutcomeFlags:
     def test_retries_recover_from_transient_loss(self, channel):
         # At 50% loss a couple of retries nearly always find a clean
         # probe; the schedule is seed-deterministic so this never flakes.
-        controller = make_controller(
-            seed=1, faults=(FaultSpec(kind="probe_loss", rate=0.5),)
-        )
-        outcome = controller.probe_relative_gains(
-            channel, self.ANGLES, max_retries=4
-        )
+        with campaign(FaultSpec(kind="probe_loss", rate=0.5), seed=1):
+            outcome = make_controller(seed=1).probe_relative_gains(
+                channel, self.ANGLES, max_retries=4
+            )
         assert outcome.valid[0] is True
 
     def test_retry_emits_probe_retry_events(self, channel):
         from repro.telemetry import TelemetryRecorder, use_recorder
 
-        controller = make_controller(
-            faults=(FaultSpec(kind="probe_loss", rate=1.0),)
-        )
-        recorder = TelemetryRecorder()
-        with use_recorder(recorder):
-            outcome = controller.probe_relative_gains(
-                channel, self.ANGLES, max_retries=2
-            )
+        with use_recorder(TelemetryRecorder()) as recorder:
+            with campaign(FaultSpec(kind="probe_loss", rate=1.0)):
+                outcome = make_controller().probe_relative_gains(
+                    channel, self.ANGLES, max_retries=2
+                )
         retries = [e for e in recorder.events if e.kind == "probe_retry"]
         assert retries
         assert {e.fields["stage"] for e in retries} <= {"reference", "pair"}
@@ -114,10 +110,10 @@ class TestProbeOutcomeFlags:
     def test_estimate_relative_gains_wrapper_never_raises_on_loss(
         self, channel
     ):
-        controller = make_controller(
-            faults=(FaultSpec(kind="probe_loss", rate=1.0),)
-        )
-        estimate = controller.estimate_relative_gains(channel, self.ANGLES)
+        with campaign(FaultSpec(kind="probe_loss", rate=1.0)):
+            estimate = make_controller().estimate_relative_gains(
+                channel, self.ANGLES
+            )
         assert estimate.relative_gains[1] == 0.0
 
 
@@ -127,12 +123,12 @@ class TestMaintenanceDegradation:
             seed, speed_mps=1.5, blockage_depth_db=30.0, distance_m=25.0
         )
         manager = make_manager("mmreliable", seed)
-        manager.sounder.fault_injector = FaultInjector(seed=seed, specs=faults)
-        manager.establish(scenario.channel_at(0.0), time_s=0.0)
         actions = []
-        for i in range(1, rounds + 1):
-            t = i * 5e-3
-            actions.append(manager.step(scenario.channel_at(t), time_s=t))
+        with campaign(*faults, seed=seed):
+            manager.establish(scenario.channel_at(0.0), time_s=0.0)
+            for i in range(1, rounds + 1):
+                t = i * 5e-3
+                actions.append(manager.step(scenario.channel_at(t), time_s=t))
         return manager, actions
 
     def test_survives_total_probe_loss(self):
@@ -159,10 +155,8 @@ class TestMaintenanceDegradation:
             manager=make_manager("mmreliable", 0),
             duration_s=0.03,
         )
-        simulator.install_fault_injector(
-            FaultInjector(seed=0, specs=(FaultSpec("feedback_dropout", 1.0),))
-        )
-        trace = simulator.run()
+        with campaign(FaultSpec("feedback_dropout", 1.0)):
+            trace = simulator.run()
         assert [a for _, a in trace.actions] == ["feedback_dropout"] * 5
         established = make_manager("mmreliable", 0)
         established.establish(scenario.channel_at(0.0), time_s=0.0)
@@ -192,10 +186,8 @@ class TestLostReport:
             manager=make_manager(system, 0),
             duration_s=0.1,
         )
-        simulator.install_fault_injector(
-            FaultInjector(seed=0, specs=(FaultSpec("feedback_dropout", 1.0),))
-        )
-        trace = simulator.run()
+        with campaign(FaultSpec("feedback_dropout", 1.0)):
+            trace = simulator.run()
         ticks = simulator._maintenance_boundaries(trace.times_s)
         assert trace.actions == tuple(
             (float(trace.times_s[i]), "feedback_dropout") for i in ticks
@@ -219,12 +211,9 @@ class TestNoLiveGain:
             manager=make_manager("mmreliable", 1),
             duration_s=1.0,
         )
-        simulator.install_fault_injector(
-            FaultInjector(seed=1, specs=(FaultSpec("probe_loss", 0.5),))
-        )
-        recorder = TelemetryRecorder()
-        with use_recorder(recorder):
-            trace = simulator.run()  # must not raise
+        with use_recorder(TelemetryRecorder()) as recorder:
+            with campaign(FaultSpec("probe_loss", 0.5), seed=1):
+                trace = simulator.run()  # must not raise
         assert len(trace.snr_db) == 1000
         assert np.all(np.isfinite(trace.snr_db))
         assert any(

@@ -1,14 +1,21 @@
-"""Tests for the deterministic fault injector."""
+"""Tests for the deterministic fault injector and its thread-scoped slot."""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.faults import (
     FaultInjector,
-    FaultKind,
     FaultSpec,
     InjectedWorkerCrash,
+    get_injector,
+    use_injector,
 )
+from repro.telemetry import TelemetryRecorder, use_recorder
 
 
 def make_injector(*specs, seed=7):
@@ -18,6 +25,20 @@ def make_injector(*specs, seed=7):
 def sample_csi(rng_seed=0, n=32):
     rng = np.random.default_rng(rng_seed)
     return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def recording():
+    """Scope a fresh recorder: fault events are the injector's only log."""
+    return use_recorder(TelemetryRecorder())
+
+
+def fired(recorder):
+    """``(time_s, kind)`` of every ``fault_injected`` event, in order."""
+    return [
+        (event.time_s, event.fields["fault"])
+        for event in recorder.events
+        if event.kind == "fault_injected"
+    ]
 
 
 class TestConstruction:
@@ -32,11 +53,6 @@ class TestConstruction:
         with pytest.raises(TypeError, match="FaultSpec"):
             FaultInjector(seed=0, specs=("probe_loss:0.1",))
 
-    def test_enabled_reflects_rates(self):
-        assert not make_injector().enabled
-        assert not make_injector(FaultSpec(kind="probe_loss", rate=0.0)).enabled
-        assert make_injector(FaultSpec(kind="probe_loss", rate=0.1)).enabled
-
     def test_rate_lookup(self):
         injector = make_injector(FaultSpec(kind="stale_csi", rate=0.3))
         assert injector.rate("stale_csi") == 0.3
@@ -49,9 +65,10 @@ class TestZeroRateIsInert:
     def test_filter_probe_passthrough(self):
         injector = make_injector(FaultSpec(kind="probe_loss", rate=0.0))
         csi = sample_csi()
-        out = injector.filter_probe(csi, time_s=0.0)
+        with recording() as recorder:
+            out = injector.filter_probe(csi, time_s=0.0)
         np.testing.assert_array_equal(out, csi)
-        assert injector.injected == []
+        assert fired(recorder) == []
 
     def test_no_rng_streams_materialize(self):
         injector = make_injector(
@@ -76,11 +93,12 @@ class TestDeterminism:
         FaultSpec(kind="probe_corruption", rate=0.2),
     )
 
-    def _schedule(self, seed, rounds=50):
-        injector = FaultInjector(seed=seed, specs=self.SPECS)
-        for i in range(rounds):
-            injector.filter_probe(sample_csi(i), time_s=i * 1e-3)
-        return list(injector.injected)
+    def _schedule(self, seed, specs=SPECS, rounds=50):
+        injector = FaultInjector(seed=seed, specs=specs)
+        with recording() as recorder:
+            for i in range(rounds):
+                injector.filter_probe(sample_csi(i), time_s=i * 1e-3)
+        return fired(recorder)
 
     def test_same_seed_same_schedule(self):
         assert self._schedule(seed=11) == self._schedule(seed=11)
@@ -90,35 +108,32 @@ class TestDeterminism:
 
     def test_kind_streams_are_independent(self):
         # Adding a second kind must not shift the first kind's schedule.
-        alone = FaultInjector(
-            seed=5, specs=(FaultSpec(kind="probe_loss", rate=0.3),)
-        )
-        paired = FaultInjector(seed=5, specs=self.SPECS)
-        for i in range(50):
-            alone.filter_probe(sample_csi(i), time_s=i * 1e-3)
-            paired.filter_probe(sample_csi(i), time_s=i * 1e-3)
+        alone = self._schedule(5, (FaultSpec(kind="probe_loss", rate=0.3),))
+        paired = self._schedule(5)
         losses = lambda log: [t for t, kind in log if kind == "probe_loss"]
-        assert losses(alone.injected) == losses(paired.injected)
+        assert losses(alone) == losses(paired)
 
 
 class TestProbeFaults:
     def test_loss_zeroes_csi(self):
         injector = make_injector(FaultSpec(kind="probe_loss", rate=1.0))
-        out = injector.filter_probe(sample_csi(), time_s=0.5)
+        with recording() as recorder:
+            out = injector.filter_probe(sample_csi(), time_s=0.5)
         np.testing.assert_array_equal(out, np.zeros_like(out))
-        assert injector.injected == [(0.5, "probe_loss")]
+        assert fired(recorder) == [(0.5, "probe_loss")]
 
     def test_stale_serves_cached_snapshot(self):
         injector = make_injector(FaultSpec(kind="stale_csi", rate=1.0))
         first = sample_csi(0)
         second = sample_csi(1)
-        # No cache yet: the first snapshot passes through clean.
-        out1 = injector.filter_probe(first, time_s=0.0)
-        np.testing.assert_array_equal(out1, first)
-        # The second sounding gets the stale copy of the first.
-        out2 = injector.filter_probe(second, time_s=1e-3)
-        np.testing.assert_array_equal(out2, first)
-        assert ("stale_csi" in {kind for _, kind in injector.injected})
+        with recording() as recorder:
+            # No cache yet: the first snapshot passes through clean.
+            out1 = injector.filter_probe(first, time_s=0.0)
+            np.testing.assert_array_equal(out1, first)
+            # The second sounding gets the stale copy of the first.
+            out2 = injector.filter_probe(second, time_s=1e-3)
+            np.testing.assert_array_equal(out2, first)
+        assert fired(recorder) == [(1e-3, "stale_csi")]
 
     def test_corruption_scales_power(self):
         injector = make_injector(
@@ -162,20 +177,20 @@ class TestElementFaults:
 
     def test_recorded_once(self):
         injector = make_injector(FaultSpec(kind="stuck_elements", rate=1.0))
-        for _ in range(3):
-            injector.apply_element_faults(np.ones(8, dtype=complex))
-        stuck = [kind for _, kind in injector.injected
-                 if kind == "stuck_elements"]
-        assert stuck == ["stuck_elements"]
+        with recording() as recorder:
+            for _ in range(3):
+                injector.apply_element_faults(np.ones(8, dtype=complex))
+        assert fired(recorder) == [(0.0, "stuck_elements")]
 
 
 class TestControlPlaneFaults:
     def test_feedback_dropout(self):
         always = make_injector(FaultSpec(kind="feedback_dropout", rate=1.0))
         never = make_injector(FaultSpec(kind="feedback_dropout", rate=0.0))
-        assert always.feedback_dropped(time_s=0.1)
-        assert not never.feedback_dropped(time_s=0.1)
-        assert always.injected == [(0.1, "feedback_dropout")]
+        with recording() as recorder:
+            assert always.feedback_dropped(time_s=0.1)
+            assert not never.feedback_dropped(time_s=0.1)
+        assert fired(recorder) == [(0.1, "feedback_dropout")]
 
 
 class TestChaosFaults:
@@ -210,8 +225,6 @@ class TestChaosFaults:
         ]
 
     def test_crash_event_names_no_attempt(self):
-        from repro.telemetry import TelemetryRecorder, use_recorder
-
         injector = make_injector(FaultSpec(kind="worker_crash", rate=1.0))
         recorder = TelemetryRecorder()
         with use_recorder(recorder):
@@ -229,8 +242,6 @@ class TestChaosFaults:
 
 class TestTelemetry:
     def test_fault_events_and_counter(self):
-        from repro.telemetry import TelemetryRecorder, use_recorder
-
         injector = make_injector(FaultSpec(kind="probe_loss", rate=1.0))
         recorder = TelemetryRecorder()
         with use_recorder(recorder):
@@ -240,45 +251,137 @@ class TestTelemetry:
         assert events[0].fields["fault"] == "probe_loss"
         assert events[0].time_s == 0.25
 
-    def test_silent_without_recorder(self):
-        injector = make_injector(FaultSpec(kind="probe_loss", rate=1.0))
-        injector.filter_probe(sample_csi(), time_s=0.0)
-        assert injector.injected  # log kept even when telemetry is off
 
-
-def install_on_link(kind):
-    """A link simulator over ``kind`` with a fresh injector installed."""
+def mobile_link_factory(seed, duration_s=0.1):
+    """A short Fig. 18b/c mmReliable link seed-run (picklable partial)."""
     from repro.experiments.common import make_manager
-    from repro.sim.link import LinkSimulator
-    from repro.sim.scenarios import indoor_two_path_scenario
+    from repro.experiments.fig18_end2end import _mobile_scenario
+    from repro.sim.link import build_link_simulator
 
-    manager = make_manager(kind, seed=0)
-    simulator = LinkSimulator(
-        scenario=indoor_two_path_scenario(manager.array), manager=manager
+    return build_link_simulator(
+        partial(
+            _mobile_scenario, speed_mps=1.5, blockage_depth_db=30.0,
+            distance_m=25.0,
+        ),
+        partial(make_manager, "mmreliable"),
+        duration_s,
+        seed,
     )
-    injector = make_injector(FaultSpec(kind="probe_loss", rate=0.5))
-    simulator.install_fault_injector(injector)
-    return simulator, injector
 
 
-class TestInstall:
-    def test_wires_sounder_and_manager(self):
-        # Probe faults ride the manager's sounder; the simulator keeps
-        # the control-plane hook, so the manager carries none itself.
-        simulator, injector = install_on_link("mmreliable")
-        assert simulator.manager.sounder.fault_injector is injector
-        assert simulator.fault_injector is injector
-        assert not hasattr(simulator.manager, "fault_injector")
+def traced_run(seed, specs, barrier=None):
+    """Run the seed's link under a fresh campaign (``None``: no injector).
 
-    def test_baseline_without_hooks_is_fine(self):
-        # A baseline needs no hook of its own to get every fault kind.
-        simulator, injector = install_on_link("oracle")
-        assert simulator.manager.sounder.fault_injector is injector
-        assert simulator.fault_injector is injector
+    Returns the trace and the events.  With a ``barrier``, the run starts
+    only once every party has scoped its own campaign, so concurrent
+    runs overlap.
+    """
+    injector = None if specs is None else FaultInjector(seed, specs)
+    with use_injector(injector), recording() as recorder:
+        if barrier is not None:
+            barrier.wait()
+        trace = mobile_link_factory(seed).run()
+    return trace, [(e.kind, e.time_s, e.fields) for e in recorder.events]
 
-    def test_link_simulator_is_a_fault_target(self):
-        from repro.faults import FaultTarget
 
-        simulator, injector = install_on_link("mmreliable")
-        assert isinstance(simulator, FaultTarget)
-        assert simulator.fault_injector is injector
+class TestSlot:
+    """The active injector is thread-scoped, like the telemetry recorder."""
+
+    def test_empty_outside_any_scope(self):
+        assert get_injector() is None
+
+    def test_scope_restores_the_previous_injector(self):
+        outer = make_injector(FaultSpec(kind="probe_loss", rate=1.0))
+        inner = make_injector(FaultSpec(kind="stale_csi", rate=1.0))
+        with use_injector(outer):
+            with use_injector(inner):
+                assert get_injector() is inner
+            with use_injector(None):
+                assert get_injector() is None
+            assert get_injector() is outer
+        assert get_injector() is None
+
+    def test_scope_restores_after_a_raise(self):
+        injector = make_injector(FaultSpec(kind="worker_crash", rate=1.0))
+        with pytest.raises(InjectedWorkerCrash):
+            with use_injector(injector):
+                raise InjectedWorkerCrash("inside the scope")
+        assert get_injector() is None
+
+    def test_sounder_reads_the_scoped_injector(self):
+        from repro.arrays import UniformLinearArray
+        from repro.phy.ofdm import ChannelSounder, OfdmConfig
+        from repro.sim.scenarios import two_path_channel
+
+        array = UniformLinearArray(num_elements=8)
+        channel = two_path_channel(array)
+        weights = np.ones(8, dtype=complex) / np.sqrt(8)
+        sounder = ChannelSounder(config=OfdmConfig(num_subcarriers=64), rng=0)
+        assert np.any(sounder.sound(channel, weights).csi != 0)
+        with use_injector(make_injector(FaultSpec("probe_loss", 1.0))):
+            lost = sounder.sound(channel, weights).csi
+        np.testing.assert_array_equal(lost, np.zeros_like(lost))
+        assert np.any(sounder.sound(channel, weights).csi != 0)
+
+    def test_threads_scope_their_own_campaigns(self):
+        # The serve layer runs jobs on worker threads: concurrent runs
+        # under different campaigns (one under none) must each equal the
+        # same run made alone on one thread.
+        campaigns = (
+            (FaultSpec("probe_loss", 0.3),),
+            (FaultSpec("feedback_dropout", 0.3),
+             FaultSpec("stuck_elements", 0.25)),
+            None,
+        )
+        alone = [traced_run(0, specs) for specs in campaigns]
+        assert len({repr(events) for _, events in alone}) == len(campaigns)
+        barrier = threading.Barrier(len(campaigns), timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(campaigns)) as pool:
+                futures = [
+                    pool.submit(traced_run, 0, specs, barrier)
+                    for specs in campaigns
+                ]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (trace, events), (alone_trace, alone_events) in zip(
+            results, alone
+        ):
+            assert trace.snr_db.tobytes() == alone_trace.snr_db.tobytes()
+            assert trace.actions == alone_trace.actions
+            assert events == alone_events
+        assert get_injector() is None
+
+    def test_serial_ensemble_scopes_each_seed(self):
+        # Seed 1 crashes at this rate; its injector must not outlive its
+        # run, and every surviving seed reads exactly its own campaign.
+        from repro.sim.executor import EnsembleSpec, execute_ensemble
+
+        faults = (
+            FaultSpec("worker_crash", 0.3),
+            FaultSpec("probe_loss", 0.3),
+        )
+
+        def ensemble(seeds):
+            return execute_ensemble(
+                EnsembleSpec(
+                    label="slot",
+                    simulator_factory=mobile_link_factory,
+                    seeds=seeds,
+                    max_failure_fraction=1.0,
+                    faults=faults,
+                )
+            )
+
+        summary = ensemble(range(4))
+        assert get_injector() is None
+        crashed = {failure.seed for failure in summary.failures}
+        assert crashed == {1}
+        assert all(f.kind == "crash" for f in summary.failures)
+        survivors = [seed for seed in range(4) if seed not in crashed]
+        assert summary.metrics == tuple(
+            ensemble((seed,)).metrics[0] for seed in survivors
+        )

@@ -89,9 +89,11 @@ class TestScheduleReproducibility:
         for _ in range(2):
             injector = FaultInjector(seed=42, specs=spec)
             rng = np.random.default_rng(0)
-            for i in range(30):
-                injector.filter_probe(
-                    rng.normal(size=16) + 0j, time_s=i * 1e-3
-                )
-            logs.append(list(injector.injected))
+            with use_recorder(TelemetryRecorder()) as recorder:
+                for i in range(30):
+                    injector.filter_probe(
+                        rng.normal(size=16) + 0j, time_s=i * 1e-3
+                    )
+            logs.append([(e.time_s, e.fields) for e in recorder.events])
+        assert logs[0]  # probes were lost
         assert logs[0] == logs[1]

@@ -142,18 +142,25 @@ class TestExecutorReuse:
             parallel.throughput_values().tolist()
         )
 
-    def test_fault_target_protocol(self):
-        from repro.faults import FaultInjector, FaultSpec, FaultTarget
+    def test_scoped_campaign_reaches_every_link(self):
+        from repro.faults import FaultInjector, FaultSpec, use_injector
+        from repro.telemetry import TelemetryRecorder, use_recorder
 
-        simulator = NetworkSimulator(scenario=small_scenario(), seed=0)
-        assert isinstance(simulator, FaultTarget)
+        scenario = small_scenario()
+        simulator = NetworkSimulator(scenario=scenario, seed=0)
         injector = FaultInjector(
             seed=0, specs=(FaultSpec(kind="probe_loss", rate=1.0),)
         )
-        simulator.install_fault_injector(injector)
-        simulator.run()
-        # Probe faults actually fired inside the per-user links.
-        assert any(kind == "probe_loss" for _, kind in injector.injected)
+        with use_recorder(TelemetryRecorder()) as recorder:
+            with use_injector(injector):
+                simulator.run()
+        # Probe faults fired inside every per-user link.
+        faulted_runs = {
+            event.run for event in recorder.events
+            if event.kind == "fault_injected"
+            and event.fields["fault"] == "probe_loss"
+        }
+        assert len(faulted_runs) == scenario.num_users
 
 
 class TestSingleLinkDifferential:

@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.faults import get_injector
 from repro.phy.mcs import NR_MCS_TABLE, select_mcs_indices
 from repro.sim.link import LinkSimulator, SimulationTrace
 from repro.telemetry import EventKind, get_recorder
@@ -80,7 +81,7 @@ def run_per_sample(simulator: LinkSimulator) -> SimulationTrace:
     except Exception as error:
         enter_degraded(0.0, "establish", error)
 
-    injector = simulator.fault_injector
+    injector = get_injector()
 
     def maintain(t: float, channel) -> None:
         nonlocal established

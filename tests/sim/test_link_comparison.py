@@ -19,7 +19,7 @@ from repro.arrays import UniformLinearArray
 from repro.experiments import fig19_60ghz
 from repro.experiments.common import make_manager
 from repro.experiments.fig18_end2end import _mobile_scenario
-from repro.faults import FaultInjector, FaultSpec
+from repro.faults import FaultInjector, FaultSpec, use_injector
 from repro.sim.link import (
     MAX_BATCH_SAMPLES,
     LinkSimulator,
@@ -56,22 +56,25 @@ def fig19_systems():
     )
 
 
+def campaign(seed, faults):
+    """Scope the seed-run's injector the way the executor does."""
+    return use_injector(FaultInjector(seed, faults) if faults else None)
+
+
 def standalone(scenario_factory, manager_factory, duration_s, seed, faults):
     simulator = build_link_simulator(
         scenario_factory, manager_factory, duration_s, seed
     )
-    if faults:
-        simulator.install_fault_injector(FaultInjector(seed, faults))
-    return simulator.run()
+    with campaign(seed, faults):
+        return simulator.run()
 
 
 def compared(scenario_factory, systems, duration_s, seed, faults):
     comparison = build_link_comparison(
         scenario_factory, systems, duration_s, seed
     )
-    if faults:
-        comparison.install_fault_injector(FaultInjector(seed, faults))
-    return comparison.run()
+    with campaign(seed, faults):
+        return comparison.run()
 
 
 def assert_same_trace(ours, theirs):
