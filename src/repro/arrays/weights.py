@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils import unit_vector
+from repro.utils import is_close, unit_vector
 from repro.utils.units import db_to_linear, linear_to_db
 
 __all__ = [
@@ -43,7 +43,7 @@ class BeamWeights:
         vector = np.asarray(self.vector, dtype=complex)
         if vector.ndim != 1:
             raise ValueError(f"weights must be 1-D, got shape {vector.shape}")
-        if not np.isclose(np.linalg.norm(vector), 1.0, atol=1e-6):
+        if not is_close(np.linalg.norm(vector), 1.0, atol=1e-6):
             raise ValueError(
                 "weights must be unit norm (TRP conservation); "
                 "use BeamWeights.from_vector() to normalize"

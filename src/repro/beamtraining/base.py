@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.phy.reference_signals import ssb_duration_s
 from repro.telemetry import EventKind, get_recorder
-from repro.utils import power_db_to_linear
+from repro.utils import is_close, power_db_to_linear
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def interpolate_peak(result: BeamTrainingResult, index: int) -> float:
         return float(angles[index])
     left_step = angles[index] - angles[index - 1]
     right_step = angles[index + 1] - angles[index]
-    if not np.isclose(left_step, right_step, rtol=1e-6):
+    if not is_close(left_step, right_step, rtol=1e-6):
         return float(angles[index])
     floor = max(np.max(powers) * 1e-12, 1e-300)
     y = np.log10(np.maximum(powers[index - 1: index + 2], floor))

@@ -11,12 +11,16 @@ of constant weights collapses into three broadcasted array ops.  When no
 delay moves over the batch, the delay rotation is one ``(F, L)`` row
 broadcast over ``T`` (stride 0), not ``T`` copies.
 
-The arithmetic mirrors :meth:`GeometricChannel.frequency_response`
-elementwise (bitwise-identical phase/rotation entries); only the final
-contractions run as batched matmuls, which may differ from the
-per-sample BLAS calls in the last floating-point ulp, and do not depend
-on how many samples share one call.  Differential tests pin the
-agreement at ``rtol=1e-9``.
+The arithmetic mirrors :meth:`GeometricChannel.frequency_response`:
+the steering phases are bitwise-identical, and the stacked contractions
+-- ``(T, L, N) @ (N,)`` for the transmit gains, ``(T, F, L) @ (T, L, 1)``
+for the response -- give each sample exactly what the per-channel
+matrix-vector products give, however many samples share one call.  The
+one difference is the delay rotation's operand order: the batch forms
+``(-2j pi f) tau``, the per-channel path ``-2j pi (f tau)``, so rotation
+entries, and the responses through them, may differ in the last ulp.
+Differential tests pin the agreement at ``rtol=1e-9`` and pin that the
+re-associated rotation would make it bitwise.
 
 Receive-side beams are *not* modelled here: every consumer of the batch
 path (link SNR through the manager's transmit weights) sounds a

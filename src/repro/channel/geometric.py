@@ -122,9 +122,10 @@ class GeometricChannel:
     # ------------------------------------------------------------------
     # The channel is immutable, and sounding evaluates the same instance
     # several times per maintenance round (once per probe beam).  The
-    # weight-independent tensors — steering matrix, gain vector, and the
-    # per-frequency delay rotation — are therefore memoized on first use.
-    # Cached arrays are read-only and never returned by public accessors.
+    # weight-independent tensors — steering matrix, gain vector, the
+    # per-frequency delay rotation and the quasi-omni receive gains — are
+    # therefore memoized on first use.  Cached arrays are read-only; only
+    # the receive gains are returned by a public accessor.
 
     def _steering_matrix(self) -> np.ndarray:
         cached = getattr(self, "_steering_cache", None)
@@ -140,6 +141,14 @@ class GeometricChannel:
             cached = self.gains()
             cached.setflags(write=False)
             object.__setattr__(self, "_gains_cache", cached)  # repro-lint: disable=RL302 (lazy read-only cache)
+        return cached
+
+    def _omni_gains(self) -> np.ndarray:
+        cached = getattr(self, "_omni_cache", None)
+        if cached is None:
+            cached = np.ones(self.num_paths, dtype=complex)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_omni_cache", cached)  # repro-lint: disable=RL302 (lazy read-only cache)
         return cached
 
     def _delay_rotation(self, freqs: np.ndarray) -> np.ndarray:
@@ -172,9 +181,12 @@ class GeometricChannel:
         return self._steering_matrix() @ np.asarray(tx_weights, dtype=complex)
 
     def path_rx_gains(self, rx_weights: Optional[np.ndarray]) -> np.ndarray:
-        """Per-path complex receive beam response, 1 for a quasi-omni UE."""
+        """Per-path complex receive beam response, 1 for a quasi-omni UE.
+
+        The quasi-omni ones are one read-only vector per channel.
+        """
         if rx_weights is None or self.rx_array is None:
-            return np.ones(self.num_paths, dtype=complex)
+            return self._omni_gains()
         aoas = np.array([p.aoa_rad for p in self.paths])
         a = steering_vector(self.rx_array, aoas)
         return a @ np.asarray(rx_weights, dtype=complex)

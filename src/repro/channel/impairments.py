@@ -95,11 +95,20 @@ class CfoSfoModel:
 
 
 def complex_awgn(shape, noise_power_watt: float, rng=None) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian noise with the given power."""
+    """Circularly-symmetric complex Gaussian noise with the given power.
+
+    One ``(2, *shape)`` draw: a generator fills it in C order, so row 0
+    (the real part) and row 1 (the imaginary part) hold exactly what two
+    successive ``shape`` draws would, and the stream ends in the same
+    state.
+    """
     if noise_power_watt < 0:
         raise ValueError(
             f"noise_power_watt must be >= 0, got {noise_power_watt!r}"
         )
     rng = ensure_rng(rng)
     scale = np.sqrt(noise_power_watt / 2.0)
-    return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    if isinstance(shape, (int, np.integer)):
+        shape = (shape,)
+    parts = rng.normal(0.0, scale, (2,) + tuple(shape))
+    return parts[0] + 1j * parts[1]

@@ -160,7 +160,12 @@ def stacked_dirichlet_dictionaries(
     responses = np.exp(
         -2j * np.pi * freqs[None, :, None] * delays[:, None, :]
     )
-    spectra = np.fft.ifftshift(responses, axes=1)
+    # np.fft.ifftshift along the tap axis (a roll by -(F // 2)) as a
+    # swap of the two halves: the same elements in the same layout.
+    half = num_taps // 2
+    spectra = np.concatenate(
+        (responses[:, half:], responses[:, :half]), axis=1
+    )
     return np.fft.ifft(spectra, axis=1)
 
 
@@ -179,7 +184,8 @@ def cir_from_frequency_response(
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample!r}")
     n = response.shape[0]
-    spectrum = np.fft.ifftshift(response)
+    # np.fft.ifftshift (a roll by -(n // 2)) as a swap of the two halves.
+    spectrum = np.concatenate((response[n // 2:], response[:n // 2]))
     if oversample > 1:
         padded = np.zeros(n * oversample, dtype=complex)
         half = n // 2

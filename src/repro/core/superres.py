@@ -28,7 +28,14 @@ from repro.channel.wideband import (
     stacked_dirichlet_dictionaries,
     stacked_sinc_dictionaries,
 )
+from repro.perf.cache import BoundedCache
 from repro.utils.units import power_linear_to_db
+
+#: Fine ToF scoring grids of :func:`estimate_pulse_tof`, keyed on
+#: (coarse tap index, bandwidth, taps, kernel, fine step, search span):
+#: every establish fits each beam's pulse, and a user's beams keep
+#: landing on the same few taps.  One entry is about 157 KB at 64 taps.
+_TOF_GRID_CACHE = BoundedCache("superres.tof_grid", maxsize=32)
 
 #: Candidate tensors whose CIR-independent half of the ridge problem one
 #: resolver keeps (least recently used first out).  While the tracked
@@ -39,9 +46,9 @@ FACTORIZATION_CACHE_SIZE = 8
 _NO_OFFSET = np.array([0.0])
 _NO_OFFSET.setflags(write=False)  # shared by every resolver
 
-#: ``(dictionaries (C, F, K), their conjugate transpose (C, K, F),
-#: ridge Gram matrices (C, K, K))`` of one candidate delay tensor.
-_Factorization = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: ``(candidate delays (C, K), their dictionaries (C, F, K), the
+#: conjugate transpose (C, K, F), ridge Gram matrices (C, K, K))``.
+_Factorization = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def ridge_solve(
@@ -90,31 +97,62 @@ def estimate_pulse_tof(
     the rank-1 fit residual.  Used at establishment to anchor the
     super-resolver on each beam's absolute ToF far more precisely than
     the ``1/B`` tap grid allows.  The whole fine grid is scored with one
-    stacked dictionary build; the first of tied maxima wins.
+    matrix-vector product; the first of tied maxima wins.  The grid's
+    columns depend only on the coarse tap, so they come from the
+    ``superres.tof_grid`` cache.
     """
     cir = np.asarray(cir, dtype=complex)
     if cir.ndim != 1 or cir.size < 2:
         raise ValueError(f"CIR must be 1-D with >= 2 taps, got {cir.shape}")
+    coarse_index = int(np.argmax(np.abs(cir)))
+    grid, conjugates, norms = _TOF_GRID_CACHE.get_or_build(
+        (
+            coarse_index, float(bandwidth_hz), cir.size, kernel,
+            float(fine_step_taps), float(search_span_taps),
+        ),
+        lambda: _tof_grid(
+            coarse_index, bandwidth_hz, cir.size, kernel,
+            fine_step_taps, search_span_taps,
+        ),
+    )
+    # Rank-1 LS: the explained energy |<col, cir>|^2 / ||col||^2.
+    scores = np.abs(conjugates @ cir) ** 2 / norms
+    return float(grid[int(np.argmax(scores))])
+
+
+def _tof_grid(
+    coarse_index: int,
+    bandwidth_hz: float,
+    num_taps: int,
+    kernel: str,
+    fine_step_taps: float,
+    search_span_taps: float,
+) -> Tuple[np.ndarray, ...]:
+    """``(grid (G,), conjugated columns (G, F), column norms (G,))``.
+
+    Everything :func:`estimate_pulse_tof` scores that does not depend on
+    the CIR, each array frozen for sharing.
+    """
     tap = 1.0 / bandwidth_hz
-    coarse = int(np.argmax(np.abs(cir))) * tap
+    coarse = coarse_index * tap
     grid = coarse + np.arange(
         -search_span_taps, search_span_taps + fine_step_taps, fine_step_taps
     ) * tap
     grid = grid[grid >= 0]
     if kernel == "dirichlet":
         stacked = stacked_dirichlet_dictionaries(
-            grid[:, None], bandwidth_hz, cir.size
+            grid[:, None], bandwidth_hz, num_taps
         )
     else:
         stacked = stacked_sinc_dictionaries(
-            grid[:, None], bandwidth_hz, cir.size
+            grid[:, None], bandwidth_hz, num_taps
         )
     columns = stacked[:, :, 0]  # (G, F)
-    # Rank-1 LS: the explained energy |<col, cir>|^2 / ||col||^2.
-    scores = np.abs(columns.conj() @ cir) ** 2 / np.einsum(
-        "gf,gf->g", columns.conj(), columns
-    ).real
-    return float(grid[int(np.argmax(scores))])
+    conjugates = columns.conj()
+    norms = np.einsum("gf,gf->g", conjugates, columns).real
+    for array in (grid, conjugates, norms):
+        array.setflags(write=False)
+    return grid, conjugates, norms
 
 
 @dataclass(frozen=True)
@@ -184,8 +222,9 @@ class SuperResolver:
     _spacing_offsets: np.ndarray = field(
         init=False, repr=False, compare=False
     )
-    #: Candidate tensor key -> its :data:`_Factorization`, an LRU bounded
-    #: by :data:`FACTORIZATION_CACHE_SIZE`.  Per resolver, so it dies with
+    #: (taps, sorted anchors, active relative delays) -> the candidate
+    #: tensor's :data:`_Factorization`, an LRU bounded by
+    #: :data:`FACTORIZATION_CACHE_SIZE`.  Per resolver, so it dies with
     #: the link (every establish/retrain builds a new resolver) and needs
     #: no lock (one link runs on one thread).
     _factorizations: "OrderedDict[tuple, _Factorization]" = field(
@@ -266,15 +305,23 @@ class SuperResolver:
         return delays[~np.any(delays < 0, axis=1)]
 
     def _factorization(
-        self, delays: np.ndarray, num_taps: int
-    ) -> _Factorization:
-        """The CIR-independent half of every candidate's ridge problem."""
-        key = (num_taps, delays.shape, delays.tobytes())
+        self, anchors: Set[float], relative: np.ndarray, num_taps: int
+    ) -> Optional[_Factorization]:
+        """The CIR-independent half of every candidate's ridge problem.
+
+        None when no candidate around ``anchors`` is valid.
+        """
+        # The offset grids are constants, so the candidate tensor is a
+        # pure function of this key and a hit skips building it too.
+        key = (num_taps, tuple(sorted(anchors)), relative.tobytes())
         cache = self._factorizations
         entry = cache.get(key)
         if entry is not None:
             cache.move_to_end(key)
             return entry
+        delays = self._candidate_delays(anchors, relative)
+        if not delays.shape[0]:
+            return None
         if self.kernel == "dirichlet":
             dictionaries = stacked_dirichlet_dictionaries(
                 delays, self.bandwidth_hz, num_taps
@@ -287,7 +334,7 @@ class SuperResolver:
         grams = hermitian @ dictionaries + (
             float(self.regularization) * np.eye(delays.shape[1])
         )
-        entry = cache[key] = (dictionaries, hermitian, grams)
+        entry = cache[key] = (delays, dictionaries, hermitian, grams)
         if len(cache) > FACTORIZATION_CACHE_SIZE:
             cache.popitem(last=False)
         return entry
@@ -300,10 +347,10 @@ class SuperResolver:
         Returns ``(delays (C, K), alphas (C, K), residuals (C,),
         objectives (C,))``, or None when no candidate is valid.
         """
-        delays = self._candidate_delays(anchors, relative)
-        if not delays.shape[0]:
+        entry = self._factorization(anchors, relative, cir.size)
+        if entry is None:
             return None
-        dictionaries, hermitian, grams = self._factorization(delays, cir.size)
+        delays, dictionaries, hermitian, grams = entry
         projections = hermitian @ cir  # (C, K)
         alphas = np.linalg.solve(grams, projections[:, :, None])[:, :, 0]
         fitted = (dictionaries @ alphas[:, :, None])[:, :, 0]  # (C, F)

@@ -30,6 +30,9 @@ from repro.arrays.patterns import invert_pattern_offset
 from repro.core.multibeam import MultiBeam
 from repro.telemetry import EventKind, get_recorder
 
+#: The relative cutoff ``np.polyfit`` scales by the point count.
+_EPS = np.finfo(float).eps
+
 
 @dataclass
 class PowerSmoother:
@@ -68,7 +71,15 @@ class PowerSmoother:
         # Quadratic fit needs a conditioned abscissa; center and scale.
         t0 = times[-1]
         span = max(times[-1] - times[0], 1e-9)
-        coeffs = np.polyfit((times - t0) / span, values, deg=2)
+        # np.polyfit(x, values, deg=2), step by step without its argument
+        # checks.  Maintenance times strictly increase, so the Vandermonde
+        # matrix has full rank and polyfit's RankWarning never fires.
+        x = (times - t0) / span + 0.0
+        lhs = np.vander(x, 3)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        lhs /= scale
+        coeffs = np.linalg.lstsq(lhs, values + 0.0, len(x) * _EPS)[0]
+        coeffs = (coeffs.T / scale).T
         return float(np.polyval(coeffs, 0.0))
 
     def reset(self) -> None:

@@ -104,6 +104,17 @@ class OfdmConfig:
         return snrs
 
 
+def _mean_power(values: np.ndarray) -> float:
+    """``np.mean(np.abs(values) ** 2)`` without its wrapper.
+
+    numpy's mean is exactly ``add.reduce`` over every element followed
+    by one division by the count; calling those two directly gives the
+    same bits at a fraction of the per-probe overhead.
+    """
+    power = np.abs(values) ** 2
+    return float(np.add.reduce(power, axis=None) / power.size)
+
+
 @dataclass(frozen=True)
 class ChannelEstimate:
     """One sounded CSI snapshot."""
@@ -115,7 +126,7 @@ class ChannelEstimate:
     @property
     def mean_power(self) -> float:
         """Mean per-subcarrier power ``E[|h(f)|^2]``."""
-        return float(np.mean(np.abs(self.csi) ** 2))
+        return _mean_power(self.csi)
 
     def power_db(self) -> float:
         power = self.mean_power
@@ -250,7 +261,7 @@ class ChannelSounder:
             tx_weights = injector.apply_element_faults(tx_weights)
         freqs = self.config.frequency_grid()
         response = channel.frequency_response(tx_weights, freqs, rx_weights)
-        return self.config.snr_db(float(np.mean(np.abs(response) ** 2)))
+        return self.config.snr_db(_mean_power(response))
 
     def link_snr_db_batch(
         self, channels, tx_weights: np.ndarray

@@ -40,7 +40,10 @@ without ``channel_batch`` (whose stacked per-sample channels may be
 ragged), evaluation also stops at every segment end, which moves
 neither the values nor the record.  Managers that define their own
 ``link_snr_db`` (a receive beam, several gNBs) are sampled one sample
-at a time and keep no record.
+at a time and keep no record.  A run keeps the latest ``(t, channel)``
+it read, so where samples read ``channel_at`` (such managers, and
+scenarios without ``channel_batch``) a maintenance tick's channel also
+serves the first sample of its segment: one channel per instant.
 
 Against a plain per-sample loop (the test oracle
 ``tests/sim/link_oracle.py``) the batched math agrees to floating-point
@@ -221,8 +224,18 @@ class LinkSimulator:
             degraded.append((degraded_since, time_s))
             degraded_since = None
 
+        # The latest (t, channel): a tick's channel is read again by the
+        # segment's per-sample evaluation, which starts at the tick.
+        latest: Optional[Tuple[float, Any]] = None
+
+        def channel_at(t: float) -> Any:
+            nonlocal latest
+            if latest is None or latest[0] != t:
+                latest = (t, self.scenario.channel_at(t))
+            return latest[1]
+
         established = False
-        initial = self.scenario.channel_at(0.0)
+        initial = channel_at(0.0)
         try:
             self.manager.establish(initial, time_s=0.0)
             established = True
@@ -232,7 +245,7 @@ class LinkSimulator:
         def maintain(index: int) -> None:
             nonlocal established
             t = float(times[index])
-            channel = self.scenario.channel_at(t)
+            channel = channel_at(t)
             try:
                 if not established:
                     self.manager.establish(channel, time_s=t)
@@ -288,7 +301,8 @@ class LinkSimulator:
             nonlocal evaluated
             if evaluated < end:
                 self._span_snr(
-                    times, snr, evaluated, end, record[-1][1], chunk_cache
+                    times, snr, evaluated, end, record[-1][1], chunk_cache,
+                    channel_at,
                 )
                 evaluated = end
 
@@ -310,7 +324,7 @@ class LinkSimulator:
             if segment > 0:
                 maintain(start)
             if per_sample and established:
-                self._sample_snr(times, snr, start, end)
+                self._sample_snr(times, snr, start, end, channel_at)
             elif per_sample:
                 snr[start:end] = -np.inf
             else:
@@ -371,12 +385,14 @@ class LinkSimulator:
         end: int,
         weights: Optional[np.ndarray],
         chunk_cache: dict,
+        channel_at: Callable[[float], Any],
     ) -> None:
         """Fill ``snr[start:end]`` through constant transmit ``weights``.
 
         Channel parameters (and the weight-independent response tensors)
         are built once per chunk and shared across the spans inside it
-        as slice views.
+        as slice views.  A scenario without ``channel_batch`` is read
+        sample by sample through ``channel_at``.
         """
         if weights is None:
             snr[start:end] = -np.inf
@@ -404,8 +420,7 @@ class LinkSimulator:
                 )
             else:
                 channels = [
-                    self.scenario.channel_at(float(t))
-                    for t in times[position:sub_end]
+                    channel_at(float(t)) for t in times[position:sub_end]
                 ]
             snr[position:sub_end] = sounder.link_snr_db_batch(
                 channels, weights
@@ -413,7 +428,12 @@ class LinkSimulator:
             position = sub_end
 
     def _sample_snr(
-        self, times: np.ndarray, snr: np.ndarray, start: int, end: int
+        self,
+        times: np.ndarray,
+        snr: np.ndarray,
+        start: int,
+        end: int,
+        channel_at: Callable[[float], Any],
     ) -> None:
         """Fill ``snr[start:end]`` with one ``link_snr_db`` call per sample.
 
@@ -421,7 +441,7 @@ class LinkSimulator:
         ``channel_at`` propagates.
         """
         for index in range(start, end):
-            channel = self.scenario.channel_at(float(times[index]))
+            channel = channel_at(float(times[index]))
             try:
                 snr[index] = self.manager.link_snr_db(channel)
             except Exception:

@@ -23,6 +23,7 @@ from repro.utils.mathx import (
     unit_vector,
     complex_from_polar,
     is_unit_norm,
+    is_close,
 )
 from repro.utils.rng import NAMED_SUBSTREAM_OFFSETS, ensure_rng, named_substream
 from repro.utils.validation import (
@@ -47,6 +48,7 @@ __all__ = [
     "unit_vector",
     "complex_from_polar",
     "is_unit_norm",
+    "is_close",
     "ensure_rng",
     "named_substream",
     "NAMED_SUBSTREAM_OFFSETS",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -71,3 +73,16 @@ def is_unit_norm(vector: np.ndarray, tolerance: float = 1e-9) -> bool:
     power (TRP); this is the invariant checked throughout the test suite.
     """
     return bool(abs(np.linalg.norm(np.asarray(vector)) - 1.0) <= tolerance)
+
+
+def is_close(x: float, y: float, rtol: float = 1e-5, atol: float = 1e-8) -> bool:
+    """``np.isclose(x, y, rtol, atol)`` for two scalars, as a ``bool``.
+
+    numpy's documented predicate without its array machinery, which
+    costs far more than the comparison on a per-probe path: ``x == y``,
+    or ``y`` finite and ``|x - y| <= atol + rtol * |y|``.  NaN is never
+    close and an infinity only to itself, as in numpy.
+    """
+    return bool(x == y or (
+        math.isfinite(y) and abs(x - y) <= atol + rtol * abs(y)
+    ))

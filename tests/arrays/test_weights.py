@@ -39,6 +39,30 @@ class TestBeamWeights:
         beam = BeamWeights.from_vector(np.ones(4, dtype=complex))
         assert np.asarray(beam).shape == (4,)
 
+    def test_norm_check_decides_as_np_isclose(self):
+        # Norms one ulp either side of the 1 +/- 1.1e-5 boundary, exactly
+        # 1, and non-finite: accepted exactly when np.isclose says so.
+        unit = np.full(4, 0.5)  # norm exactly 1
+        tolerance = 1e-6 + 1e-5
+        norms = [1.0, np.nan, np.inf]
+        for edge in (1.0 + tolerance, 1.0 - tolerance):
+            norms += [
+                np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)
+            ]
+        accepted = []
+        for norm in norms:
+            vector = unit * norm + 0j
+            expected = bool(np.isclose(np.linalg.norm(vector), 1.0, atol=1e-6))
+            try:
+                BeamWeights(vector)
+            except ValueError:
+                ok = False
+            else:
+                ok = True
+            assert ok is expected, norm
+            accepted.append(ok)
+        assert True in accepted and False in accepted
+
 
 class TestWeightQuantizer:
     def test_phase_snapping_levels(self):

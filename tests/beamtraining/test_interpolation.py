@@ -58,6 +58,47 @@ class TestInterpolatePeak:
         with pytest.raises(IndexError):
             interpolate_peak(result, 999)
 
+    def test_uniform_grid_check_decides_as_np_isclose(self, monkeypatch):
+        # Equal steps, steps around the rtol=1e-6 tolerance (inside it,
+        # one ulp either side of 1 +/- 1e-6, and outside it but inside
+        # a looser one) and non-finite angles: the same angle, bit for
+        # bit, as with np.isclose(left, right, rtol=1e-6) deciding
+        # whether the grid is uniform.
+        import repro.beamtraining.base as base
+
+        powers = np.array([0.5, 1.0, 0.8])
+        cases = []
+        for right in (
+            1.0, 1.0 + 5e-7, 1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 2e-6,
+            1.0 - 2e-6, 0.5, np.inf, np.nan,
+        ):
+            for bump in (-1, 0, 1):
+                step = right
+                for _ in range(abs(bump)):
+                    step = np.nextafter(step, np.inf if bump > 0 else 0.0)
+                cases.append(np.array([-1.0, 0.0, step]))
+        cases.append(np.array([-np.inf, 0.0, np.inf]))
+        cases.append(np.array([np.nan, 0.0, 1.0]))
+
+        def refine(angles):
+            result = BeamTrainingResult(
+                angles_rad=angles, powers=powers, num_probes=3
+            )
+            return interpolate_peak(result, 1)
+
+        with np.errstate(invalid="ignore"):
+            ours = [refine(angles) for angles in cases]
+            monkeypatch.setattr(
+                base, "is_close",
+                lambda x, y, **_: bool(np.isclose(x, y, rtol=1e-6)),
+            )
+            theirs = [refine(angles) for angles in cases]
+        assert [np.float64(v).tobytes() for v in ours] == [
+            np.float64(v).tobytes() for v in theirs
+        ]
+        # Both branches are taken: some grids interpolate, some do not.
+        assert any(v == 0.0 for v in ours) and any(v != 0.0 for v in ours)
+
 
 class TestInterpolatedTopK:
     def test_beats_grid_resolution(self):

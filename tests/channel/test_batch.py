@@ -87,6 +87,45 @@ class TestBatchMatchesPerSample:
             )
             np.testing.assert_allclose(responses[i], expected, rtol=1e-9)
 
+    def test_transmit_gain_contraction_is_bitwise_per_sample(self, scenario):
+        # The stacked (T, L, N) @ (N,) contraction of a precomputed batch
+        # gives each sample's GeometricChannel.path_tx_gains bit for bit.
+        times = np.arange(0.0, 0.1, 1e-3)
+        primed = scenario.channel_batch(times).precompute(FREQS)
+        for angle in (-0.4, 0.0, 0.1):
+            weights = single_beam_weights(ARRAY, angle)
+            tx_gains = primed._steering @ np.asarray(weights, dtype=complex)
+            for i, t in enumerate(times):
+                expected = scenario.channel_at(float(t)).path_tx_gains(weights)
+                assert tx_gains[i].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("full_tensor", [False, True])
+    def test_only_the_rotation_operand_order_differs(self, scenario, full_tensor):
+        # The batch rotates by (-2j*pi*f)*tau, the scalar path by
+        # -2j*pi*(f*tau).  Re-associated like the scalar path, the
+        # stacked (T, F, L) @ (T, L, 1) contraction -- over the broadcast
+        # row or the full tensor -- is each sample's response bit for bit.
+        times = np.arange(0.0, 0.1, 1e-3)
+        batch = scenario.channel_batch(times)
+        weights = single_beam_weights(ARRAY, 0.1)
+        delays = batch.delays_s
+        assert np.all(delays == delays[:1])
+        if full_tensor:
+            rotation = np.exp(
+                -2j * np.pi * (FREQS[None, :, None] * delays[:, None, :])
+            )
+        else:
+            row = np.exp(-2j * np.pi * (FREQS[:, None] * delays[0][None, :]))
+            rotation = np.broadcast_to(row, (len(times),) + row.shape)
+        tx_gains = steering_vector(ARRAY, batch.aods_rad) @ weights
+        alphas = np.asarray(batch.gains, dtype=complex) * tx_gains
+        responses = (rotation @ alphas[:, :, None])[:, :, 0]
+        for i, t in enumerate(times):
+            expected = scenario.channel_at(float(t)).frequency_response(
+                weights, FREQS
+            )
+            assert responses[i].tobytes() == expected.tobytes()
+
     def test_phase_drift_applied(self):
         base = indoor_two_path_scenario(ARRAY)
         drifting = type(base)(

@@ -50,6 +50,24 @@ class TestComplexAwgn:
         with pytest.raises(ValueError):
             complex_awgn(10, -1.0)
 
+    @pytest.mark.parametrize("shape", [128, 7, (64,), (3, 5), (), (0,)])
+    @pytest.mark.parametrize("power", [0.0, 3.2e-12, 2.0])
+    def test_one_draw_is_the_two_draw_expression(self, shape, power):
+        # A twin generator drawing the real and imaginary parts in two
+        # calls gives the same bits and ends in the same state.
+        ours, twin = np.random.default_rng(17), np.random.default_rng(17)
+        noise = complex_awgn(shape, power, ours)
+        scale = np.sqrt(power / 2.0)
+        expected = twin.normal(0.0, scale, shape) + 1j * twin.normal(
+            0.0, scale, shape
+        )
+        assert type(noise) is type(expected)
+        assert np.shape(noise) == np.shape(expected)
+        assert np.asarray(noise).tobytes() == np.asarray(expected).tobytes()
+        assert ours.bit_generator.state == twin.bit_generator.state
+        # The next draw of both streams agrees too.
+        assert ours.random() == twin.random()
+
 
 class TestCfoSfoModel:
     def test_magnitude_preserved(self):

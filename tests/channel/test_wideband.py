@@ -95,6 +95,24 @@ class TestCirFromFrequencyResponse:
         assert peak == 34  # 8.5 taps * 4
         assert abs(cir4[peak]) == pytest.approx(1.0, rel=0.02)
 
+    @pytest.mark.parametrize("oversample", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 128])
+    def test_half_swap_is_ifftshift(self, n, oversample):
+        # The halves are swapped by slicing; the IFFT must see exactly
+        # what np.fft.ifftshift handed it, for even and odd lengths.
+        rng = np.random.default_rng(n)
+        response = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        spectrum = np.fft.ifftshift(response)
+        if oversample > 1:
+            padded = np.zeros(n * oversample, dtype=complex)
+            half = n // 2
+            padded[:half] = spectrum[:half]
+            padded[-(n - half):] = spectrum[half:]
+            spectrum = padded
+        expected = np.fft.ifft(spectrum) * oversample
+        actual = cir_from_frequency_response(response, oversample)
+        assert actual.tobytes() == expected.tobytes()
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             cir_from_frequency_response(np.ones((2, 2)))
@@ -149,3 +167,16 @@ class TestStackedDictionaries:
                 np.testing.assert_allclose(
                     actual[c, :, k], column, rtol=1e-12, atol=1e-15
                 )
+
+    @pytest.mark.parametrize("taps", [1, 2, 7, 63, 64, 128])
+    def test_dirichlet_half_swap_is_ifftshift(self, taps):
+        delays, bandwidth, _ = _dictionary_inputs()
+        spacing = bandwidth / taps
+        freqs = (np.arange(taps) - taps // 2) * spacing
+        responses = np.exp(
+            -2j * np.pi * freqs[None, :, None] * delays[:, None, :]
+        )
+        expected = np.fft.ifft(np.fft.ifftshift(responses, axes=1), axis=1)
+        actual = stacked_dirichlet_dictionaries(delays, bandwidth, taps)
+        assert actual.tobytes() == expected.tobytes()
+

@@ -25,6 +25,7 @@ from repro.core.superres import (
     SuperResolver,
     estimate_pulse_tof,
 )
+from repro.perf import cache_stats, clear_caches
 
 BANDWIDTH = 400e6
 RELATIVE = (0.0, 1.2e-9)
@@ -162,6 +163,18 @@ class TestWarmResolver:
             assert len(warm._factorizations) <= FACTORIZATION_CACHE_SIZE
         assert len(warm._factorizations) == FACTORIZATION_CACHE_SIZE
 
+    def test_anchors_without_valid_candidates_fit_nothing(self):
+        # Every candidate around a far-negative anchor has a negative
+        # delay: no fit, and nothing is cached for it.
+        resolver = make_resolver()
+        cir = noisy_cir(0, (1.0, 0.4j))
+        relative = resolver.relative_delays_s
+        assert resolver._fit({-1e-6}, relative, cir) is None
+        assert len(resolver._factorizations) == 0
+        assert resolver._fit({25e-9}, relative, cir) is not None
+        assert resolver._fit({25e-9}, relative[:1], cir) is not None
+        assert len(resolver._factorizations) == 2
+
 
 class TestTieBreaking:
     @pytest.mark.parametrize("tracked", [25e-9, None])
@@ -208,3 +221,35 @@ class TestEstimatePulseTof:
         fast = estimate_pulse_tof(cir, BANDWIDTH)
         naive = oracle.estimate_pulse_tof(cir, BANDWIDTH)
         assert fast == naive == pytest.approx(10 / BANDWIDTH, abs=1e-12)
+
+    @pytest.mark.parametrize("taps", [64, 128])
+    @pytest.mark.parametrize("kernel", ["dirichlet", "sinc"])
+    def test_warm_grid_matches_cold_and_oracle(self, kernel, taps):
+        # The scoring grid is cached per coarse tap: a hit must return
+        # what a cold build and the per-delay oracle return, and the
+        # cache must show in cache_stats().
+        for seed, delay in enumerate((25.4e-9, 25.47e-9, 60.1e-9, 0.8e-9)):
+            rng = np.random.default_rng(seed)
+            cir = sampled_cir([1.0 + 0.2j], [delay], BANDWIDTH, taps)
+            cir = cir + 1e-3 * rng.standard_normal(taps)
+            clear_caches("superres.tof_grid")
+            before = cache_stats()["superres.tof_grid"]
+            cold = estimate_pulse_tof(cir, BANDWIDTH, kernel=kernel)
+            warm = estimate_pulse_tof(cir, BANDWIDTH, kernel=kernel)
+            after = cache_stats()["superres.tof_grid"]
+            naive = oracle.estimate_pulse_tof(cir, BANDWIDTH, kernel=kernel)
+            assert cold.hex() == warm.hex() == naive.hex()
+            assert after["misses"] - before["misses"] == 1
+            assert after["hits"] - before["hits"] == 1
+            assert after["size"] == 1
+
+    def test_grid_key_separates_kernels_and_tap_counts(self):
+        clear_caches("superres.tof_grid")
+        for taps in (64, 128):
+            cir = sampled_cir([1.0], [25.4e-9], BANDWIDTH, taps)
+            for kernel in ("dirichlet", "sinc"):
+                assert estimate_pulse_tof(cir, BANDWIDTH, kernel=kernel) == (
+                    oracle.estimate_pulse_tof(cir, BANDWIDTH, kernel=kernel)
+                )
+        assert cache_stats()["superres.tof_grid"]["size"] == 4
+

@@ -49,6 +49,31 @@ class TestPowerSmoother:
         with pytest.raises(ValueError):
             PowerSmoother(window=2)
 
+    @pytest.mark.parametrize("window", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_is_numpy_polyfit_bitwise(self, window, seed):
+        # The inlined fit must give np.polyfit + np.polyval's exact bits
+        # on every window fill, including 3..window points.
+        rng = np.random.default_rng(seed)
+        smoother = PowerSmoother(forgetting_factor=0.7, window=window)
+        times = np.cumsum(rng.uniform(1e-3, 1e-2, 3 * window))
+        powers = -45.0 + 8.0 * rng.standard_normal(times.size)
+        ewma = None
+        history = []
+        for t, power in zip(times.tolist(), powers.tolist()):
+            ewma = power if ewma is None else 0.7 * ewma + (1.0 - 0.7) * power
+            history = (history + [(t, ewma)])[-window:]
+            ours = smoother.update(t, power)
+            if len(history) < 3:
+                assert ours == ewma
+                continue
+            x = np.array([h[0] for h in history])
+            y = np.array([h[1] for h in history])
+            span = max(x[-1] - x[0], 1e-9)
+            coeffs = np.polyfit((x - x[-1]) / span, y, deg=2)
+            expected = float(np.polyval(coeffs, 0.0))
+            assert ours.hex() == expected.hex()
+
 
 class TestBeamTracker:
     def test_requires_anchor(self):

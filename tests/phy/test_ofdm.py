@@ -5,7 +5,7 @@ import pytest
 
 from repro.arrays import UniformLinearArray, single_beam_weights
 from repro.channel.impairments import CfoSfoModel
-from repro.phy.ofdm import ChannelSounder, OfdmConfig
+from repro.phy.ofdm import ChannelEstimate, ChannelSounder, OfdmConfig
 from repro.sim.scenarios import two_path_channel
 
 
@@ -109,3 +109,27 @@ class TestChannelSounder:
         assert estimate.power_db() == pytest.approx(
             10 * np.log10(estimate.mean_power)
         )
+
+
+class TestMeanPowerIsNumpyMean:
+    """The probe path reduces ``|h|^2`` exactly as ``np.mean`` does."""
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (64,), (128,), (1000,), (3, 64)])
+    def test_mean_power(self, shape):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        csi = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        csi[..., 0] *= 1e4  # a wide dynamic range exercises the summation order
+        estimate = ChannelEstimate(csi=csi, frequencies_hz=np.zeros(shape[-1]))
+        expected = float(np.mean(np.abs(csi) ** 2))
+        assert estimate.mean_power.hex() == expected.hex()
+
+    @pytest.mark.parametrize("angle_deg", [-50.0, -3.0, 0.0, 12.5, 40.0])
+    @pytest.mark.parametrize("num_subcarriers", [16, 64, 128, 255])
+    def test_link_snr_db(self, array, channel, angle_deg, num_subcarriers):
+        config = OfdmConfig(num_subcarriers=num_subcarriers)
+        sounder = ChannelSounder(config=config, rng=0)
+        weights = single_beam_weights(array, np.deg2rad(angle_deg))
+        response = channel.frequency_response(weights, config.frequency_grid())
+        expected = config.snr_db(float(np.mean(np.abs(response) ** 2)))
+        assert sounder.link_snr_db(channel, weights).hex() == expected.hex()
+

@@ -137,17 +137,28 @@ class TestMatchesStandalone:
         assert all(event.run.split("/")[0] in SYSTEMS for event in outer.events)
 
 
-class CountingScenario:
-    """Delegates to a real scenario and counts what it computes."""
+class ChannelCounter:
+    """Delegates ``channel_at`` to a real scenario and records each time."""
 
     def __init__(self, scenario):
         self.scenario = scenario
-        self.channel_at_calls = 0
-        self.channel_batch_calls = 0
+        self.channel_times = []
+
+    @property
+    def channel_at_calls(self):
+        return len(self.channel_times)
 
     def channel_at(self, time_s):
-        self.channel_at_calls += 1
+        self.channel_times.append(time_s)
         return self.scenario.channel_at(time_s)
+
+
+class CountingScenario(ChannelCounter):
+    """A :class:`ChannelCounter` that also counts ``channel_batch``."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.channel_batch_calls = 0
 
     def channel_batch(self, times_s):
         self.channel_batch_calls += 1
@@ -171,6 +182,30 @@ class TestChannelsComputedOnce:
         ).run()
         assert shared.channel_at_calls == alone.channel_at_calls
         assert shared.channel_batch_calls == alone.channel_batch_calls
+
+    def test_a_standalone_link_computes_each_instant_once(self):
+        # Over a scenario without channel_batch every sample reads a
+        # channel; the tick's channel also serves the segment's first
+        # sample, and t=0 serves both establish and the first sample.
+        scenario = ChannelCounter(fig19_60ghz._scenario(28e9, 0.1, 0))
+        assert not hasattr(scenario.scenario, "channel_batch")
+        (_, manager_factory), _ = fig19_systems()
+        simulator = LinkSimulator(
+            scenario=scenario, manager=manager_factory(0), duration_s=1.0
+        )
+        trace = simulator.run()
+        assert scenario.channel_at_calls == 1000
+        assert sorted(set(scenario.channel_times)) == trace.times_s.tolist()
+        # Every sample reads what a freshly computed channel gives.
+        fresh = fig19_60ghz._scenario(28e9, 0.1, 0)
+        sounder = simulator.manager.sounder
+        for index, t in enumerate(trace.times_s.tolist()):
+            weights = trace.weights_at(index)
+            expected = (
+                -np.inf if weights is None
+                else sounder.link_snr_db_batch([fresh.channel_at(t)], weights)[0]
+            )
+            assert trace.snr_db[index].hex() == float(expected).hex()
 
     def test_shared_batch_is_precomputed_once(self, monkeypatch):
         from repro.channel import batch as batch_module

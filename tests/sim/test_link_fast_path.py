@@ -340,8 +340,10 @@ class BatchCountingScenario:
     def __init__(self, scenario):
         self.scenario = scenario
         self.batches = 0
+        self.channel_times = []
 
     def channel_at(self, time_s):
+        self.channel_times.append(time_s)
         return self.scenario.channel_at(time_s)
 
     def channel_batch(self, times_s):
@@ -372,7 +374,15 @@ class TestUnbatchedManagerMatchesOracle:
         with use_recorder(TelemetryRecorder()) as recorder:
             trace = run(simulator)
             events = list(recorder.events)
+        self.channel_times = scenario.channel_times
         return trace, events, scenario.batches
+
+    def test_each_instant_is_computed_once(self):
+        # The tick's channel also serves the first sample of its segment
+        # (and t=0 both establish and the first sample).
+        trace, _, _ = self.run_directional(LinkSimulator.run)
+        assert len(self.channel_times) == trace.times_s.size == 400
+        assert sorted(set(self.channel_times)) == trace.times_s.tolist()
 
     def test_directional_ue_run_is_bitwise_the_oracle(self):
         trace, events, batches = self.run_directional(LinkSimulator.run)

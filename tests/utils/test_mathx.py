@@ -6,6 +6,7 @@ import pytest
 from repro.utils import (
     angle_difference,
     complex_from_polar,
+    is_close,
     is_unit_norm,
     normalized_sinc,
     unit_vector,
@@ -99,3 +100,45 @@ class TestIsUnitNorm:
 
     def test_tolerance(self):
         assert is_unit_norm(np.array([1.0 + 1e-12, 0.0]))
+
+
+#: Scalars around every branch of np.isclose: signed zeros, infinities,
+#: NaN, tiny and huge magnitudes, and values one ulp either side of the
+#: exact tolerance boundaries of ``BOUNDARY_TOLERANCES``.
+IS_CLOSE_VALUES = (
+    0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 2.0, 3.0, 0.75, 1.1e-5, 1.0 + 1e-5,
+    1.0 - 1e-5, 1e300, -1e300, 5e-324, np.inf, -np.inf, np.nan,
+    np.nextafter(3.0, np.inf), np.nextafter(1e-8, 1.0),
+    np.nextafter(0.75, 0.0),
+)
+#: ``(rtol, atol)``: the defaults, each call site's, and tolerances whose
+#: boundaries are exact in binary (|3 - 2| == 0.5 + 0.25 * 2).
+BOUNDARY_TOLERANCES = ((1e-5, 1e-8), (1e-5, 1e-6), (1e-6, 1e-8), (0.25, 0.5))
+
+
+class TestIsClose:
+    """``is_close`` decides exactly as ``np.isclose`` for two scalars."""
+
+    @pytest.mark.parametrize("rtol, atol", BOUNDARY_TOLERANCES)
+    def test_matches_numpy_on_every_pair(self, rtol, atol):
+        for x in IS_CLOSE_VALUES:
+            for y in IS_CLOSE_VALUES:
+                for a, b in ((x, y), (np.float64(x), np.float64(y))):
+                    expected = bool(np.isclose(a, b, rtol=rtol, atol=atol))
+                    assert is_close(a, b, rtol=rtol, atol=atol) is expected, (
+                        x, y, rtol, atol,
+                    )
+
+    def test_tolerance_boundary_is_inclusive(self):
+        assert is_close(3.0, 2.0, rtol=0.25, atol=0.5)
+        assert not is_close(np.nextafter(3.0, np.inf), 2.0, rtol=0.25, atol=0.5)
+        assert is_close(1e-8, 0.0)
+        assert not is_close(np.nextafter(1e-8, 1.0), 0.0)
+
+    def test_nan_and_inf(self):
+        assert not is_close(np.nan, np.nan)
+        assert not is_close(np.nan, 1.0) and not is_close(1.0, np.nan)
+        assert is_close(np.inf, np.inf) and is_close(-np.inf, -np.inf)
+        assert not is_close(np.inf, -np.inf)
+        assert not is_close(1e300, np.inf) and not is_close(np.inf, 1e300)
+
