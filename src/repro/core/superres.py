@@ -31,6 +31,9 @@ from repro.channel.wideband import (
 from repro.perf.cache import BoundedCache
 from repro.utils.units import power_linear_to_db
 
+#: The dictionary kernels a fit can use.
+_KERNELS = ("dirichlet", "sinc")
+
 #: Fine ToF scoring grids of :func:`estimate_pulse_tof`, keyed on
 #: (coarse tap index, bandwidth, taps, kernel, fine step, search span):
 #: every establish fits each beam's pulse, and a user's beams keep
@@ -104,6 +107,10 @@ def estimate_pulse_tof(
     cir = np.asarray(cir, dtype=complex)
     if cir.ndim != 1 or cir.size < 2:
         raise ValueError(f"CIR must be 1-D with >= 2 taps, got {cir.shape}")
+    if kernel not in _KERNELS:
+        raise ValueError(
+            f"kernel must be 'dirichlet' or 'sinc', got {kernel!r}"
+        )
     coarse_index = int(np.argmax(np.abs(cir)))
     grid, conjugates, norms = _TOF_GRID_CACHE.get_or_build(
         (
@@ -251,7 +258,7 @@ class SuperResolver:
             self.spacing_span_s = 0.15 / self.bandwidth_hz
         if self.spacing_span_s < 0:
             raise ValueError("spacing_span_s must be >= 0")
-        if self.kernel not in ("dirichlet", "sinc"):
+        if self.kernel not in _KERNELS:
             raise ValueError(
                 f"kernel must be 'dirichlet' or 'sinc', got {self.kernel!r}"
             )

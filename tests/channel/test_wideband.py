@@ -179,4 +179,3 @@ class TestStackedDictionaries:
         expected = np.fft.ifft(np.fft.ifftshift(responses, axes=1), axis=1)
         actual = stacked_dirichlet_dictionaries(delays, bandwidth, taps)
         assert actual.tobytes() == expected.tobytes()
-

@@ -253,3 +253,10 @@ class TestEstimatePulseTof:
                 )
         assert cache_stats()["superres.tof_grid"]["size"] == 4
 
+    @pytest.mark.parametrize("kernel", ["Dirichlet", "sync", ""])
+    def test_unknown_kernel_is_rejected_before_the_grid_cache(self, kernel):
+        clear_caches("superres.tof_grid")
+        cir = sampled_cir([1.0], [25.43e-9], BANDWIDTH, 64)
+        with pytest.raises(ValueError, match="kernel"):
+            estimate_pulse_tof(cir, BANDWIDTH, kernel=kernel)
+        assert cache_stats()["superres.tof_grid"]["size"] == 0

@@ -132,4 +132,3 @@ class TestMeanPowerIsNumpyMean:
         response = channel.frequency_response(weights, config.frequency_grid())
         expected = config.snr_db(float(np.mean(np.abs(response) ** 2)))
         assert sounder.link_snr_db(channel, weights).hex() == expected.hex()
-

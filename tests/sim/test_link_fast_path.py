@@ -374,24 +374,23 @@ class TestUnbatchedManagerMatchesOracle:
         with use_recorder(TelemetryRecorder()) as recorder:
             trace = run(simulator)
             events = list(recorder.events)
-        self.channel_times = scenario.channel_times
-        return trace, events, scenario.batches
+        return trace, events, scenario
 
     def test_each_instant_is_computed_once(self):
         # The tick's channel also serves the first sample of its segment
         # (and t=0 both establish and the first sample).
-        trace, _, _ = self.run_directional(LinkSimulator.run)
-        assert len(self.channel_times) == trace.times_s.size == 400
-        assert sorted(set(self.channel_times)) == trace.times_s.tolist()
+        trace, _, scenario = self.run_directional(LinkSimulator.run)
+        assert len(scenario.channel_times) == trace.times_s.size == 400
+        assert sorted(set(scenario.channel_times)) == trace.times_s.tolist()
 
     def test_directional_ue_run_is_bitwise_the_oracle(self):
-        trace, events, batches = self.run_directional(LinkSimulator.run)
+        trace, events, scenario = self.run_directional(LinkSimulator.run)
         expected, expected_events, _ = self.run_directional(
             oracle.run_per_sample
         )
         assert hasattr(directional_ue.DirectionalUeLinkManager, "link_snr_db")
         assert trace.weight_record == ()
-        assert batches == 0
+        assert scenario.batches == 0
         np.testing.assert_array_equal(trace.times_s, expected.times_s)
         np.testing.assert_array_equal(trace.snr_db, expected.snr_db)
         assert trace.actions == expected.actions

@@ -141,4 +141,3 @@ class TestIsClose:
         assert is_close(np.inf, np.inf) and is_close(-np.inf, -np.inf)
         assert not is_close(np.inf, -np.inf)
         assert not is_close(1e300, np.inf) and not is_close(np.inf, 1e300)
-
